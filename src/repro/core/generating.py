@@ -18,6 +18,14 @@ Theorem 1 (proved in the paper, re-checked by our test-suite) guarantees the
 final set (a) never forbids a latency the target machine allows and (b)
 contains every maximal resource of the target machine.
 
+Resources are packed usage masks, as in :mod:`repro.query.compiled`: bit
+``op_index * width + cycle`` is usage ``(op, cycle)``.  Every resource is a
+union of pairs ``{(X, 0), (Y, f)}`` and subsets of earlier resources, so
+``width`` (largest pair latency + 1) holds all its cycles.  Rule 1 is then
+``current & allowed == current``, where ``allowed`` is the AND of two
+memoized anchor masks.  Masks are decoded to ``frozenset`` resources only
+for the return value, traces and a budget's partial result.
+
 ``prune_subsets_every`` enables an optimization discussed in DESIGN.md:
 dropping a resource that is a subset of another current resource is safe
 because any future Rule-1/2 product grown from the subset is dominated by
@@ -27,14 +35,11 @@ the product grown from its superset, so no maximal resource is lost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.elementary import (
-    Resource,
-    elementary_pairs,
-    pair_usages,
-)
+from repro.core.elementary import Resource, Usage, elementary_pairs, pair_usages
 from repro.core.forbidden import ForbiddenLatencyMatrix
+from repro.errors import BudgetExceeded
 from repro.obs import trace as obs
 
 
@@ -56,22 +61,16 @@ class TraceStep:
     resources: Tuple[Resource, ...] = ()
 
 
-def _prune_subset_resources(resources: List[Resource]) -> List[Resource]:
-    """Drop resources contained in another resource of the list."""
-    ordered = sorted(set(resources), key=len, reverse=True)
-    kept: List[Resource] = []
-    for candidate in ordered:
-        if not any(candidate < existing for existing in kept):
+def _prune_subset_masks(masks: List[int]) -> List[int]:
+    """Drop duplicates and masks contained in another mask of the list,
+    keeping the first-seen order of the survivors."""
+    kept: List[int] = []
+    by_size = sorted(set(masks), key=lambda m: bin(m).count("1"), reverse=True)
+    for candidate in by_size:
+        if not any(candidate & existing == candidate for existing in kept):
             kept.append(candidate)
-    # Preserve the original first-seen order among survivors.
     survivors = set(kept)
-    result = []
-    seen = set()
-    for resource in resources:
-        if resource in survivors and resource not in seen:
-            seen.add(resource)
-            result.append(resource)
-    return result
+    return [mask for mask in dict.fromkeys(masks) if mask in survivors]
 
 
 def build_generating_set(
@@ -99,116 +98,117 @@ def build_generating_set(
         ``"generating_set"``, the number of pairs processed, and the
         resource list grown so far as its partial result.
     """
-    resources: List[Resource] = []
     worklist = elementary_pairs(matrix)
     operations = matrix.operations
+    width = 1 + max((max(c for _, c in pair) for pair in worklist), default=0)
+    base = {op: i * width for i, op in enumerate(operations)}
+    anchors: Dict[Usage, int] = {}
+
+    def anchor(usage: Usage) -> int:
+        """Mask of every usage (B, b) compatible with usage (X, x), that
+        is with x - b in F[B][X] (bits are distinct, so sum is OR)."""
+        if usage not in anchors:
+            op_x, x = usage
+            anchors[usage] = sum(
+                1 << (base[op] + x - g)
+                for op in operations
+                for g in matrix.latencies(op, op_x)
+                if 0 <= x - g < width
+            )
+        return anchors[usage]
+
+    def decode(mask: Optional[int]) -> Optional[Resource]:
+        if mask is None:
+            return None
+        usages = []
+        while mask:
+            low = mask & -mask
+            bit = low.bit_length() - 1
+            usages.append((operations[bit // width], bit % width))
+            mask ^= low
+        return frozenset(usages)
+
+    masks: List[int] = []
     tracer = obs.current()
     if tracer is not None:
         tracer.count("reduce.algorithm1.pairs", len(worklist))
     for processed, pair in enumerate(worklist, start=1):
         if budget is not None:
-            budget.checkpoint(
-                "generating_set",
-                units=1 + len(resources),
-                progress="%d/%d pairs" % (processed - 1, len(worklist)),
-                partial=list(resources),
-            )
-        step = TraceStep(pair=pair) if trace is not None else None
+            try:
+                budget.checkpoint(
+                    "generating_set",
+                    units=1 + len(masks),
+                    progress="%d/%d pairs" % (processed - 1, len(worklist)),
+                )
+            except BudgetExceeded as exc:
+                exc.partial = list(map(decode, masks))
+                raise
         u0, u1 = pair_usages(pair)
-        # Hot path: precompute, per operation, the set of cycles at which
-        # a usage is compatible with BOTH usages of this pair.  A usage
-        # (B, b) is compatible with (X, x) iff (x - b) is in F[B][X], so
-        # the per-operation set is an intersection of two shifted
-        # forbidden sets and each membership test below is one lookup.
-        op_x, cycle_x = u0
-        op_y, cycle_y = u1
-        allowed = {}
-        for op in operations:
-            with_first = {
-                cycle_x - g for g in matrix.latencies(op, op_x)
-            }
-            with_second = {
-                cycle_y - g for g in matrix.latencies(op, op_y)
-            }
-            common = with_first & with_second
-            if common:
-                allowed[op] = common
-        found_together = False
-        additions: List[Resource] = []
-        for index, current in enumerate(resources):
-            compatible = frozenset(
-                u for u in current if u[1] in allowed.get(u[0], ())
-            )
-            if len(compatible) == len(current):
+        pair_mask = (1 << (base[u0[0]] + u0[1])) | (1 << (base[u1[0]] + u1[1]))
+        allowed = anchor(u0) & anchor(u1)
+        fired = []  # (rule, target, result) masks for the trace
+        additions: List[int] = []
+        merges = 0
+        for index, current in enumerate(masks):
+            compatible = current & allowed
+            if compatible == current:
                 # Rule 1: fully compatible -> merge the pair in.
-                merged = current | pair
-                resources[index] = merged
-                found_together = True
-                if tracer is not None:
-                    tracer.count("reduce.algorithm1.rule1")
-                if step is not None:
-                    step.applications.append(RuleApplication(1, current, merged))
+                masks[index] = merged = current | pair_mask
+                merges += 1
+                if trace is not None:
+                    fired.append((1, current, merged))
             else:
-                # Rule 2: partially compatible -> candidate new resource.
-                candidate = pair | compatible
-                if candidate != pair:
+                # Rule 2: partially compatible -> candidate new resource,
+                # discarded when it is just the pair itself.
+                candidate = pair_mask | compatible
+                if candidate == pair_mask:
+                    candidate = None
+                else:
                     additions.append(candidate)
-                    found_together = True
-                    if tracer is not None:
-                        tracer.count("reduce.algorithm1.rule2")
-                    if step is not None:
-                        step.applications.append(
-                            RuleApplication(2, current, candidate)
-                        )
-                elif step is not None:
-                    step.applications.append(RuleApplication(2, current, None))
-        existing = set(resources)
+                if trace is not None:
+                    fired.append((2, current, candidate))
+        existing = set(masks)
         for candidate in additions:
             if candidate not in existing:
                 existing.add(candidate)
-                resources.append(candidate)
-        if not found_together:
+                masks.append(candidate)
+        alone = int(not merges and not additions)
+        if alone:
             # Rule 3: the pair starts a resource of its own.
-            if pair not in existing:
-                resources.append(pair)
-            if tracer is not None:
-                tracer.count("reduce.algorithm1.rule3")
-            if step is not None:
-                step.applications.append(RuleApplication(3, None, pair))
+            if pair_mask not in existing:
+                masks.append(pair_mask)
+            fired.append((3, None, pair_mask))
+        if tracer is not None:
+            for rule, hits in ((1, merges), (2, len(additions)), (3, alone)):
+                if hits:
+                    tracer.count("reduce.algorithm1.rule%d" % rule, hits)
         if prune_subsets_every and processed % prune_subsets_every == 0:
-            before = len(resources)
-            resources = _prune_subset_resources(resources)
+            before = len(masks)
+            masks = _prune_subset_masks(masks)
             if tracer is not None:
                 tracer.count("reduce.algorithm1.subset_pruned",
-                             before - len(resources))
-        if step is not None:
-            step.resources = tuple(resources)
-            trace(step)
+                             before - len(masks))
+        if trace is not None:
+            applications = [RuleApplication(rule, decode(target), decode(result))
+                            for rule, target, result in fired]
+            trace(TraceStep(pair, applications, tuple(map(decode, masks))))
 
     # Rule 4: operations whose only forbidden latency is 0 in F[X][X].
-    for op in matrix.operations:
-        self_latencies = matrix.latencies(op, op)
-        if self_latencies != frozenset({0}):
-            continue
-        others = any(
-            (matrix.latencies(op, other) or matrix.latencies(other, op))
-            for other in matrix.operations
+    for op in operations:
+        if matrix.latencies(op, op) != frozenset({0}) or any(
+            matrix.latencies(op, other) or matrix.latencies(other, op)
+            for other in operations
             if other != op
-        )
-        if others:
+        ):
             continue
-        singleton = frozenset({(op, 0)})
-        if not any(any(u[0] == op for u in resource) for resource in resources):
-            resources.append(singleton)
+        row = ((1 << width) - 1) << base[op]
+        if not any(mask & row for mask in masks):
+            masks.append(1 << base[op])
             if tracer is not None:
                 tracer.count("reduce.algorithm1.rule4")
             if trace is not None:
-                trace(
-                    TraceStep(
-                        pair=singleton,
-                        applications=[RuleApplication(4, None, singleton)],
-                        resources=tuple(resources),
-                    )
-                )
+                singleton = frozenset({(op, 0)})
+                applications = [RuleApplication(4, None, singleton)]
+                trace(TraceStep(singleton, applications, tuple(map(decode, masks))))
 
-    return _prune_subset_resources(resources)
+    return list(map(decode, _prune_subset_masks(masks)))

@@ -44,12 +44,39 @@ class TestExampleMachine:
         assert maximal <= without
 
     def test_trace_records_rule_applications(self, example_matrix):
+        """The exact Figure 3 sequence (benchmarks/results/
+        fig3_generating_trace.txt): per pair, every (rule, target,
+        result) and the generating set after the step."""
+        a1b0 = [("A", 1), ("B", 0)]
+        b01 = [("B", 0), ("B", 1)]
+        b012 = [("B", 0), ("B", 1), ("B", 2)]
+        b0123 = [("B", 0), ("B", 1), ("B", 2), ("B", 3)]
+        expected = [
+            (a1b0, [(3, None, a1b0)], [a1b0]),
+            (b01, [(2, a1b0, None), (3, None, b01)], [a1b0, b01]),
+            ([("B", 0), ("B", 2)], [(2, a1b0, None), (1, b01, b012)],
+             [a1b0, b012]),
+            ([("B", 0), ("B", 3)], [(2, a1b0, None), (1, b012, b0123)],
+             [a1b0, b0123]),
+        ]
+
+        def listed(resource):
+            return None if resource is None else sorted(resource)
+
         steps = []
         build_generating_set(example_matrix, trace=steps.append)
-        assert len(steps) == 4  # one per elementary pair (Figure 3)
-        rules = [app.rule for step in steps for app in step.applications]
-        assert 3 in rules  # the first pair starts a fresh resource
-        assert 1 in rules or 2 in rules
+        actual = [
+            (
+                sorted(step.pair),
+                [
+                    (app.rule, listed(app.target), listed(app.result))
+                    for app in step.applications
+                ],
+                [sorted(resource) for resource in step.resources],
+            )
+            for step in steps
+        ]
+        assert actual == expected
 
 
 class TestTheoremOne:
