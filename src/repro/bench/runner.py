@@ -32,13 +32,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bench.result import BenchCase, BenchResult, default_meta
 from repro.bench.stats import summarize
 from repro.obs.export import exclusive_times
-from repro.obs.profile import profile_machine, workload_for
+from repro.obs.profile import profile_machine
 from repro.obs.trace import Tracer
-from repro.scheduler.corpus import CorpusScheduler
+from repro.query.modulo import REPRESENTATIONS
 
 #: The default matrix: both study-scale machines, all representations.
 DEFAULT_MACHINES = ("example", "cydra5-subset")
-DEFAULT_REPRESENTATIONS = ("discrete", "bitvector", "compiled")
+DEFAULT_REPRESENTATIONS = REPRESENTATIONS
 DEFAULT_LOOPS = 8
 DEFAULT_REPETITIONS = 5
 
@@ -47,14 +47,6 @@ DEFAULT_REPETITIONS = 5
 QUICK_MACHINES = ("example",)
 QUICK_LOOPS = 4
 QUICK_REPETITIONS = 3
-
-#: Corpus cells: the whole loop suite scheduled in one pass — the
-#: columnar batch plane vs the same driver forced down the per-loop
-#: compiled path.  A compare of the two cells shows the batch plane's
-#: work reduction directly.
-CORPUS_MODES = ("corpus-batch", "corpus-perloop")
-DEFAULT_CORPUS_LOOPS = 24
-QUICK_CORPUS_LOOPS = 8
 
 
 def deterministic_work(tracer: Tracer) -> Dict[str, float]:
@@ -182,94 +174,6 @@ def run_case(
     )
 
 
-def run_corpus_case(
-    machine,
-    mode: str,
-    loops: int,
-    repetitions: int,
-    budget=None,
-) -> BenchCase:
-    """Run one corpus cell: the whole loop suite scheduled in one pass.
-
-    ``mode`` is one of :data:`CORPUS_MODES`.  The work counters come
-    straight from the corpus driver's merged
-    :class:`~repro.query.work.WorkCounters` (``query.<fn>.units`` /
-    ``query.<fn>.calls`` keys, the same shape the per-loop cells use),
-    so a bench compare gates the batch plane's query-path work exactly
-    like any other representation.
-    """
-    if mode not in CORPUS_MODES:
-        raise ValueError(
-            "unknown corpus mode %r (choose from %s)"
-            % (mode, ", ".join(CORPUS_MODES))
-        )
-    representation = "batch" if mode == "corpus-batch" else "compiled"
-    # Same workload resolution as the per-loop cells: the generated
-    # suite where the vocabulary fits, machine-native chains otherwise.
-    graphs = workload_for(machine, None, loops)
-    wall_samples: List[float] = []
-    work: Optional[Dict[str, float]] = None
-    nondeterministic: List[str] = []
-
-    for _rep in range(repetitions):
-        scheduler = CorpusScheduler(machine, representation=representation)
-        start = perf_counter()
-        result = scheduler.schedule_suite(graphs)
-        wall_samples.append(perf_counter() - start)
-
-        rep_work: Dict[str, float] = {}
-        for function, units in result.work.units.items():
-            rep_work["query.%s.units" % function] = float(units)
-        for function, calls in result.work.calls.items():
-            rep_work["query.%s.calls" % function] = float(calls)
-        rep_work["corpus.scheduled"] = float(result.scheduled)
-        rep_work["corpus.failed"] = float(result.failed)
-        if work is None:
-            work = rep_work
-        elif rep_work != work:
-            for name in sorted(set(work) | set(rep_work)):
-                if work.get(name) != rep_work.get(name):
-                    if name not in nondeterministic:
-                        nondeterministic.append(name)
-
-        if budget is not None:
-            budget.checkpoint(
-                "bench:%s/%s" % (machine.name, mode),
-                units=int(
-                    sum(
-                        value
-                        for name, value in rep_work.items()
-                        if name.startswith("query.")
-                        and name.endswith(".units")
-                    )
-                ),
-                progress={"repetitions": len(wall_samples)},
-            )
-
-    assert work is not None
-    for name in nondeterministic:
-        work.pop(name, None)
-
-    done = [o for o in result.outcomes if not o.failed]
-    quality = {
-        "loops": float(len(result.outcomes)),
-        "loops_at_mii": float(sum(1 for o in done if o.ii == o.mii)),
-        "ii_total": float(sum(o.ii for o in done)),
-        "mii_total": float(sum(o.mii for o in done)),
-    }
-    quality["mii_gap"] = quality["ii_total"] - quality["mii_total"]
-
-    return BenchCase(
-        machine=machine.name,
-        representation=mode,
-        work=work,
-        wall=summarize(wall_samples),
-        phases={},
-        quality=quality,
-        nondeterministic=nondeterministic,
-    )
-
-
 def run_benchmark(
     machines: Sequence[Tuple[str, object]],
     representations: Sequence[str] = DEFAULT_REPRESENTATIONS,
@@ -280,7 +184,6 @@ def run_benchmark(
     label: str = "",
     quick: bool = False,
     case_filter: Optional[str] = None,
-    corpus_loops: Optional[int] = None,
 ) -> BenchResult:
     """Run the full matrix and return the result document.
 
@@ -290,9 +193,7 @@ def run_benchmark(
     keeps only cells whose ``machine/representation`` key contains the
     substring (``repro bench run --filter``); the recorded config notes
     the filter so a compare against an unfiltered baseline reports the
-    config mismatch.  ``corpus_loops`` adds the :data:`CORPUS_MODES`
-    cells per machine, scheduling a suite of that many loops in one
-    pass (``None``/``0`` skips them).
+    config mismatch.
     """
     result = BenchResult(
         meta=default_meta(label=label),
@@ -307,8 +208,6 @@ def run_benchmark(
     )
     if case_filter:
         result.config["filter"] = case_filter
-    if corpus_loops:
-        result.config["corpus_loops"] = corpus_loops
     for name, machine in machines:
         for representation in representations:
             if case_filter and case_filter not in (
@@ -325,34 +224,18 @@ def run_benchmark(
                     budget=budget,
                 )
             )
-        for mode in CORPUS_MODES if corpus_loops else ():
-            if case_filter and case_filter not in ("%s/%s" % (name, mode)):
-                continue
-            result.add_case(
-                run_corpus_case(
-                    machine,
-                    mode,
-                    loops=corpus_loops,
-                    repetitions=repetitions,
-                    budget=budget,
-                )
-            )
     return result
 
 
 __all__ = [
-    "CORPUS_MODES",
-    "DEFAULT_CORPUS_LOOPS",
     "DEFAULT_LOOPS",
     "DEFAULT_MACHINES",
     "DEFAULT_REPETITIONS",
     "DEFAULT_REPRESENTATIONS",
-    "QUICK_CORPUS_LOOPS",
     "QUICK_LOOPS",
     "QUICK_MACHINES",
     "QUICK_REPETITIONS",
     "deterministic_work",
     "run_benchmark",
     "run_case",
-    "run_corpus_case",
 ]

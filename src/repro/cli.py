@@ -89,6 +89,7 @@ from repro.machines import (
     example_machine,
     playdoh,
 )
+from repro.query import DISCRETE, REPRESENTATIONS
 from repro.scheduler import IterativeModuloScheduler
 from repro.stats import describe
 from repro.workloads import KERNELS, loop_suite
@@ -546,10 +547,10 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     machine = _load_machine(args.machine)
-    if args.representation is None:
-        args.representation = "batch" if args.corpus else "discrete"
     if args.corpus:
         return _cmd_schedule_corpus(args, machine)
+    if args.representation is None:
+        args.representation = DISCRETE
     scheduler = IterativeModuloScheduler(
         machine,
         representation=args.representation,
@@ -664,24 +665,27 @@ def _cmd_schedule_corpus(args: argparse.Namespace, machine) -> int:
         )
     else:
         budget = _make_budget(args, "schedule:corpus")
+    options = {}
+    if args.representation is not None:
+        options["representation"] = args.representation
     scheduler = CorpusScheduler(
         machine,
-        representation=args.representation,
         word_cycles=args.word_cycles,
         policy=policy,
         processes=args.processes,
+        **options,
     )
     _runlog_note(
         machine=machine.name,
         workload=args.kernel or ("suite[%d]" % args.loops),
-        representation=args.representation,
+        representation=scheduler.representation,
         rung="corpus",
     )
     with _observing(args) as tracer:
         if tracer is not None:
             tracer.meta.update(
                 command="schedule", machine=machine.name,
-                representation=args.representation,
+                representation=scheduler.representation,
                 kernel=args.kernel or ("suite[%d]" % args.loops),
             )
         result = scheduler.schedule_suite(graphs, budget=budget)
@@ -716,13 +720,6 @@ def _cmd_schedule_corpus(args: argparse.Namespace, machine) -> int:
             % (result.scheduled, result.degraded, result.failed,
                len(result.outcomes), optimal)
         )
-        if result.backend is not None:
-            print(
-                "batch plane: %s backend, %d batch units,"
-                " %d compile units"
-                % (result.backend, result.work.units["batch"],
-                   result.work.units["compile"])
-            )
     _runlog_work(result.work)
     return 1 if result.failed else 0
 
@@ -1129,8 +1126,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     from repro.bench import render_result_text, save_result
     from repro.bench import runner
 
-    from repro.query import REPRESENTATIONS
-
     machines = _bench_machines(args)
     representations = [
         r.strip() for r in args.representations.split(",") if r.strip()
@@ -1147,12 +1142,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     repetitions = args.repetitions or (
         runner.QUICK_REPETITIONS if args.quick else runner.DEFAULT_REPETITIONS
     )
-    corpus_loops = args.corpus_loops
-    if corpus_loops is None:
-        corpus_loops = (
-            runner.QUICK_CORPUS_LOOPS if args.quick
-            else runner.DEFAULT_CORPUS_LOOPS
-        )
     result = runner.run_benchmark(
         machines,
         representations=representations,
@@ -1163,7 +1152,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         label=args.label,
         quick=args.quick,
         case_filter=args.filter,
-        corpus_loops=corpus_loops,
     )
     _runlog_note(
         machine=",".join(name for name, _ in machines),
@@ -1775,9 +1763,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="loop-suite size when no kernel is given (default: 8)",
     )
     p.add_argument(
-        "--representation",
-        choices=("discrete", "bitvector", "compiled"),
-        default="discrete",
+        "--representation", choices=REPRESENTATIONS, default=DISCRETE
     )
     p.add_argument("--word-cycles", type=int, default=1)
     p.add_argument(
@@ -1846,10 +1832,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument(
         "--representations",
-        default="discrete,bitvector,compiled",
+        default=",".join(REPRESENTATIONS),
         metavar="R[,R]",
         help="query representations to matrix over"
-        " (default: discrete,bitvector,compiled)",
+        " (default: %(default)s)",
     )
     b.add_argument(
         "--filter",
@@ -1861,13 +1847,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--loops",
         type=int,
         help="loop-suite size per case (default: 8; --quick: 4)",
-    )
-    b.add_argument(
-        "--corpus-loops",
-        type=int,
-        metavar="N",
-        help="suite size for the corpus-batch/corpus-perloop cells"
-        " (default: 24; --quick: 8; 0 skips them)",
     )
     b.add_argument(
         "--repetitions",
@@ -2046,16 +2025,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loops", type=int, default=20)
     p.add_argument(
         "--representation",
-        choices=("discrete", "bitvector", "compiled", "batch"),
+        choices=REPRESENTATIONS,
         default=None,
-        help="query representation (default: discrete, or batch"
-        " with --corpus)",
+        help="query representation (default: discrete, or the corpus"
+        " driver's default with --corpus)",
     )
     p.add_argument(
         "--corpus",
         action="store_true",
-        help="schedule the whole suite in one pass against a shared"
-        " compiled kernel (columnar batch plane); loop failures are"
+        help="schedule the whole suite in one pass; loop failures are"
         " contained per loop and reported, exiting 1",
     )
     p.add_argument(
@@ -2092,9 +2070,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=sorted(KERNELS))
     p.add_argument("--loops", type=int, default=8)
     p.add_argument(
-        "--representation",
-        choices=("discrete", "bitvector", "compiled"),
-        default="discrete",
+        "--representation", choices=REPRESENTATIONS, default=DISCRETE
     )
     p.add_argument("--word-cycles", type=int, default=1)
     p.add_argument(

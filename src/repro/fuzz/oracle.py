@@ -2,8 +2,8 @@
 
 Runs one (usually generated) machine description through the full
 pipeline — structural lint, query-module trajectories, reduce, certify,
-equivalence, modulo scheduling, corpus batch scheduling — and
-cross-checks every redundant path the library offers:
+equivalence, modulo scheduling — and cross-checks every redundant path
+the library offers:
 
 * the three query representations (discrete, bitvector, compiled) must
   answer every contention check identically, and must agree with the
@@ -14,11 +14,7 @@ cross-checks every redundant path the library offers:
   must check;
 * the modulo scheduler must produce the *identical* schedule on the
   original and the reduced description under every representation —
-  the paper's central claim;
-* corpus-scheduling the seeded workloads through the columnar batch
-  plane (:class:`repro.scheduler.corpus.CorpusScheduler`, shared
-  compilation) must match the per-loop compiled path
-  signature-for-signature (fingerprint class ``divergence:batch``).
+  the paper's central claim.
 
 Every outcome is classified:
 
@@ -36,11 +32,10 @@ Every outcome is classified:
     (machine-detail-free, e.g. ``divergence:equivalence``) that the
     shrinker preserves while minimizing.
 
-The ``mutate_reduced`` and ``mutate_corpus_signatures`` hooks exist for
-tests only: they inject a known-bad transform (between reduction and
-verification, or into the batch leg's signature list), simulating a
-broken reduction pipeline or batch plane so the bug path and the
-shrinker have a deterministic target.
+The ``mutate_reduced`` hook exists for tests only: it injects a
+known-bad transform between reduction and verification, simulating a
+broken reduction pipeline so the bug path and the shrinker have a
+deterministic target.
 """
 
 from __future__ import annotations
@@ -62,9 +57,9 @@ from repro.errors import (
 )
 from repro.fuzz.mdlgen import STRUCTURAL_RULES, generate_workload
 from repro.lint import lint_machine
-from repro.query import BATCH, COMPILED, REPRESENTATIONS, make_query_module
+from repro.query import REPRESENTATIONS, make_query_module
 from repro.resilience.budget import Budget
-from repro.scheduler.corpus import CorpusScheduler
+from repro.scheduler.corpus import schedule_signature
 from repro.scheduler.modulo import IterativeModuloScheduler
 
 VERDICT_OK = "ok"
@@ -92,12 +87,6 @@ class OracleConfig:
     #: before verification — simulates a broken reduction.
     mutate_reduced: Optional[
         Callable[[MachineDescription], MachineDescription]
-    ] = None
-    #: Test-only divergence hook applied to the corpus (batch) leg's
-    #: per-loop signature list before the ``batch`` differential stage
-    #: compares it — simulates a broken batch plane.
-    mutate_corpus_signatures: Optional[
-        Callable[[List], List]
     ] = None
 
 
@@ -198,14 +187,6 @@ def _probe_trajectories(
                 modules[rep].free(tokens[rep].pop(index))
 
 
-def _schedule_signature(result) -> Tuple:
-    return (
-        result.ii,
-        tuple(sorted(result.times.items())),
-        tuple(sorted(result.chosen_opcodes.items())),
-    )
-
-
 def _differential_schedules(
     original: MachineDescription,
     reduced: MachineDescription,
@@ -241,7 +222,9 @@ def _differential_schedules(
                         "schedule-error", str(exc.ii_range)
                     )
                 else:
-                    outcomes[(label, rep)] = _schedule_signature(result)
+                    outcomes[(label, rep)] = schedule_signature(
+                        result.ii, result.times, result.chosen_opcodes
+                    )
             if budget_hit:
                 break
         if budget_hit:
@@ -263,59 +246,6 @@ def _differential_schedules(
         only = next(iter(distinct))
         if only[0] == "schedule-error":
             handled.append("schedule-error")
-
-
-def _differential_corpus(
-    machine: MachineDescription,
-    seed: int,
-    config: OracleConfig,
-    handled: List[str],
-) -> None:
-    """Corpus-schedule the seeded workloads (batch plane, shared
-    compilation) against the per-loop compiled path; the two suites
-    must match signature-for-signature, failed loops included."""
-    graphs = [
-        generate_workload(
-            machine, seed * config.workloads + index,
-            max_operations=config.workload_operations,
-        )
-        for index in range(config.workloads)
-    ]
-    legs: Dict[str, List] = {}
-    for label, representation in (
-        ("corpus-batch", BATCH), ("per-loop", COMPILED),
-    ):
-        result = CorpusScheduler(
-            machine, representation=representation,
-        ).schedule_suite(graphs, budget=_budget(config))
-        if any(
-            outcome.error_type == "BudgetExceeded"
-            for outcome in result.outcomes
-        ):
-            # Work units differ between the batch and per-loop paths by
-            # design, so a starved leg forfeits the comparison.
-            handled.append("budget:corpus")
-            return
-        legs[label] = [
-            ("schedule-error",) if outcome.failed else outcome.signature
-            for outcome in result.outcomes
-        ]
-    batch_signatures = legs["corpus-batch"]
-    if config.mutate_corpus_signatures is not None:
-        batch_signatures = config.mutate_corpus_signatures(batch_signatures)
-    if batch_signatures != legs["per-loop"]:
-        diverging = sorted(
-            index for index, (batch_sig, perloop_sig)
-            in enumerate(zip(batch_signatures, legs["per-loop"]))
-            if batch_sig != perloop_sig
-        )
-        raise _Bug(
-            "batch",
-            "divergence:batch",
-            "corpus batch schedules diverge from the per-loop compiled"
-            " path at workload(s) %s of %d"
-            % (diverging, len(graphs)),
-        )
 
 
 def run_oracle(
@@ -388,9 +318,6 @@ def run_oracle(
 
         stage = "schedule"
         _differential_schedules(machine, reduced, seed, config, handled)
-
-        stage = "batch"
-        _differential_corpus(machine, seed, config, handled)
     except _Bug as bug:
         outcome.verdict = VERDICT_BUG
         outcome.stage = bug.stage

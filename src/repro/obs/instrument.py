@@ -39,11 +39,6 @@ QUERY_ATTRIBUTE = "attribute"
 #: units registry (``query.sample.units``) so exporters and the bench
 #: comparator see sampler work next to query work.
 QUERY_SAMPLE = "sample"
-#: Columnar batch-plane kernels (:mod:`repro.query.batch`): the bulk
-#: entry points (``check_matrix`` / ``first_free_bulk``) get observed
-#: overrides; column maintenance inside ``assign``/``free`` shares the
-#: currency and is visible through those timers' unit deltas.
-QUERY_BATCH = "batch"
 QUERY_FUNCTIONS = (
     QUERY_CHECK,
     QUERY_ASSIGN,
@@ -53,7 +48,6 @@ QUERY_FUNCTIONS = (
     QUERY_COMPILE,
     QUERY_ATTRIBUTE,
     QUERY_SAMPLE,
-    QUERY_BATCH,
 )
 #: Timer name for ``first_free`` — its kernel work is charged in the
 #: ``check_range`` unit currency, but wall time gets its own key so the
@@ -125,8 +119,6 @@ def observed_class(cls: Type) -> Type:
             "first_free", QUERY_FIRST_FREE, units_function=QUERY_CHECK_RANGE
         ),
         "check_attributed": _timed("check_attributed", QUERY_ATTRIBUTE),
-        "check_matrix": _timed("check_matrix", QUERY_BATCH),
-        "first_free_bulk": _timed("first_free_bulk", QUERY_BATCH),
     }
     derived = type("Observed" + cls.__name__, (cls,), namespace)
     _OBSERVED[cls] = derived
@@ -137,7 +129,6 @@ __all__ = [
     "QUERY_ASSIGN",
     "QUERY_ASSIGN_FREE",
     "QUERY_ATTRIBUTE",
-    "QUERY_BATCH",
     "QUERY_CHECK",
     "QUERY_CHECK_RANGE",
     "QUERY_COMPILE",

@@ -13,13 +13,6 @@ paper's Section 5 pair plus a compiled kernel:
   matrix; batched window scans (``check_range`` / ``first_free``) cost
   one collision bitset per *live operation class placement*, not one
   table walk per window cycle.
-* :class:`BatchQueryModule` — the columnar batch plane over the
-  compiled kernel: per-class blocked columns are maintained
-  incrementally across assigns/frees (numpy arrays when importable,
-  pure-python packed-int columns otherwise — bit-identical either
-  way), so any window scan is an O(1) column fetch charged to the
-  ``batch`` currency, and whole corpora share one compiled kernel via
-  :class:`SharedCompilation`.
 
 All support arbitrary placement order, backtracking via ``assign_free``,
 negative cycles (dangling block-boundary requirements), and modulo
@@ -40,13 +33,6 @@ from repro.query.base import (
     ContentionQueryModule,
     ScheduledToken,
 )
-from repro.query.batch import (
-    BatchQueryModule,
-    SharedCompilation,
-    batch_backend,
-    machine_digest,
-    numpy_available,
-)
 from repro.query.bitvector import BitvectorQueryModule
 from repro.query.compiled import (
     CompiledKernel,
@@ -61,8 +47,6 @@ from repro.query.predicated import (
     PredicateSpace,
 )
 from repro.query.modulo import (
-    ALL_REPRESENTATIONS,
-    BATCH,
     BITVECTOR,
     COMPILED,
     DISCRETE,
@@ -82,15 +66,8 @@ from repro.query.work import (
 )
 
 __all__ = [
-    "ALL_REPRESENTATIONS",
     "ASSIGN",
     "ATTRIBUTE",
-    "BATCH",
-    "BatchQueryModule",
-    "SharedCompilation",
-    "batch_backend",
-    "machine_digest",
-    "numpy_available",
     "BLAME_RESERVED",
     "BLAME_SELF",
     "Blame",

@@ -176,22 +176,12 @@ class CompiledQueryModule(ContentionQueryModule):
         # the MRT ring, and collision bitsets folded mod II.
         self._fold_cache: Dict[Tuple[str, int], Tuple[int, bool]] = {}
         self._pair_fold: Dict[Tuple[str, str], int] = {}
-        self._charge_construction()
-
-    def _charge_construction(self) -> None:
-        """Charge the kernel build cost (hook: shared-compilation
-        modules charge it once per machine digest instead)."""
         self._charge_compile(self._kernel.build_units)
 
     def _charge_compile(self, units: int) -> None:
         """Charge compilation work (deterministic per construction)."""
         self.work.charge(COMPILE, units)
         obs.count("query.compile.units", max(1, units))
-
-    def _charge_scan(self, units: int) -> None:
-        """Charge one batched window scan (hook: the batch plane charges
-        its O(1) column fetches to the ``batch`` currency instead)."""
-        self.work.charge(CHECK_RANGE, units)
 
     # ------------------------------------------------------------------
     # Packed-mask arithmetic
@@ -533,10 +523,10 @@ class CompiledQueryModule(ContentionQueryModule):
             return self._attributed_check_range(op, start, stop, attribute)
         width = stop - start
         if width <= 0:
-            self._charge_scan(1)
+            self.work.charge(CHECK_RANGE, 1)
             return []
         blocked, units = self._blocked_window(op, start, width)
-        self._charge_scan(units)
+        self.work.charge(CHECK_RANGE, units)
         effective = width
         if self.modulo is not None:
             effective = min(width, self.modulo)
@@ -557,10 +547,10 @@ class CompiledQueryModule(ContentionQueryModule):
             return self._attributed_first_free(op, start, stop, direction, attribute)
         width = stop - start
         if width <= 0:
-            self._charge_scan(1)
+            self.work.charge(CHECK_RANGE, 1)
             return None
         blocked, units = self._blocked_window(op, start, width)
-        self._charge_scan(units)
+        self.work.charge(CHECK_RANGE, units)
         effective = width
         if self.modulo is not None:
             effective = min(width, self.modulo)

@@ -3,20 +3,19 @@
 A modulo schedule issues one loop iteration every II cycles, so an
 operation placed at schedule cycle ``t`` occupies resources at cycles
 ``(t + c) mod II`` of the *Modulo Reservation Table* (Patel & Davidson;
-Rau's Iterative Modulo Scheduler).  Both query-module representations
-support a ``modulo=`` initiation interval natively; this module provides
+Rau's Iterative Modulo Scheduler).  Every query-module representation
+supports a ``modulo=`` initiation interval natively; this module provides
 the factory the scheduler uses to build them uniformly.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple, Type
 
 from repro.core.machine import MachineDescription
 from repro.obs.instrument import observed_class
 from repro.obs.trace import current as _current_tracer
 from repro.query.base import ContentionQueryModule
-from repro.query.batch import BatchQueryModule, SharedCompilation
 from repro.query.bitvector import BitvectorQueryModule
 from repro.query.compiled import CompiledQueryModule
 from repro.query.discrete import DiscreteQueryModule
@@ -24,16 +23,18 @@ from repro.query.discrete import DiscreteQueryModule
 DISCRETE = "discrete"
 BITVECTOR = "bitvector"
 COMPILED = "compiled"
-BATCH = "batch"
 
-#: The paper's three interpretable/compiled representations, which every
-#: differential cross-check drives.  The columnar ``batch`` plane is a
-#: byte-identical accelerator of ``compiled`` and is cross-checked by
-#: the corpus-vs-per-loop differential stage instead.
-REPRESENTATIONS = (DISCRETE, BITVECTOR, COMPILED)
+#: Every representation :func:`make_query_module` builds: name ->
+#: ``(class, takes word_cycles)``.  The paper's discrete and bitvector
+#: pair plus the compiled kernel; every differential cross-check drives
+#: all of them, and every CLI choice list reads this table.
+_CLASSES: Dict[str, Tuple[Type[ContentionQueryModule], bool]] = {
+    DISCRETE: (DiscreteQueryModule, False),
+    BITVECTOR: (BitvectorQueryModule, True),
+    COMPILED: (CompiledQueryModule, False),
+}
 
-#: Everything :func:`make_query_module` accepts (CLI choice lists).
-ALL_REPRESENTATIONS = REPRESENTATIONS + (BATCH,)
+REPRESENTATIONS = tuple(_CLASSES)
 
 
 def make_query_module(
@@ -41,7 +42,6 @@ def make_query_module(
     representation: str = DISCRETE,
     word_cycles: int = 1,
     modulo: Optional[int] = None,
-    shared: Optional[SharedCompilation] = None,
 ) -> ContentionQueryModule:
     """Build a contention query module.
 
@@ -50,22 +50,15 @@ def make_query_module(
     machine:
         Machine description (original or reduced).
     representation:
-        ``"discrete"``, ``"bitvector"``, ``"compiled"`` (packed big-int
+        ``"discrete"``, ``"bitvector"`` or ``"compiled"`` (packed big-int
         masks plus pairwise collision bitsets; see
-        :mod:`repro.query.compiled`), or ``"batch"`` (the columnar
-        batch plane over the compiled kernel; see
-        :mod:`repro.query.batch`).
+        :mod:`repro.query.compiled`).
     word_cycles:
         Cycle-bitvectors per word (bitvector representation only;
         ignored by the other representations).
     modulo:
         Initiation interval for a modulo reservation table; ``None`` gives
         an ordinary (scalar) reserved table.
-    shared:
-        Optional :class:`~repro.query.batch.SharedCompilation` handle
-        (batch representation only): corpus drivers pass one so kernel
-        compilation is charged once per machine digest instead of per
-        module.
 
     While an observability tracer is active (:func:`repro.obs.tracing`)
     the *observed* subclass is constructed instead, so every basic
@@ -73,27 +66,15 @@ def make_query_module(
     :mod:`repro.obs.instrument`).  With tracing disabled the plain class
     is returned — the untraced hot path is untouched.
     """
-    if representation == DISCRETE:
-        cls = DiscreteQueryModule
-    elif representation == BITVECTOR:
-        cls = BitvectorQueryModule
-    elif representation == COMPILED:
-        cls = CompiledQueryModule
-    elif representation == BATCH:
-        cls = BatchQueryModule
-    else:
+    try:
+        cls, takes_word_cycles = _CLASSES[representation]
+    except KeyError:
         raise ValueError(
             "unknown representation %r (expected one of %s)"
-            % (representation, ALL_REPRESENTATIONS)
-        )
-    if shared is not None and representation != BATCH:
-        raise ValueError(
-            "shared compilation requires the batch representation"
-        )
+            % (representation, REPRESENTATIONS)
+        ) from None
     if _current_tracer() is not None:
         cls = observed_class(cls)
-    if representation == BITVECTOR:
+    if takes_word_cycles:
         return cls(machine, word_cycles=word_cycles, modulo=modulo)
-    if representation == BATCH:
-        return cls(machine, modulo=modulo, shared=shared)
     return cls(machine, modulo=modulo)

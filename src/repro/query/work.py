@@ -36,19 +36,9 @@ ATTRIBUTE = "attribute"
 #: visible in the shared units registry without perturbing any query
 #: trajectory — a sampler-off run charges exactly zero ``sample`` units.
 SAMPLE = "sample"
-#: Columnar batch-plane work (:mod:`repro.query.batch`): one charge per
-#: bulk kernel invocation — a whole-window column fetch, or a
-#: ``check_matrix`` / ``first_free_bulk`` / alternatives-scan call.
-#: Modulo invocations cost one unit (a single vectorized ring-matrix
-#: fetch covers every class touched); scalar invocations cost one unit
-#: per distinct class column.  A separate currency so the corpus-scale
-#: batch path is comparable against the per-loop
-#: ``check``/``check_range`` numbers it replaces.
-BATCH = "batch"
-
 FUNCTIONS = (
     CHECK, ASSIGN, ASSIGN_FREE, FREE, CHECK_RANGE, COMPILE, ATTRIBUTE,
-    SAMPLE, BATCH,
+    SAMPLE,
 )
 
 

@@ -516,8 +516,7 @@ def schedule_with_fallback(
     :class:`~repro.errors.ScheduleError`.
 
     ``query_factory`` (a ``modulo -> ContentionQueryModule`` callable) is
-    threaded through to every rung's scheduler; corpus drivers use it to
-    share one compiled kernel across all rungs of all loops.
+    threaded through to every rung's scheduler.
     """
     policy = policy or FallbackPolicy()
     graph.validate()

@@ -1,15 +1,10 @@
-"""Corpus-scale batch scheduling: one compiled kernel, many loops.
+"""Corpus scheduling: a whole loop suite in one pass.
 
-The per-loop pipeline compiles a fresh query kernel for every loop (and,
-inside IMS, for every II attempt), so scheduling the 1327-loop suite
-pays the machine-level compilation over and over for the *same*
-description.  This driver schedules a whole
-:func:`~repro.workloads.loopgen.loop_suite` against one
-:class:`~repro.query.batch.SharedCompilation` handle: every loop's
-every II attempt draws :class:`~repro.query.batch.BatchQueryModule`
-instances from shared per-II caches, ``compile`` is charged once per
-machine digest, and window scans ride the columnar batch plane (one
-``batch`` unit per scan instead of one collision bitset per live pair).
+This driver schedules every loop of a
+:func:`~repro.workloads.loopgen.loop_suite` with the ordinary per-loop
+iterative modulo scheduler (``compiled`` query modules by default; the
+kernel itself is memoized per machine) and merges the per-loop outcomes
+and work accounting into one :class:`CorpusResult`.
 
 Degradation is loop-local, never corpus-fatal:
 
@@ -21,15 +16,10 @@ Degradation is loop-local, never corpus-fatal:
   rung), so a hard loop degrades alone while its neighbours pipeline.
 
 ``processes > 1`` fans the suite out over a ``multiprocessing`` pool,
-sharded deterministically; every worker rebuilds the shared compilation
-for the parent's machine digest with compile charging suppressed, and
-the parent charges the kernel build exactly once — so the query-path
-work units (``check``/``check_range``/``first_free``/``batch``) are
-identical serial vs parallel.  (Per-II *fold* compilation is re-done
-per worker, so only the ``compile`` currency may differ in parallel
-runs.)  Schedules are byte-identical across serial, parallel, numpy,
-and pure-python runs — asserted by ``tests/test_corpus.py`` and the
-fuzz oracle's ``batch`` differential stage.
+sharded deterministically; every worker checks that the machine it
+unpickled has the parent's digest.  Each loop's work is its own, so
+schedules and every work currency are identical serial vs parallel —
+asserted by ``tests/test_corpus.py``.
 """
 
 from __future__ import annotations
@@ -46,12 +36,12 @@ from typing import (
     Tuple,
 )
 
+from repro.core.certificate import machine_digest
 from repro.core.machine import MachineDescription
 from repro.errors import BudgetExceeded, ScheduleError
 from repro.obs import trace as obs
-from repro.query.batch import SharedCompilation, batch_backend, machine_digest
-from repro.query.modulo import BATCH, make_query_module
-from repro.query.work import COMPILE, WorkCounters
+from repro.query.modulo import COMPILED, make_query_module
+from repro.query.work import WorkCounters
 from repro.resilience.budget import Budget
 from repro.scheduler.ddg import DependenceGraph
 from repro.scheduler.modulo import IterativeModuloScheduler
@@ -75,9 +65,9 @@ def schedule_signature(
 ) -> Signature:
     """Canonical ``(II, placements, alternatives)`` fingerprint.
 
-    The corpus driver, the fuzz oracle's differential stages, and the
-    corpus benchmarks all compare schedules through this one shape, so
-    "byte-identical schedules" means the same thing everywhere.
+    The corpus driver and the fuzz oracle's differential stage compare
+    schedules through this one shape, so "byte-identical schedules"
+    means the same thing everywhere.
     """
     return (
         ii,
@@ -124,7 +114,6 @@ class CorpusResult:
     machine_name: str
     digest: str
     representation: str
-    backend: Optional[str]
     processes: int
     outcomes: List[LoopOutcome] = field(default_factory=list)
     work: WorkCounters = field(default_factory=WorkCounters)
@@ -154,10 +143,8 @@ class CorpusScheduler:
     machine:
         Machine description every loop is scheduled against.
     representation:
-        ``"batch"`` (default: shared compilation + columnar plane) or
-        any per-loop representation (``"compiled"`` etc.), which runs
-        the exact PR-5 per-loop path under the same driver — the two
-        modes are the corpus differential's legs.
+        Query representation every loop is scheduled with (default
+        ``"compiled"``).
     word_cycles / budget_ratio / max_ii_slack:
         Forwarded to :class:`IterativeModuloScheduler` per loop.
     policy:
@@ -173,7 +160,7 @@ class CorpusScheduler:
     def __init__(
         self,
         machine: MachineDescription,
-        representation: str = BATCH,
+        representation: str = COMPILED,
         word_cycles: int = 1,
         budget_ratio: int = 6,
         max_ii_slack: int = 64,
@@ -202,12 +189,10 @@ class CorpusScheduler:
         loops as failed outcomes.
         """
         digest = machine_digest(self.machine)
-        backend = batch_backend() if self.representation == BATCH else None
         result = CorpusResult(
             machine_name=self.machine.name,
             digest=digest,
             representation=self.representation,
-            backend=backend,
             processes=self.processes,
         )
         processes = self.processes
@@ -246,8 +231,7 @@ class CorpusScheduler:
         budget: Optional[Budget],
         result: CorpusResult,
     ) -> None:
-        shared = _make_shared(self.machine, self.representation)
-        factory = _make_factory(self.machine, shared, self._loop_config())
+        factory = _make_factory(self.machine, self._loop_config())
         pending_units = 0
         for index, graph in enumerate(graphs):
             try:
@@ -284,10 +268,7 @@ class CorpusScheduler:
     ) -> None:
         """Fan the suite out over a process pool, sharded round-robin.
 
-        Workers verify they rebuilt the *same* compilation (by machine
-        digest) and suppress compile charging; the parent charges the
-        kernel build once, so serial and parallel runs agree on every
-        query-path currency.
+        Workers verify they unpickled the *same* machine (by digest).
         """
         processes = min(processes, len(graphs))
         shards = []
@@ -309,41 +290,26 @@ class CorpusScheduler:
                 slots[index] = outcome
             result.work.merge(work)
         result.outcomes.extend(slots)
-        if self.representation == BATCH:
-            # Workers suppressed kernel charging; account it here, once.
-            kernel = SharedCompilation(self.machine).kernel
-            result.work.charge(COMPILE, kernel.build_units)
 
 
 # ----------------------------------------------------------------------
 # Per-loop machinery (module-level so multiprocessing can pickle it)
 # ----------------------------------------------------------------------
-def _make_shared(
-    machine: MachineDescription,
-    representation: str,
-    charge_compile: bool = True,
-) -> Optional[SharedCompilation]:
-    if representation != BATCH:
-        return None
-    return SharedCompilation(machine, charge_compile=charge_compile)
-
-
 def _make_factory(
-    machine: MachineDescription,
-    shared: Optional[SharedCompilation],
-    config: dict,
-) -> Optional[Callable[[Optional[int]], object]]:
-    """The per-II query-module factory corpus loops share.
+    machine: MachineDescription, config: dict
+) -> Callable[[Optional[int]], object]:
+    """The per-II query-module factory every loop's schedulers use.
 
-    ``None`` for per-loop representations — the schedulers' default
-    construction *is* the per-loop path, byte-for-byte.
+    It builds exactly what the schedulers' default construction builds;
+    it exists so :func:`make_query_module` is looked up here, at call
+    time, where a layer-timing harness can hook it.
     """
-    if shared is None:
-        return None
+    representation = config["representation"]
+    word_cycles = config["word_cycles"]
 
     def factory(modulo: Optional[int]):
         return make_query_module(
-            machine, BATCH, modulo=modulo, shared=shared
+            machine, representation, word_cycles=word_cycles, modulo=modulo
         )
 
     return factory
@@ -352,7 +318,7 @@ def _make_factory(
 def _schedule_one(
     machine: MachineDescription,
     graph: DependenceGraph,
-    factory: Optional[Callable[[Optional[int]], object]],
+    factory: Callable[[Optional[int]], object],
     policy: Optional["FallbackPolicy"],
     config: dict,
     budget: Optional[Budget],
@@ -400,15 +366,13 @@ def _schedule_one(
 def _schedule_shard(payload) -> Tuple[List[int], List[LoopOutcome], WorkCounters]:
     """One worker's share of the corpus (top-level for pickling)."""
     machine, graphs, indices, digest, policy, config = payload
-    shared = _make_shared(
-        machine, config["representation"], charge_compile=False
-    )
-    if shared is not None and shared.digest != digest:
+    rebuilt = machine_digest(machine)
+    if rebuilt != digest:
         raise RuntimeError(
             "corpus shard rebuilt a different machine: %s != %s"
-            % (shared.digest, digest)
+            % (rebuilt, digest)
         )
-    factory = _make_factory(machine, shared, config)
+    factory = _make_factory(machine, config)
     outcomes: List[LoopOutcome] = []
     work = WorkCounters()
     for graph in graphs:

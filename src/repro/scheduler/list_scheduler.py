@@ -81,8 +81,8 @@ class OperationDrivenScheduler:
         #: budget of ``budget_ratio * N`` placements.
         self.budget_ratio = budget_ratio
         #: Optional ``modulo -> ContentionQueryModule`` callable (block
-        #: scheduling always passes ``None``); corpus drivers inject
-        #: shared-compilation batch modules through it.
+        #: scheduling always passes ``None``) replacing the default
+        #: construction.
         self.query_factory = query_factory
 
     def _make_query_module(self):

@@ -164,9 +164,8 @@ class IterativeModuloScheduler:
     query_factory:
         Optional ``modulo -> ContentionQueryModule`` callable replacing
         the default :func:`~repro.query.make_query_module` per-attempt
-        construction.  Corpus drivers inject shared-compilation batch
-        modules through it (see :mod:`repro.scheduler.corpus`); the
-        factory must return a fresh, empty module per call.
+        construction (see :mod:`repro.scheduler.corpus`); the factory
+        must return a fresh, empty module per call.
     """
 
     def __init__(

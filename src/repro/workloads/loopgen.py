@@ -191,9 +191,10 @@ def _reaches(graph: DependenceGraph, src: str, dst: str) -> bool:
 
 
 #: Memoized suites keyed by ``(count, seed)``.  Generating the full
-#: 1327-loop population is pure but not free, and corpus benchmarks ask
-#: for the identical suite several times per process (batch vs per-loop
-#: cells, differential cross-checks); the memo makes repeat calls O(1).
+#: 1327-loop population is pure but not free, and benchmarks ask for
+#: the identical suite several times per process (one pass per
+#: representation, differential cross-checks); the memo makes repeat
+#: calls O(1).
 #: Bounded so pathological sweeps over many sizes cannot hoard memory.
 _SUITE_MEMO: Dict[Tuple[int, int], List[DependenceGraph]] = {}
 _SUITE_MEMO_MAX = 8

@@ -64,9 +64,8 @@ class TestBenchRun:
         assert set(document["cases"]) == {
             "paper-example/discrete", "paper-example/bitvector",
             "paper-example/compiled",
-            "paper-example/corpus-batch", "paper-example/corpus-perloop",
         }
-        assert document["config"]["corpus_loops"] == 8
+        assert "corpus_loops" not in document["config"]
 
     def test_run_rejects_unknown_representation(self, capsys):
         assert main(["bench", "run", "example",

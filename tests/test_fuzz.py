@@ -60,17 +60,6 @@ def _drop_last_usage(machine):
     )
 
 
-def _flip_first_signature(signatures):
-    """Known-bad transform: corrupt the batch leg's first corpus
-    signature, simulating a batch plane that silently mis-schedules."""
-    signatures = list(signatures)
-    if signatures[0] == ("schedule-error",):
-        signatures[0] = (1, (), ())
-    else:
-        signatures[0] = ("schedule-error",)
-    return signatures
-
-
 class TestGenerator:
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_deterministic_in_seed(self, profile):
@@ -150,25 +139,6 @@ class TestOracle:
         outcome = run_oracle(machine, 4, OracleConfig(), profile="tiny")
         json.dumps(outcome.to_dict())
 
-    def test_corpus_divergence_hook_is_a_bug_with_stable_fingerprint(self):
-        machine = generate_machine(2, PROFILES["tiny"])
-        config = OracleConfig(mutate_corpus_signatures=_flip_first_signature)
-        outcome = run_oracle(machine, 2, config, profile="tiny")
-        assert outcome.verdict == VERDICT_BUG
-        assert outcome.fingerprint == "divergence:batch"
-        assert outcome.stage == "batch"
-        assert "workload" in outcome.detail
-
-    def test_starved_corpus_stage_forfeits_not_bug(self):
-        from repro.fuzz.oracle import _differential_corpus
-
-        machine = generate_machine(2, PROFILES["tiny"])
-        handled = []
-        _differential_corpus(
-            machine, 2, OracleConfig(max_units=1), handled
-        )
-        assert handled == ["budget:corpus"]
-
 
 class TestShrinker:
     def test_minimizes_and_preserves_fingerprint(self):
@@ -185,19 +155,6 @@ class TestShrinker:
         again = run_oracle(result.machine, 2, config, profile="tiny")
         assert again.verdict == VERDICT_BUG
         assert again.fingerprint == "divergence:equivalence"
-
-    def test_batch_fingerprint_survives_shrinking(self):
-        machine = generate_machine(2, PROFILES["tiny"])
-        config = OracleConfig(mutate_corpus_signatures=_flip_first_signature)
-        result = shrink(
-            machine, 2, "divergence:batch",
-            config=config, profile="tiny", max_attempts=60,
-        )
-        assert result.fingerprint == "divergence:batch"
-        assert result.machine.total_usages <= machine.total_usages
-        again = run_oracle(result.machine, 2, config, profile="tiny")
-        assert again.verdict == VERDICT_BUG
-        assert again.fingerprint == "divergence:batch"
 
     def test_precondition_failure_raises(self):
         machine = generate_machine(0, PROFILES["tiny"])
