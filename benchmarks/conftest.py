@@ -9,6 +9,7 @@ fresh output at any time.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -26,6 +27,38 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 #: Loops in the scheduling benchmarks; the paper used 1327.
 BENCH_LOOPS = int(os.environ.get("REPRO_BENCH_LOOPS", "1327"))
+
+#: Pinned reproduced numbers, one entry per benchmark.
+EXPECTED_PATH = os.path.join(os.path.dirname(__file__), "paper_expected.json")
+
+
+@pytest.fixture(scope="session")
+def paper_pins():
+    """``check(name, values, loops)``: assert a benchmark's numbers
+    against its ``paper_expected.json`` pins.
+
+    ``values`` maps each pinned key to the reproduced number.  The pins
+    hold only at the recorded loop count; when ``REPRO_BENCH_LOOPS``
+    changes it, the check skips the test after its own assertions ran.
+    """
+    with open(EXPECTED_PATH, encoding="utf-8") as handle:
+        expected = json.load(handle)["benchmarks"]
+
+    def check(name: str, values, loops: int) -> None:
+        entry = expected[name]
+        if loops != entry["loops"]:
+            pytest.skip(
+                "%s pins hold at %d loops, not %d"
+                % (name, entry["loops"], loops)
+            )
+        misses = {
+            key: (values[key], value, tolerance)
+            for key, (value, tolerance) in entry["pins"].items()
+            if abs(values[key] - value) > tolerance
+        }
+        assert not misses, "%s moved off its pins: %s" % (name, misses)
+
+    return check
 
 
 @pytest.fixture(scope="session")

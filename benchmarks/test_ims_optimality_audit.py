@@ -21,13 +21,14 @@ from repro.workloads import loop_suite
 MAX_OPS_FOR_AUDIT = 12
 
 
-def test_ims_optimality_audit(benchmark, machines, record):
+def test_ims_optimality_audit(benchmark, machines, record, paper_pins):
     machine = machines["cydra5-subset"]
     matrix = ForbiddenLatencyMatrix.from_machine(machine)
     scheduler = IterativeModuloScheduler(machine, matrix=matrix)
+    suite_loops = min(600, BENCH_LOOPS)
     loops = [
         graph
-        for graph in loop_suite(min(600, BENCH_LOOPS))
+        for graph in loop_suite(suite_loops)
         if graph.num_operations <= MAX_OPS_FOR_AUDIT
     ]
 
@@ -67,3 +68,15 @@ def test_ims_optimality_audit(benchmark, machines, record):
     assert optimal / total > 0.9
     # Heuristic misses are rare — the paper's 'fast and effective'.
     assert missed <= max(2, total // 25)
+
+    paper_pins(
+        "ims_optimality_audit",
+        {
+            "audited": total,
+            "at_mii": optimal,
+            "heuristic_miss": missed,
+            "mii_bound_loose": proven,
+            "budget_exceeded": unknown,
+        },
+        suite_loops,
+    )

@@ -35,7 +35,7 @@ class ReservationTable:
     [0, 3]
     """
 
-    __slots__ = ("_usages", "_hash")
+    __slots__ = ("_usages", "_hash", "_usage_list")
 
     def __init__(self, usages: Mapping[str, Iterable[int]]):
         table: Dict[str, frozenset] = {}
@@ -55,6 +55,7 @@ class ReservationTable:
             table[str(resource)] = cycle_set
         self._usages = table
         self._hash = None
+        self._usage_list = None
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[str, int]]) -> "ReservationTable":
@@ -98,10 +99,19 @@ class ReservationTable:
         return cycle in self._usages.get(resource, frozenset())
 
     def iter_usages(self) -> Iterator[Tuple[str, int]]:
-        """Yield every ``(resource, cycle)`` usage in deterministic order."""
-        for resource in sorted(self._usages):
-            for cycle in sorted(self._usages[resource]):
-                yield resource, cycle
+        """Iterate every ``(resource, cycle)`` usage in deterministic order.
+
+        The sorted usage tuple is built on first use and kept: the table
+        is immutable, and schedulers walk the same tables many times.
+        """
+        usages = self._usage_list
+        if usages is None:
+            usages = self._usage_list = tuple(
+                (resource, cycle)
+                for resource in sorted(self._usages)
+                for cycle in sorted(self._usages[resource])
+            )
+        return iter(usages)
 
     def cycles_used(self) -> frozenset:
         """Set of cycles in which at least one resource is used."""
@@ -170,6 +180,11 @@ class ReservationTable:
         if self._hash is None:
             self._hash = hash(frozenset(self._usages.items()))
         return self._hash
+
+    def __reduce__(self):
+        # Pickle the usages only; the hash and the usage tuple are
+        # rebuilt lazily (string hashes differ between processes).
+        return ReservationTable, (self._usages,)
 
     def __repr__(self) -> str:
         body = ", ".join(

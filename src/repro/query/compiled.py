@@ -176,6 +176,11 @@ class CompiledQueryModule(ContentionQueryModule):
         # the MRT ring, and collision bitsets folded mod II.
         self._fold_cache: Dict[Tuple[str, int], Tuple[int, bool]] = {}
         self._pair_fold: Dict[Tuple[str, str], int] = {}
+        # Modulo only: live count per distinct (class, MRT slot) source,
+        # kept by _set_bits/_clear_bits, and per scanning class the
+        # folded collision ring rotated to each source slot.
+        self._sources: Dict[Tuple[str, int], int] = {}
+        self._rings: Dict[str, Dict[Tuple[str, int], int]] = {}
         self._charge_compile(self._kernel.build_units)
 
     def _charge_compile(self, units: int) -> None:
@@ -260,6 +265,16 @@ class CompiledQueryModule(ContentionQueryModule):
             self._charge_compile(len(latencies))
         return bits
 
+    def _rotated_ring(self, rep_x: str, rep_y: str, rotation: int) -> int:
+        """:meth:`_pair_ring` rotated left by ``rotation`` MRT slots."""
+        bits = self._pair_ring(rep_x, rep_y)
+        if rotation:
+            modulo = self.modulo
+            bits = (
+                (bits << rotation) | (bits >> (modulo - rotation))
+            ) & ((1 << modulo) - 1)
+        return bits
+
     def _cycle_key(self, cycle: int) -> int:
         if self.modulo is not None:
             return cycle % self.modulo
@@ -341,16 +356,26 @@ class CompiledQueryModule(ContentionQueryModule):
             shift = self._bit_shift(cycle)
             self._reserved |= self._mask_of(op) << shift
         else:
-            mask, _self_conflict = self._fold(op, cycle % self.modulo)
+            slot = cycle % self.modulo
+            mask, _self_conflict = self._fold(op, slot)
             self._reserved |= mask
+            source = (self._kernel.rep_of[op], slot)
+            self._sources[source] = self._sources.get(source, 0) + 1
 
     def _clear_bits(self, op: str, cycle: int) -> None:
         if self.modulo is None:
             shift = self._bit_shift(cycle)
             self._reserved &= ~(self._mask_of(op) << shift)
         else:
-            mask, _self_conflict = self._fold(op, cycle % self.modulo)
+            slot = cycle % self.modulo
+            mask, _self_conflict = self._fold(op, slot)
             self._reserved &= ~mask
+            source = (self._kernel.rep_of[op], slot)
+            count = self._sources[source] - 1
+            if count:
+                self._sources[source] = count
+            else:
+                del self._sources[source]
 
     def _assign(self, token: ScheduledToken, with_owners: bool) -> int:
         self._set_bits(token.op, token.cycle)
@@ -421,6 +446,7 @@ class CompiledQueryModule(ContentionQueryModule):
         self._reserved = 0
         self._bias = 0
         self._owners.clear()
+        self._sources.clear()
         self._update_mode = False
 
     def _snapshot_state(self):
@@ -428,14 +454,16 @@ class CompiledQueryModule(ContentionQueryModule):
             self._reserved,
             self._bias,
             dict(self._owners),
+            dict(self._sources),
             self._update_mode,
         )
 
     def _restore_state(self, state) -> None:
-        reserved, bias, owners, update_mode = state
+        reserved, bias, owners, sources, update_mode = state
         self._reserved = reserved
         self._bias = bias
         self._owners = dict(owners)
+        self._sources = dict(sources)
         self._update_mode = update_mode
 
     # ------------------------------------------------------------------
@@ -450,7 +478,8 @@ class CompiledQueryModule(ContentionQueryModule):
         modulo tables the result has ``min(width, II)`` meaningful bits
         (positions repeat mod II); scalar tables get ``width`` bits.
         One unit per distinct live (class, cycle) collision bitset
-        handled, plus one for the window itself.
+        handled, plus one for the window itself.  Modulo scans walk the
+        kept distinct sources and OR their cached rotated rings.
         """
         kernel = self._kernel
         rep_x = kernel.rep_of.get(op)
@@ -481,34 +510,27 @@ class CompiledQueryModule(ContentionQueryModule):
         modulo = self.modulo
         effective = min(width, modulo)
         window_mask = (1 << effective) - 1
-        ring_mask = (1 << modulo) - 1
         _mask, self_conflict = self._fold(op, start % modulo)
         if self_conflict:
             # A self-wrapping fold is alignment-independent: every slot
             # of this II is illegal for the operation.
             return window_mask, units
+        rings = self._rings.get(rep_x)
+        if rings is None:
+            rings = self._rings[rep_x] = {}
         ring = 0
-        seen = set()
-        for token in self._live.values():
-            source = (kernel.rep_of[token.op], token.cycle % modulo)
-            if source in seen:
-                continue
-            seen.add(source)
-            bits = self._pair_ring(rep_x, source[0])
-            if not bits:
-                continue
-            units += 1
-            rotation = source[1]
-            if rotation:
-                bits = (
-                    (bits << rotation) | (bits >> (modulo - rotation))
-                ) & ring_mask
-            ring |= bits
+        for source in self._sources:
+            bits = rings.get(source)
+            if bits is None:
+                bits = rings[source] = self._rotated_ring(rep_x, *source)
+            if bits:
+                units += 1
+                ring |= bits
         shift = start % modulo
         if shift:
             ring = (
                 (ring >> shift) | (ring << (modulo - shift))
-            ) & ring_mask
+            ) & ((1 << modulo) - 1)
         return ring & window_mask, units
 
     def check_range(

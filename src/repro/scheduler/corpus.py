@@ -146,7 +146,8 @@ class CorpusScheduler:
         Query representation every loop is scheduled with (default
         ``"compiled"``).
     word_cycles / budget_ratio / max_ii_slack:
-        Forwarded to :class:`IterativeModuloScheduler` per loop.
+        Forwarded to the one :class:`IterativeModuloScheduler` that
+        every loop of a suite (or shard) runs.
     policy:
         Optional :class:`~repro.resilience.fallback.FallbackPolicy`;
         when set, each loop runs the verified scheduling ladder instead
@@ -231,7 +232,7 @@ class CorpusScheduler:
         budget: Optional[Budget],
         result: CorpusResult,
     ) -> None:
-        factory = _make_factory(self.machine, self._loop_config())
+        scheduler = _loop_scheduler(self.machine, self._loop_config())
         pending_units = 0
         for index, graph in enumerate(graphs):
             try:
@@ -244,8 +245,7 @@ class CorpusScheduler:
                     )
                     pending_units = 0
                 outcome, work = _schedule_one(
-                    self.machine, graph, factory, self.policy,
-                    self._loop_config(), budget,
+                    scheduler, graph, self.policy, budget
                 )
             except (BudgetExceeded, ScheduleError) as exc:
                 result.outcomes.append(LoopOutcome(
@@ -315,12 +315,25 @@ def _make_factory(
     return factory
 
 
+def _loop_scheduler(
+    machine: MachineDescription, config: dict
+) -> IterativeModuloScheduler:
+    """The one scheduler, and so the one forbidden-latency matrix, that
+    every loop of a suite or shard shares."""
+    return IterativeModuloScheduler(
+        machine,
+        representation=config["representation"],
+        word_cycles=config["word_cycles"],
+        budget_ratio=config["budget_ratio"],
+        max_ii_slack=config["max_ii_slack"],
+        query_factory=_make_factory(machine, config),
+    )
+
+
 def _schedule_one(
-    machine: MachineDescription,
+    scheduler: IterativeModuloScheduler,
     graph: DependenceGraph,
-    factory: Callable[[Optional[int]], object],
     policy: Optional["FallbackPolicy"],
-    config: dict,
     budget: Optional[Budget],
 ) -> Tuple[LoopOutcome, WorkCounters]:
     """Schedule one loop; raises only what the caller records."""
@@ -328,10 +341,10 @@ def _schedule_one(
         from repro.resilience.fallback import schedule_with_fallback
 
         outcome = schedule_with_fallback(
-            machine, graph, policy,
-            representation=config["representation"],
-            word_cycles=config["word_cycles"],
-            query_factory=factory,
+            scheduler.machine, graph, policy,
+            representation=scheduler.representation,
+            word_cycles=scheduler.word_cycles,
+            query_factory=scheduler.query_factory,
         )
         work = outcome.work if outcome.work is not None else WorkCounters()
         return LoopOutcome(
@@ -343,14 +356,6 @@ def _schedule_one(
             chosen_opcodes=dict(outcome.chosen_opcodes),
             rung=outcome.rung,
         ), work
-    scheduler = IterativeModuloScheduler(
-        machine,
-        representation=config["representation"],
-        word_cycles=config["word_cycles"],
-        budget_ratio=config["budget_ratio"],
-        max_ii_slack=config["max_ii_slack"],
-        query_factory=factory,
-    )
     result = scheduler.schedule(graph, budget=budget)
     return LoopOutcome(
         name=graph.name,
@@ -372,14 +377,12 @@ def _schedule_shard(payload) -> Tuple[List[int], List[LoopOutcome], WorkCounters
             "corpus shard rebuilt a different machine: %s != %s"
             % (rebuilt, digest)
         )
-    factory = _make_factory(machine, config)
+    scheduler = _loop_scheduler(machine, config)
     outcomes: List[LoopOutcome] = []
     work = WorkCounters()
     for graph in graphs:
         try:
-            outcome, loop_work = _schedule_one(
-                machine, graph, factory, policy, config, None
-            )
+            outcome, loop_work = _schedule_one(scheduler, graph, policy, None)
         except (BudgetExceeded, ScheduleError) as exc:
             outcomes.append(LoopOutcome(
                 name=graph.name,

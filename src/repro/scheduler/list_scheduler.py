@@ -22,7 +22,7 @@ from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
 from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
-from repro.query.alternatives import FIRST_FIT
+from repro.query.alternatives import FIRST_FIT, POLICIES
 from repro.query.modulo import DISCRETE, make_query_module
 from repro.query.work import WorkCounters
 from repro.scheduler.ddg import DependenceGraph
@@ -70,6 +70,11 @@ class OperationDrivenScheduler:
         budget_ratio: Optional[int] = None,
         query_factory: Optional[Callable[[Optional[int]], object]] = None,
     ):
+        if alternative_policy not in POLICIES:
+            raise ScheduleError(
+                "unknown alternative policy %r" % alternative_policy,
+                ledger_tail=obs_ledger.active_tail(),
+            )
         self.machine = machine
         self.representation = representation
         self.word_cycles = word_cycles

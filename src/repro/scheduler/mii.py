@@ -17,13 +17,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
 from repro.obs import ledger as obs_ledger
 from repro.scheduler.ddg import DependenceGraph
+
+#: ``(src index, dst index, latency, distance)``.
+Edge = Tuple[int, int, int, int]
 
 
 def min_feasible_ii_for_op(
@@ -141,23 +144,60 @@ def res_mii_packed(
     return floor + slack + 1
 
 
-def _has_positive_cycle(graph: DependenceGraph, ii: int) -> bool:
+def _indexed_edges(graph: DependenceGraph) -> Tuple[int, List[Edge]]:
+    """``(nodes, edges)`` with every edge as ``(src, dst, latency,
+    distance)`` over node indices."""
+    index = {op.name: i for i, op in enumerate(graph.operations())}
+    return len(index), [
+        (index[e.src], index[e.dst], e.latency, e.distance)
+        for e in graph.edges()
+    ]
+
+
+def _has_positive_cycle(nodes: int, edges: List[Edge], ii: int) -> bool:
     """Bellman-Ford longest-path relaxation detecting a positive cycle of
     ``latency - ii * distance`` edge weights."""
-    names = [op.name for op in graph.operations()]
-    dist = {name: 0 for name in names}
-    edges = list(graph.edges())
-    for _ in range(len(names)):
+    weighted = [
+        (src, dst, latency - ii * distance)
+        for src, dst, latency, distance in edges
+    ]
+    dist = [0] * nodes
+    for _ in range(nodes):
         changed = False
-        for edge in edges:
-            weight = edge.latency - ii * edge.distance
-            candidate = dist[edge.src] + weight
-            if candidate > dist[edge.dst]:
-                dist[edge.dst] = candidate
+        for src, dst, weight in weighted:
+            candidate = dist[src] + weight
+            if candidate > dist[dst]:
+                dist[dst] = candidate
                 changed = True
         if not changed:
             return False
     return True
+
+
+def _least_ii(nodes: int, edges: List[Edge], low: int, high: int) -> int:
+    """Smallest II in ``[low, high]`` without a positive cycle, given that
+    ``high`` has none and that the test is monotone (distance-0 edges
+    acyclic)."""
+    while low < high:
+        mid = (low + high) // 2
+        if _has_positive_cycle(nodes, edges, mid):
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+def _require_acyclic(graph: DependenceGraph) -> None:
+    if not graph.is_acyclic():
+        raise ScheduleError(
+            "graph %r has a zero-distance dependence cycle" % graph.name,
+            ledger_tail=obs_ledger.active_tail(),
+        )
+
+
+def _latency_cap(edges: List[Edge]) -> int:
+    """An II no simple cycle of positive distance can make positive."""
+    return max(1, sum(max(0, latency) for _s, _d, latency, _n in edges))
 
 
 def rec_mii(graph: DependenceGraph, upper_bound: Optional[int] = None) -> int:
@@ -169,26 +209,15 @@ def rec_mii(graph: DependenceGraph, upper_bound: Optional[int] = None) -> int:
     """
     if graph.num_operations == 0:
         return 1
-    if not graph.is_acyclic():
+    _require_acyclic(graph)
+    nodes, edges = _indexed_edges(graph)
+    high = _latency_cap(edges) if upper_bound is None else upper_bound
+    if _has_positive_cycle(nodes, edges, high):
         raise ScheduleError(
-            "graph %r has a zero-distance dependence cycle" % graph.name
-        , ledger_tail=obs_ledger.active_tail())
-    if upper_bound is None:
-        upper_bound = max(
-            1, sum(max(0, e.latency) for e in graph.edges())
+            "no feasible II up to %d for graph %r" % (high, graph.name),
+            ledger_tail=obs_ledger.active_tail(),
         )
-    low, high = 1, upper_bound
-    if _has_positive_cycle(graph, high):
-        raise ScheduleError(
-            "no feasible II up to %d for graph %r" % (high, graph.name)
-        , ledger_tail=obs_ledger.active_tail())
-    while low < high:
-        mid = (low + high) // 2
-        if _has_positive_cycle(graph, mid):
-            low = mid + 1
-        else:
-            high = mid
-    return low
+    return _least_ii(nodes, edges, 1, high)
 
 
 def min_ii(
@@ -196,11 +225,21 @@ def min_ii(
     graph: DependenceGraph,
     matrix: Optional[ForbiddenLatencyMatrix] = None,
 ) -> int:
-    """``MII = max(ResMII, RecMII)`` — the scheduler's starting II."""
-    return max(
-        res_mii(machine, graph.opcodes(), matrix=matrix),
-        rec_mii(graph),
-    )
+    """``MII = max(ResMII, RecMII)`` — the scheduler's starting II.
+
+    Raises like :func:`rec_mii` on a zero-distance cycle.  Once the
+    distance-0 edges are acyclic, every cycle has positive distance, so
+    its weight ``sum latency - II * sum distance`` strictly decreases in
+    II: RecMII <= ResMII exactly when ResMII leaves no positive cycle.
+    One Bellman-Ford test decides that, and the binary search for
+    RecMII runs only above ResMII.
+    """
+    _require_acyclic(graph)
+    bound = res_mii(machine, graph.opcodes(), matrix=matrix)
+    nodes, edges = _indexed_edges(graph)
+    if not _has_positive_cycle(nodes, edges, bound):
+        return bound
+    return _least_ii(nodes, edges, bound + 1, _latency_cap(edges))
 
 
 def mii_attribution(

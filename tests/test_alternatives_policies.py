@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.machines import playdoh, PLAYDOH_LATENCIES
+from repro.core import ForbiddenLatencyMatrix, MachineDescription
+from repro.errors import ScheduleError
+from repro.machines import cydra5_subset, playdoh, PLAYDOH_LATENCIES
 from repro.query import (
     FIRST_FIT,
     LEAST_USED,
@@ -11,7 +13,11 @@ from repro.query import (
     DiscreteQueryModule,
     order_variants,
 )
-from repro.scheduler import DependenceGraph, IterativeModuloScheduler
+from repro.scheduler import (
+    DependenceGraph,
+    IterativeModuloScheduler,
+    OperationDrivenScheduler,
+)
 
 
 class TestOrderVariants:
@@ -125,3 +131,39 @@ class TestSchedulerIntegration:
                 playdoh(), alternative_policy=policy
             ).schedule(self._wide_graph())
             assert other.ii <= baseline.ii + 1
+
+
+class TestUnknownPolicyRejected:
+    """Schedulers reject an unknown alternative policy at construction."""
+
+    TINY = {"u": {"unit": [0]}}
+
+    @pytest.mark.parametrize(
+        "scheduler", (IterativeModuloScheduler, OperationDrivenScheduler)
+    )
+    def test_machine_without_alternatives(self, scheduler):
+        machine = MachineDescription("tiny", self.TINY)
+        with pytest.raises(ScheduleError, match="unknown alternative policy"):
+            scheduler(machine, alternative_policy="bogus")
+
+    @pytest.mark.parametrize(
+        "scheduler", (IterativeModuloScheduler, OperationDrivenScheduler)
+    )
+    def test_machine_with_alternatives(self, scheduler):
+        with pytest.raises(ScheduleError, match="'bogus'"):
+            scheduler(cydra5_subset(), alternative_policy="bogus")
+
+    def test_checked_before_the_matrix_is_built(self, monkeypatch):
+        def refuse(cls, machine):
+            raise AssertionError("forbidden matrix built before the check")
+
+        monkeypatch.setattr(
+            ForbiddenLatencyMatrix, "from_machine", classmethod(refuse)
+        )
+        machine = MachineDescription("tiny", self.TINY)
+        for config in (
+            {"alternative_policy": "bogus"},
+            {"placement_policy": "bogus"},
+        ):
+            with pytest.raises(ScheduleError):
+                IterativeModuloScheduler(machine, **config)

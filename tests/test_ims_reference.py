@@ -1,0 +1,173 @@
+"""Differential tests: the iterative modulo scheduler against the frozen
+copy in ``tests/_reference_ims.py``.
+
+The production scheduler computes MII with one positive-cycle test at
+ResMII, picks operations from a heap and walks II-folded adjacency
+lists; the corpus path shares one scheduler per suite.  None of that may
+change a schedule, an attempt record, the check distribution, a work
+counter, a ledger record or a budget stop.
+"""
+
+import pytest
+
+from repro.core import MachineDescription
+from repro.errors import BudgetExceeded
+from repro.obs import ledger as obs_ledger
+from repro.query import POLICIES
+from repro.query.modulo import REPRESENTATIONS
+from repro.query.work import WorkCounters
+from repro.resilience import Budget
+from repro.scheduler import (
+    CorpusScheduler,
+    DependenceGraph,
+    IterativeModuloScheduler,
+)
+from repro.scheduler.corpus import schedule_signature
+from repro.workloads import loop_suite
+
+from tests._reference_ims import ReferenceIMS
+
+SEEDS = (0, 1, 2)
+PLACEMENTS = ("earliest", "lifetime")
+
+
+@pytest.fixture(scope="module")
+def reduced(subset_reduction):
+    return subset_reduction.reduced
+
+
+@pytest.fixture(scope="module")
+def suites():
+    return {seed: loop_suite(200, seed) for seed in SEEDS}
+
+
+def _fingerprint(result):
+    return (
+        (
+            result.ii,
+            result.mii,
+            sorted(result.times.items()),
+            sorted(result.chosen_opcodes.items()),
+        ),
+        result.attempts,
+        result.check_distribution,
+        result.work.calls,
+        result.work.units,
+    )
+
+
+def _outcome(scheduler, graph, budget=None):
+    try:
+        return _fingerprint(scheduler.schedule(graph, budget=budget))
+    except BudgetExceeded as exc:
+        return (
+            type(exc).__name__, str(exc), exc.phase, exc.progress,
+            exc.partial, exc.units,
+        )
+
+
+def _pair(machine, **config):
+    return (
+        ReferenceIMS(machine, **config),
+        IterativeModuloScheduler(machine, **config),
+    )
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_suite_matches_reference(
+    reduced, suites, seed, representation, placement, policy
+):
+    reference, current = _pair(
+        reduced,
+        representation=representation,
+        placement_policy=placement,
+        alternative_policy=policy,
+    )
+    for graph in suites[seed]:
+        expected = _fingerprint(reference.schedule(graph))
+        assert _fingerprint(current.schedule(graph)) == expected, graph.name
+
+
+def _fragmenting_loops():
+    """Loops on a one-unit machine where greedy placement fragments the
+    MRT, so the scheduler must force placements and evict."""
+    machine = MachineDescription(
+        "fragment", {"X": {"u": [0, 2]}, "Y": {"u": [0]}}
+    )
+    shapes = (
+        ("XYX", ()),
+        ("XYX", (("o0", "o1", 1, 0), ("o1", "o2", 1, 1), ("o2", "o0", 3, 2))),
+        ("XYXYX", (("o4", "o4", 4, 1), ("o0", "o3", 2, 0))),
+    )
+    loops = []
+    for index, (opcodes, edges) in enumerate(shapes):
+        graph = DependenceGraph("fragment%d" % index)
+        for position, opcode in enumerate(opcodes):
+            graph.add_operation("o%d" % position, opcode)
+        for src, dst, latency, distance in edges:
+            graph.add_dependence(src, dst, latency, distance)
+        loops.append(graph)
+    return machine, loops
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_ledger_matches_reference(reduced, suites, representation, placement):
+    """Ledger-on runs record the same decisions, force and window blame
+    included."""
+    fragment, fragmenting = _fragmenting_loops()
+    logs = []
+    for schedulers in zip(
+        _pair(reduced, representation=representation,
+              placement_policy=placement),
+        _pair(fragment, representation=representation,
+              placement_policy=placement),
+    ):
+        with obs_ledger.recording() as ledger:
+            for graph in suites[0]:
+                schedulers[0].schedule(graph)
+            for graph in fragmenting:
+                schedulers[1].schedule(graph)
+        logs.append([record.to_dict() for record in ledger])
+    reference, current = logs
+    forced = [r for r in reference if r["kind"] == obs_ledger.FORCE]
+    assert any(r["blame"] for r in forced)
+    assert any(r["window_blame"] for r in forced)
+    assert current == reference
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_budget_stop_matches_reference(cydra_sub, suites, policy):
+    """A starved budget stops both schedulers at the same checkpoint with
+    the same phase, progress and partial schedule."""
+    graphs = sorted(suites[1], key=lambda g: -g.num_operations)[:3]
+    stops = 0
+    for max_units in (0, 1, 40, 400, 4000):
+        for graph in graphs:
+            outcomes = [
+                _outcome(scheduler, graph, Budget(max_units=max_units))
+                for scheduler in _pair(cydra_sub, alternative_policy=policy)
+            ]
+            assert outcomes[1] == outcomes[0], (graph.name, max_units)
+            stops += outcomes[0][0] == "BudgetExceeded"
+    assert stops >= len(graphs) * 3
+
+
+def test_corpus_matches_reference(reduced, suites):
+    """One shared scheduler per suite serves every loop exactly as a
+    fresh reference scheduler per loop does, work included."""
+    corpus = CorpusScheduler(reduced).schedule_suite(suites[2])
+    expected, work = [], WorkCounters()
+    for graph in suites[2]:
+        result = ReferenceIMS(reduced, representation="compiled").schedule(
+            graph
+        )
+        expected.append(
+            schedule_signature(result.ii, result.times, result.chosen_opcodes)
+        )
+        work.merge(result.work)
+    assert corpus.signatures() == expected
+    assert (corpus.work.calls, corpus.work.units) == (work.calls, work.units)

@@ -1,6 +1,7 @@
 """Unit tests for the MII bounds (ResMII / RecMII)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import ForbiddenLatencyMatrix, MachineDescription
 from repro.errors import ScheduleError
@@ -113,3 +114,86 @@ class TestMinII:
         g.add_operation("a", "alu")
         g.add_dependence("a", "a", 7, distance=1)
         assert min_ii(simple_machine, g) == 7
+
+
+# ----------------------------------------------------------------------
+# min_ii decides RecMII <= ResMII with one positive-cycle test at ResMII
+# ----------------------------------------------------------------------
+SHORTCUT_MACHINE = MachineDescription(
+    "shortcut",
+    {"alu": {"alu": [0]}, "mul": {"mul": [0, 1]}, "div": {"div": [0, 3]}},
+)
+
+
+def _loop(spec):
+    """``(opcodes, edges)`` -> graph.  Distance-0 edges only run forward
+    (so they stay acyclic); loop-carried edges go anywhere."""
+    opcodes, edges = spec
+    graph = DependenceGraph("spec")
+    for index, opcode in enumerate(opcodes):
+        graph.add_operation("n%d" % index, opcode)
+    for src, dst, latency, distance in edges:
+        if distance == 0 and src >= dst:
+            continue
+        graph.add_dependence("n%d" % src, "n%d" % dst, latency, distance)
+    return graph
+
+
+@st.composite
+def loop_specs(draw):
+    size = draw(st.integers(1, 6))
+    opcodes = draw(st.lists(
+        st.sampled_from(("alu", "mul", "div")), min_size=size, max_size=size
+    ))
+    edges = draw(st.lists(
+        st.tuples(
+            st.integers(0, size - 1),
+            st.integers(0, size - 1),
+            st.integers(-3, 14),
+            st.integers(0, 3),
+        ),
+        max_size=10,
+    ))
+    return opcodes, edges
+
+
+# RecMII above, equal to and below ResMII (3 for three alus), with a
+# distance-2 recurrence and a negative latency.
+RECMII_ABOVE = (["alu"] * 3, [(0, 1, 5, 0), (1, 0, 4, 1)])
+RECMII_EQUAL = (["alu"] * 3, [(0, 2, 7, 0), (2, 0, -1, 2)])
+RECMII_BELOW = (["alu"] * 3, [(0, 1, 2, 0), (1, 2, -2, 0), (2, 0, 1, 2)])
+
+
+class TestMinIIShortcut:
+    @pytest.mark.parametrize(
+        "spec, rec, res",
+        [(RECMII_ABOVE, 9, 3), (RECMII_EQUAL, 3, 3), (RECMII_BELOW, 1, 3)],
+    )
+    def test_examples_cover_each_side(self, spec, rec, res):
+        graph = _loop(spec)
+        assert rec_mii(graph) == rec
+        assert res_mii(SHORTCUT_MACHINE, graph.opcodes()) == res
+        assert min_ii(SHORTCUT_MACHINE, graph) == max(rec, res)
+
+    @settings(max_examples=300, deadline=None)
+    @given(loop_specs())
+    @example(RECMII_ABOVE)
+    @example(RECMII_EQUAL)
+    @example(RECMII_BELOW)
+    def test_equals_max_of_both_bounds(self, spec):
+        graph = _loop(spec)
+        matrix = ForbiddenLatencyMatrix.from_machine(SHORTCUT_MACHINE)
+        assert min_ii(SHORTCUT_MACHINE, graph, matrix=matrix) == max(
+            res_mii(SHORTCUT_MACHINE, graph.opcodes(), matrix),
+            rec_mii(graph),
+        )
+
+    @pytest.mark.parametrize("latency", (0, 2))
+    def test_zero_distance_cycle_still_raises(self, latency):
+        g = DependenceGraph("bad")
+        g.add_operation("a", "alu")
+        g.add_operation("b", "alu")
+        g.add_dependence("a", "b", latency)
+        g.add_dependence("b", "a", latency)
+        with pytest.raises(ScheduleError, match="zero-distance dependence"):
+            min_ii(SHORTCUT_MACHINE, g)

@@ -1,5 +1,7 @@
 """Unit tests for reservation tables and usage sets."""
 
+import pickle
+
 import pytest
 
 from repro.core import ReservationTable
@@ -136,3 +138,36 @@ class TestDunder:
         lines = art.splitlines()
         assert lines[1].startswith("b")
         assert lines[2].startswith("a")
+
+
+class TestUsageMemo:
+    def test_repeated_iteration_is_stable(self):
+        rt = ReservationTable({"b": [3, 1], "a": [2]})
+        first = list(rt.iter_usages())
+        assert list(rt.iter_usages()) == first == [
+            ("a", 2), ("b", 1), ("b", 3),
+        ]
+
+    def test_filled_memo_pickles_compares_and_hashes_equal(self):
+        filled = ReservationTable({"x": [0, 4], "y": [2]})
+        list(filled.iter_usages())
+        hash(filled)
+        clone = pickle.loads(pickle.dumps(filled))
+        fresh = ReservationTable({"y": [2], "x": [4, 0]})
+        for table in (filled, clone):
+            assert table == fresh
+            assert hash(table) == hash(fresh)
+            assert list(table.iter_usages()) == list(fresh.iter_usages())
+
+    def test_machines_with_filled_memos_pickle(self):
+        from repro.core.certificate import machine_digest
+        from repro.machines import cydra5_subset
+        from repro.scheduler import IterativeModuloScheduler, chain
+
+        machine = cydra5_subset()
+        IterativeModuloScheduler(machine).schedule(
+            chain("warm", ["load_s", "fmul_s", "store_s"])
+        )
+        clone = pickle.loads(pickle.dumps(machine))
+        assert clone == machine
+        assert machine_digest(clone) == machine_digest(machine)
