@@ -549,8 +549,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     machine = _load_machine(args.machine)
     if args.corpus:
         return _cmd_schedule_corpus(args, machine)
-    if args.representation is None:
-        args.representation = DISCRETE
     scheduler = IterativeModuloScheduler(
         machine,
         representation=args.representation,
@@ -665,15 +663,12 @@ def _cmd_schedule_corpus(args: argparse.Namespace, machine) -> int:
         )
     else:
         budget = _make_budget(args, "schedule:corpus")
-    options = {}
-    if args.representation is not None:
-        options["representation"] = args.representation
     scheduler = CorpusScheduler(
         machine,
+        representation=args.representation,
         word_cycles=args.word_cycles,
         policy=policy,
         processes=args.processes,
-        **options,
     )
     _runlog_note(
         machine=machine.name,
@@ -2024,11 +2019,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=sorted(KERNELS))
     p.add_argument("--loops", type=int, default=20)
     p.add_argument(
-        "--representation",
-        choices=REPRESENTATIONS,
-        default=None,
-        help="query representation (default: discrete, or the corpus"
-        " driver's default with --corpus)",
+        "--representation", choices=REPRESENTATIONS, default=DISCRETE
     )
     p.add_argument(
         "--corpus",

@@ -46,11 +46,12 @@ class ForbiddenLatencyMatrix:
     descriptions *preserving scheduling constraints*.
     """
 
-    __slots__ = ("operations", "_sets")
+    __slots__ = ("operations", "_sets", "_self_feasible")
 
     def __init__(self, operations: Tuple[str, ...], sets: Dict[Tuple[str, str], FrozenSet[int]]):
         self.operations = tuple(operations)
         self._sets = {pair: latencies for pair, latencies in sets.items() if latencies}
+        self._self_feasible: Dict[str, int] = {}
 
     @classmethod
     def from_machine(
@@ -131,6 +132,22 @@ class ForbiddenLatencyMatrix:
                 if abs(f) > best:
                     best = abs(f)
         return best
+
+    def min_self_feasible_ii(self, op: str) -> int:
+        """Smallest II at which ``op`` issued every II cycles does not
+        collide with itself, computed once per operation and kept.
+
+        It collides exactly when some ``k * II`` (k >= 1) is one of its
+        self-forbidden latencies; any II above the largest one is free.
+        """
+        feasible = self._self_feasible.get(op)
+        if feasible is None:
+            latencies = [f for f in self.latencies(op, op) if f > 0]
+            feasible = 1
+            while any(f % feasible == 0 for f in latencies):
+                feasible += 1
+            self._self_feasible[op] = feasible
+        return feasible
 
     def uses_resources(self, op: str) -> bool:
         """True when ``op`` has any forbidden latency (i.e. uses resources)."""

@@ -35,7 +35,7 @@ class ReservationTable:
     [0, 3]
     """
 
-    __slots__ = ("_usages", "_hash", "_usage_list")
+    __slots__ = ("_usages", "_hash", "_usage_list", "_folds")
 
     def __init__(self, usages: Mapping[str, Iterable[int]]):
         table: Dict[str, frozenset] = {}
@@ -56,6 +56,7 @@ class ReservationTable:
         self._usages = table
         self._hash = None
         self._usage_list = None
+        self._folds = None
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[str, int]]) -> "ReservationTable":
@@ -112,6 +113,39 @@ class ReservationTable:
                 for cycle in sorted(self._usages[resource])
             )
         return iter(usages)
+
+    def folded(
+        self, ii: int, alignment: int
+    ) -> Tuple[Tuple[Tuple[str, int], ...], int]:
+        """The usages folded onto an MRT of ``ii`` slots for an issue at
+        slot ``alignment`` (``0 <= alignment < ii``).
+
+        Returns ``(slots, first_repeat)``: the ``(resource, (alignment +
+        cycle) % ii)`` tuple in :meth:`iter_usages` order, and the index
+        of its first slot equal to an earlier one (``len(slots)`` when
+        none is).  Built on first use per ``(ii, alignment)`` and kept.
+        """
+        folds = self._folds
+        if folds is None:
+            folds = self._folds = {}
+        by_alignment = folds.get(ii)
+        if by_alignment is None:
+            by_alignment = folds[ii] = [None] * ii
+        fold = by_alignment[alignment]
+        if fold is None:
+            slots = tuple(
+                (resource, (alignment + cycle) % ii)
+                for resource, cycle in self.iter_usages()
+            )
+            first_repeat = len(slots)
+            seen = set()
+            for index, slot in enumerate(slots):
+                if slot in seen:
+                    first_repeat = index
+                    break
+                seen.add(slot)
+            fold = by_alignment[alignment] = (slots, first_repeat)
+        return fold
 
     def cycles_used(self) -> frozenset:
         """Set of cycles in which at least one resource is used."""
@@ -182,8 +216,8 @@ class ReservationTable:
         return self._hash
 
     def __reduce__(self):
-        # Pickle the usages only; the hash and the usage tuple are
-        # rebuilt lazily (string hashes differ between processes).
+        # Pickle the usages only; the hash, the usage tuple and the folds
+        # are rebuilt lazily (string hashes differ between processes).
         return ReservationTable, (self._usages,)
 
     def __repr__(self) -> str:

@@ -333,13 +333,21 @@ class ContentionQueryModule:
         The window is scanned cycle-major (every alternative is probed at
         a cycle before the next cycle is considered), so the result is
         identical to looping :meth:`check_with_alternatives` over the
-        window — which is exactly what this base implementation does.
-        Returns ``(None, None)`` when the window is exhausted.
+        window: the same answer, rotation and :meth:`check` calls.  A
+        scan never assigns, so the probe order cannot change mid-scan
+        and is computed once per window.  Returns ``(None, None)`` when
+        the window is exhausted; an empty window resolves nothing.
         """
-        for cycle in self._window(start, stop, direction):
-            alternative = self.check_with_alternatives(op, cycle)
-            if alternative is not None:
-                return cycle, alternative
+        window = self._window(start, stop, direction)
+        if not window:
+            return None, None
+        variants, ordered = self._probe_order(op)
+        check = self.check
+        for cycle in window:
+            for alternative in ordered:
+                if check(alternative, cycle):
+                    self._rotate(op, variants)
+                    return cycle, alternative
         return None, None
 
     def _first_free_by_variant(
@@ -355,13 +363,7 @@ class ContentionQueryModule:
         Backends that override :meth:`first_free` use this as their
         :meth:`first_free_with_alternatives`.
         """
-        variants = self.machine.alternatives_of(op)
-        ordered = order_variants(
-            self.alternative_policy,
-            variants,
-            self._alt_rotation.get(op, 0),
-            self._live_op_counts,
-        )
+        variants, ordered = self._probe_order(op)
         best_cycle: Optional[int] = None
         best_variant: Optional[str] = None
         lo, hi = start, stop
@@ -379,8 +381,7 @@ class ContentionQueryModule:
             else:
                 lo = cycle + 1
         if best_variant is not None:
-            if self.alternative_policy == ROUND_ROBIN and len(variants) > 1:
-                self._alt_rotation[op] = self._alt_rotation.get(op, 0) + 1
+            self._rotate(op, variants)
         return best_cycle, best_variant
 
     @staticmethod
@@ -399,21 +400,27 @@ class ContentionQueryModule:
         default, with round-robin and least-used available (the "more
         efficient techniques" the paper leaves open).
         """
+        variants, ordered = self._probe_order(op)
+        for alternative in ordered:
+            if self.check(alternative, cycle):
+                self._rotate(op, variants)
+                return alternative
+        return None
+
+    def _probe_order(self, op: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """``(declared variants, probe order)`` of ``op`` under the policy."""
         variants = self.machine.alternatives_of(op)
-        ordered = order_variants(
+        return variants, order_variants(
             self.alternative_policy,
             variants,
             self._alt_rotation.get(op, 0),
             self._live_op_counts,
         )
-        for alternative in ordered:
-            if self.check(alternative, cycle):
-                if self.alternative_policy == ROUND_ROBIN and len(variants) > 1:
-                    self._alt_rotation[op] = (
-                        self._alt_rotation.get(op, 0) + 1
-                    )
-                return alternative
-        return None
+
+    def _rotate(self, op: str, variants: Tuple[str, ...]) -> None:
+        """Advance the round-robin start after ``op`` found a variant."""
+        if self.alternative_policy == ROUND_ROBIN and len(variants) > 1:
+            self._alt_rotation[op] = self._alt_rotation.get(op, 0) + 1
 
     def scheduled(self) -> List[ScheduledToken]:
         """Currently scheduled tokens, in assignment order."""

@@ -14,7 +14,7 @@ Work accounting is the paper's: one unit per resource usage handled, with
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineDescription
 from repro.query.base import (
@@ -55,8 +55,12 @@ class DiscreteQueryModule(ContentionQueryModule):
             cycle %= self.modulo
         return (resource, cycle)
 
-    def _slots(self, op: str, cycle: int) -> List[Tuple[str, int]]:
+    def _slots(self, op: str, cycle: int) -> Sequence[Tuple[str, int]]:
+        # Modulo tables read the table's fold kept for this II and slot.
         table = self.machine.table(op)
+        modulo = self.modulo
+        if modulo is not None:
+            return table.folded(modulo, cycle % modulo)[0]
         return [self._slot(r, cycle + c) for r, c in table.iter_usages()]
 
     # ------------------------------------------------------------------
@@ -73,12 +77,16 @@ class DiscreteQueryModule(ContentionQueryModule):
         # Modulo tables: the operation may collide with itself when its
         # usages of one resource wrap onto the same MRT slot (II smaller
         # than a self-forbidden latency) — such a placement is never legal.
-        seen = set()
-        for slot in self._slots(op, cycle):
+        # The fold names the first such slot, so the walk stops there.
+        modulo = self.modulo
+        slots, first_repeat = self.machine.table(op).folded(
+            modulo, cycle % modulo
+        )
+        reserved = self._reserved
+        for slot in slots:
             units += 1
-            if slot in self._reserved or slot in seen:
+            if slot in reserved or units > first_repeat:
                 return False, units
-            seen.add(slot)
         return True, units
 
     def _check_blame(self, op: str, cycle: int) -> Tuple[bool, Optional[Blame], int]:

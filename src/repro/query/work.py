@@ -57,7 +57,7 @@ class WorkCounters:
     def charge(self, function: str, work: int) -> None:
         """Record one call to ``function`` costing ``work`` units."""
         self.calls[function] += 1
-        self.units[function] += max(1, work)
+        self.units[function] += work if work > 1 else 1
 
     def reset(self) -> None:
         self.calls.clear()

@@ -36,17 +36,10 @@ def min_feasible_ii_for_op(
 
     An operation issued every II cycles conflicts with its own later
     instances exactly when ``k * II`` (k >= 1) is one of its self-forbidden
-    latencies.  Any II larger than the largest self-forbidden latency is
-    feasible, so the search terminates.
+    latencies (see :meth:`ForbiddenLatencyMatrix.min_self_feasible_ii`,
+    which keeps the answer per matrix).
     """
-    self_latencies = {f for f in matrix.latencies(opcode, opcode) if f > 0}
-    if not self_latencies:
-        return 1
-    limit = max(self_latencies)
-    for ii in range(1, limit + 2):
-        if not any(multiple % ii == 0 for multiple in self_latencies):
-            return ii
-    return limit + 1
+    return matrix.min_self_feasible_ii(opcode)
 
 
 def res_mii(
@@ -61,32 +54,44 @@ def res_mii(
     a valid lower bound in general; the self-contention bound guards
     against IIs at which some opcode could never legally issue.
     """
-    opcodes = list(opcodes)
     if matrix is None:
         matrix = ForbiddenLatencyMatrix.from_machine(machine)
-    # Opcodes may be alternative-group base names; spread successive
-    # occurrences round-robin over the variants (the best case a scheduler
-    # can do for replicated units, hence still a valid lower bound).
+    usage_totals, counts = _usage_totals(machine, opcodes)
+    bound = max(usage_totals.values(), default=1)
+    for opcode in counts:
+        bound = max(bound, _self_feasible_ii(machine, matrix, opcode))
+    return max(1, bound)
+
+
+def _usage_totals(
+    machine: MachineDescription, opcodes: Iterable[str]
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """``(usages per resource, occurrences per opcode)`` of one iteration.
+
+    Opcodes may be alternative-group base names; successive occurrences
+    spread round-robin over the variants (the best case a scheduler can
+    do for replicated units, hence still a valid lower bound).
+    """
     usage_totals: Dict[str, int] = {}
-    seen: Dict[str, int] = {}
+    counts: Dict[str, int] = {}
     for opcode in opcodes:
         variants = machine.alternatives_of(opcode)
-        variant = variants[seen.get(opcode, 0) % len(variants)]
-        seen[opcode] = seen.get(opcode, 0) + 1
+        variant = variants[counts.get(opcode, 0) % len(variants)]
+        counts[opcode] = counts.get(opcode, 0) + 1
         for resource, _cycle in machine.table(variant).iter_usages():
             usage_totals[resource] = usage_totals.get(resource, 0) + 1
-    bound = max(usage_totals.values(), default=1)
-    for opcode in sorted(set(opcodes)):
-        # With alternatives the scheduler may pick whichever variant is
-        # self-feasible, so the bound is the minimum over variants.
-        bound = max(
-            bound,
-            min(
-                min_feasible_ii_for_op(matrix, variant)
-                for variant in machine.alternatives_of(opcode)
-            ),
-        )
-    return max(1, bound)
+    return usage_totals, counts
+
+
+def _self_feasible_ii(
+    machine: MachineDescription, matrix: ForbiddenLatencyMatrix, opcode: str
+) -> int:
+    """Smallest self-feasible II over ``opcode``'s variants: with
+    alternatives the scheduler may pick whichever variant is."""
+    return min(
+        matrix.min_self_feasible_ii(variant)
+        for variant in machine.alternatives_of(opcode)
+    )
 
 
 def res_mii_packed(
@@ -268,21 +273,11 @@ def mii_attribution(
     if matrix is None:
         matrix = ForbiddenLatencyMatrix.from_machine(machine)
     opcodes = list(graph.opcodes())
-    usage_totals: Dict[str, int] = {}
-    seen: Dict[str, int] = {}
-    for opcode in opcodes:
-        variants = machine.alternatives_of(opcode)
-        variant = variants[seen.get(opcode, 0) % len(variants)]
-        seen[opcode] = seen.get(opcode, 0) + 1
-        for resource, _cycle in machine.table(variant).iter_usages():
-            usage_totals[resource] = usage_totals.get(resource, 0) + 1
+    usage_totals, counts = _usage_totals(machine, opcodes)
     usage_bound = max(usage_totals.values(), default=1)
     self_contention: Dict[str, int] = {}
-    for opcode in sorted(set(opcodes)):
-        feasible = min(
-            min_feasible_ii_for_op(matrix, variant)
-            for variant in machine.alternatives_of(opcode)
-        )
+    for opcode in sorted(counts):
+        feasible = _self_feasible_ii(machine, matrix, opcode)
         if feasible > 1:
             self_contention[opcode] = feasible
     resource_bound = res_mii(machine, opcodes, matrix=matrix)

@@ -4,10 +4,11 @@ The scheduling loop, height priority and MII bound exactly as they were
 before the scheduler stopped repeating fixed work per loop, attempt and
 decision: ``min`` over an unscheduled set, edge-list copies per
 decision, a full RecMII binary search from II = 1 and a second
-acyclicity check.  ``tests/test_ims_reference.py`` requires the
-production scheduler to produce the same schedules, attempt records,
-check distributions, work counters, ledger records and budget stops as
-:class:`ReferenceIMS`.
+acyclicity check.  ResMII and the discrete query module come from the
+frozen copies in ``tests/_reference_query.py``.
+``tests/test_ims_reference.py`` requires the production scheduler to
+produce the same schedules, attempt records, check distributions, work
+counters, ledger records and budget stops as :class:`ReferenceIMS`.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
 from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
-from repro.query.modulo import make_query_module
 from repro.query.work import CHECK, CHECK_RANGE, WorkCounters
 from repro.scheduler.ddg import DependenceGraph
-from repro.scheduler.mii import res_mii
 from repro.scheduler.modulo import (
     AttemptStats,
     IterativeModuloScheduler,
     ModuloScheduleResult,
 )
+
+from tests._reference_query import make_reference_module, res_mii
 
 
 def compute_heights(graph: DependenceGraph, ii: int) -> Dict[str, int]:
@@ -199,7 +200,7 @@ class ReferenceIMS(IterativeModuloScheduler):
         if self.query_factory is not None:
             qm = self.query_factory(ii)
         else:
-            qm = make_query_module(
+            qm = make_reference_module(
                 self.machine,
                 representation=self.representation,
                 word_cycles=self.word_cycles,

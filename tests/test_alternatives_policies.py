@@ -1,9 +1,12 @@
 """Tests for alternative-operation selection policies."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ForbiddenLatencyMatrix, MachineDescription
-from repro.errors import ScheduleError
+from repro.errors import MachineDescriptionError, ScheduleError
 from repro.machines import cydra5_subset, playdoh, PLAYDOH_LATENCIES
 from repro.query import (
     FIRST_FIT,
@@ -97,6 +100,71 @@ class TestModulePolicies:
         qm.check_with_alternatives("mov", 0)
         qm.reset()
         assert qm.check_with_alternatives("mov", 0) == "mov.0"
+
+
+def _looped_scan(qm, op, start, stop, direction):
+    """The window scan as a loop of ``check_with_alternatives`` calls."""
+    for cycle in qm._window(start, stop, direction):
+        alternative = qm.check_with_alternatives(op, cycle)
+        if alternative is not None:
+            return cycle, alternative
+    return None, None
+
+
+class TestWindowScan:
+    """The base cycle-major scan takes the probe order once per window;
+    it must still equal a loop of ``check_with_alternatives``."""
+
+    MACHINE = playdoh()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(POLICIES),
+        st.sampled_from((None, 1, 3, 7)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_looped_check_with_alternatives(
+        self, policy, modulo, seed
+    ):
+        machine = self.MACHINE
+        rng = random.Random(seed)
+        scanning, looping = (
+            DiscreteQueryModule(machine, modulo=modulo) for _ in range(2)
+        )
+        scanning.alternative_policy = looping.alternative_policy = policy
+        opcodes = sorted(machine.alternatives) + ["br", "pbr"]
+        for _ in range(rng.randint(0, 12)):
+            op = rng.choice(machine.operation_names)
+            cycle = rng.randint(-4, 12)
+            scanning.assign_free(op, cycle)
+            looping.assign_free(op, cycle)
+        for _ in range(10):
+            op = rng.choice(opcodes)
+            start = rng.randint(-4, 12)
+            stop = start + rng.randint(0, 8)
+            direction = rng.choice((1, -1))
+            found = scanning.first_free_with_alternatives(
+                op, start, stop, direction
+            )
+            assert found == _looped_scan(looping, op, start, stop, direction)
+            assert scanning._alt_rotation == looping._alt_rotation
+            assert scanning.work.calls == looping.work.calls
+            assert scanning.work.units == looping.work.units
+            cycle, alternative = found
+            if alternative is not None and rng.random() < 0.5:
+                # Placing the answer moves the least-used counts.
+                scanning.assign_free(alternative, cycle)
+                looping.assign_free(alternative, cycle)
+
+    def test_empty_window_resolves_nothing(self):
+        qm = DiscreteQueryModule(self.MACHINE, modulo=4)
+        for direction in (1, -1):
+            assert qm.first_free_with_alternatives(
+                "no-such-op", 5, 5, direction
+            ) == (None, None)
+        assert not qm.work.calls
+        with pytest.raises(MachineDescriptionError):
+            qm.first_free_with_alternatives("no-such-op", 5, 6)
 
 
 class TestSchedulerIntegration:

@@ -1,8 +1,10 @@
 """The corpus driver: a whole loop suite in one pass.
 
 The headline contract is that the driver adds nothing to a loop's
-schedule or work: by default it must reproduce per-loop compiled IMS
-signature-for-signature, with merged work equal to the per-loop sum.
+schedule or work: under its default representation (the same as the
+per-loop scheduler's) and under ``compiled`` alike, it must reproduce
+per-loop IMS signature-for-signature, with merged work equal to the
+per-loop sum.
 The satellite contracts ride along — budget starvation stays
 loop-local, the fallback ladder degrades loops without sinking the
 corpus, and the multiprocessing fan-out replays the serial run exactly.
@@ -66,19 +68,45 @@ def test_rung_ims_pin_matches_fallback_module():
     assert corpus_module.RUNG_IMS == FALLBACK_RUNG_IMS
 
 
+def _per_loop_ims(machine, graphs, representation):
+    """Per-loop signatures and merged work of a fresh IMS."""
+    ims = IterativeModuloScheduler(machine, representation=representation)
+    work = WorkCounters()
+    signatures = []
+    for graph in graphs:
+        result = ims.schedule(graph)
+        work.merge(result.work)
+        signatures.append(schedule_signature(
+            result.ii, result.times, result.chosen_opcodes
+        ))
+    return signatures, work
+
+
 class TestDefaultMatchesPerLoopIMS:
     def test_signatures_and_work_equal_per_loop_ims(self, machine, suite):
         graphs = suite[:8]
         corpus = CorpusScheduler(machine).schedule_suite(graphs)
-        ims = IterativeModuloScheduler(machine, representation="compiled")
-        expected = WorkCounters()
-        signatures = []
-        for graph in graphs:
-            result = ims.schedule(graph)
-            expected.merge(result.work)
-            signatures.append(schedule_signature(
-                result.ii, result.times, result.chosen_opcodes
-            ))
+        signatures, expected = _per_loop_ims(
+            machine, graphs, corpus.representation
+        )
+
+        assert (
+            corpus.representation
+            == IterativeModuloScheduler(machine).representation
+        )
+        assert corpus.failed == 0
+        assert corpus.signatures() == signatures
+        assert dict(corpus.work.units) == dict(expected.units)
+        assert dict(corpus.work.calls) == dict(expected.calls)
+
+    def test_compiled_corpus_equals_per_loop_compiled_ims(
+        self, machine, suite
+    ):
+        graphs = suite[:8]
+        corpus = CorpusScheduler(
+            machine, representation="compiled"
+        ).schedule_suite(graphs)
+        signatures, expected = _per_loop_ims(machine, graphs, "compiled")
 
         assert corpus.representation == "compiled"
         assert corpus.failed == 0
@@ -97,11 +125,17 @@ class TestDefaultMatchesPerLoopIMS:
 class TestBudget:
     def test_starvation_is_loop_local(self, machine, suite):
         graphs = suite[:8]
-        # The 8-loop suite costs 5037 units.  IMS checkpoints each loop's
-        # units and the loop boundary charges them again, so 6000 leaves
-        # room for the first loops but not the whole corpus: starvation
-        # must land mid-suite.
-        budget = Budget(max_units=6000, label="corpus-test")
+        # IMS checkpoints each loop's units and the loop boundary charges
+        # them again, so the suite costs about twice its units.  Twice the
+        # first two loops plus once the rest leaves room for the first
+        # loops but not the whole corpus: starvation must land mid-suite.
+        ims = IterativeModuloScheduler(
+            machine, representation=CorpusScheduler(machine).representation
+        )
+        units = [ims.schedule(graph).work.total_units for graph in graphs]
+        budget = Budget(
+            max_units=sum(units) + sum(units[:2]), label="corpus-test"
+        )
         result = CorpusScheduler(machine).schedule_suite(
             graphs, budget=budget
         )

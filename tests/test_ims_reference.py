@@ -3,9 +3,13 @@ copy in ``tests/_reference_ims.py``.
 
 The production scheduler computes MII with one positive-cycle test at
 ResMII, picks operations from a heap and walks II-folded adjacency
-lists; the corpus path shares one scheduler per suite.  None of that may
-change a schedule, an attempt record, the check distribution, a work
-counter, a ledger record or a budget stop.
+lists; the corpus path shares one scheduler per suite.  Its discrete
+module walks folds memoized on the reservation tables, takes the probe
+order once per window, and ResMII reads self-feasible IIs kept on the
+forbidden matrix; the reference runs the frozen copies of those in
+``tests/_reference_query.py``.  None of that may change a schedule, an
+attempt record, the check distribution, a work counter, a ledger record
+or a budget stop.
 """
 
 import pytest
@@ -13,7 +17,7 @@ import pytest
 from repro.core import MachineDescription
 from repro.errors import BudgetExceeded
 from repro.obs import ledger as obs_ledger
-from repro.query import POLICIES
+from repro.query import POLICIES, DiscreteQueryModule
 from repro.query.modulo import REPRESENTATIONS
 from repro.query.work import WorkCounters
 from repro.resilience import Budget
@@ -26,6 +30,7 @@ from repro.scheduler.corpus import schedule_signature
 from repro.workloads import loop_suite
 
 from tests._reference_ims import ReferenceIMS
+from tests._reference_query import ReferenceDiscreteQueryModule
 
 SEEDS = (0, 1, 2)
 PLACEMENTS = ("earliest", "lifetime")
@@ -156,15 +161,75 @@ def test_budget_stop_matches_reference(cydra_sub, suites, policy):
     assert stops >= len(graphs) * 3
 
 
+def _self_colliding_loops():
+    """Loops on a machine whose first variant ``A.0`` folds its two ``u``
+    usages onto one MRT slot at II 1 and 2, so a check of it stops at
+    the repeated slot, before its later ``x`` usage.  ``A.1`` keeps
+    ResMII at 2, so the scheduler tries that II first."""
+    machine = MachineDescription(
+        "selfclash",
+        {
+            "A.0": {"u": [0, 2], "x": [3]},
+            "A.1": {"v": [0]},
+            "B": {"w": [0], "x": [1]},
+        },
+        alternatives={"A": ["A.0", "A.1"]},
+    )
+    shapes = (
+        ("AB", ()),
+        ("AAB", (("o0", "o2", 1, 0),)),
+        ("ABAB", (("o1", "o2", 1, 0), ("o3", "o0", 1, 1))),
+        ("AAAB", (("o3", "o3", 2, 1),)),
+    )
+    loops = []
+    for index, (opcodes, edges) in enumerate(shapes):
+        graph = DependenceGraph("selfclash%d" % index)
+        for position, opcode in enumerate(opcodes):
+            graph.add_operation("o%d" % position, opcode)
+        for src, dst, latency, distance in edges:
+            graph.add_dependence(src, dst, latency, distance)
+        loops.append(graph)
+    return machine, loops
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_self_collision_matches_reference(placement, policy):
+    """A check that meets a repeated MRT slot fails there and is charged
+    up to it, in the frozen and the memoized discrete module alike."""
+    machine, loops = _self_colliding_loops()
+    for modulo in (1, 2):
+        for cycle in range(-2, 3):
+            reference = ReferenceDiscreteQueryModule(machine, modulo=modulo)
+            current = DiscreteQueryModule(machine, modulo=modulo)
+            assert current._check("A.0", cycle) == (False, 2)
+            assert current._check("A.0", cycle) == reference._check(
+                "A.0", cycle
+            )
+    reference, current = _pair(
+        machine, placement_policy=placement, alternative_policy=policy
+    )
+    tried = set()
+    for graph in loops:
+        expected = _fingerprint(reference.schedule(graph))
+        assert _fingerprint(current.schedule(graph)) == expected, graph.name
+        tried.update(attempt.ii for attempt in expected[1])
+    assert 2 in tried
+
+
 def test_corpus_matches_reference(reduced, suites):
     """One shared scheduler per suite serves every loop exactly as a
     fresh reference scheduler per loop does, work included."""
     corpus = CorpusScheduler(reduced).schedule_suite(suites[2])
+    assert (
+        corpus.representation
+        == IterativeModuloScheduler(reduced).representation
+    )
     expected, work = [], WorkCounters()
     for graph in suites[2]:
-        result = ReferenceIMS(reduced, representation="compiled").schedule(
-            graph
-        )
+        result = ReferenceIMS(
+            reduced, representation=corpus.representation
+        ).schedule(graph)
         expected.append(
             schedule_signature(result.ii, result.times, result.chosen_opcodes)
         )

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import ForbiddenLatencyMatrix, MachineDescription
 from repro.errors import ScheduleError
+from repro.machines import cydra5_subset, playdoh
 from repro.scheduler import (
     DependenceGraph,
     min_feasible_ii_for_op,
@@ -12,6 +13,8 @@ from repro.scheduler import (
     rec_mii,
     res_mii,
 )
+
+from tests import _reference_query
 
 
 @pytest.fixture
@@ -197,3 +200,38 @@ class TestMinIIShortcut:
         g.add_dependence("b", "a", latency)
         with pytest.raises(ScheduleError, match="zero-distance dependence"):
             min_ii(SHORTCUT_MACHINE, g)
+
+
+#: One machine and one reused matrix each: ``res_mii`` fills the
+#: matrix's self-feasibility memo across examples.
+MEMO_MACHINES = {
+    machine.name: (machine, ForbiddenLatencyMatrix.from_machine(machine))
+    for machine in (cydra5_subset(), playdoh())
+}
+
+
+class TestSelfFeasibleMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(MEMO_MACHINES)), st.data())
+    def test_reused_matrix_equals_fresh_matrix(self, name, data):
+        machine, reused = MEMO_MACHINES[name]
+        names = sorted(set(machine.alternatives) | set(machine.operation_names))
+        opcodes = data.draw(
+            st.lists(st.sampled_from(names), max_size=24), label="opcodes"
+        )
+        fresh = ForbiddenLatencyMatrix.from_machine(machine)
+        expected = _reference_query.res_mii(machine, opcodes, fresh)
+        assert res_mii(machine, opcodes, matrix=reused) == expected
+        assert res_mii(machine, opcodes, matrix=fresh) == expected
+        assert res_mii(machine, opcodes) == expected
+        for op in machine.operation_names:
+            assert min_feasible_ii_for_op(reused, op) == (
+                _reference_query.min_feasible_ii_for_op(fresh, op)
+            )
+
+    def test_memo_is_not_part_of_equality(self):
+        md = MachineDescription("gap", {"X": {"u": [0, 4]}, "Y": {"u": [0]}})
+        used = ForbiddenLatencyMatrix.from_machine(md)
+        assert used.min_self_feasible_ii("X") == 3
+        assert used.min_self_feasible_ii("Y") == 1
+        assert used == ForbiddenLatencyMatrix.from_machine(md)

@@ -3,6 +3,7 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ReservationTable
 from repro.errors import MachineDescriptionError
@@ -171,3 +172,58 @@ class TestUsageMemo:
         clone = pickle.loads(pickle.dumps(machine))
         assert clone == machine
         assert machine_digest(clone) == machine_digest(machine)
+
+
+@st.composite
+def tables(draw):
+    usages = draw(st.dictionaries(
+        st.sampled_from(("a", "b", "c")),
+        st.frozensets(st.integers(0, 9), min_size=1, max_size=5),
+        max_size=3,
+    ))
+    return ReservationTable(usages)
+
+
+class TestFoldMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(tables(), st.data())
+    def test_fold_equals_per_call_slots_and_seen_scan(self, table, data):
+        ii = data.draw(st.integers(1, table.length + 2), label="ii")
+        for alignment in range(ii):
+            slots, first_repeat = table.folded(ii, alignment)
+            expected = [
+                (resource, (alignment + cycle) % ii)
+                for resource, cycle in table.iter_usages()
+            ]
+            assert list(slots) == expected
+            seen, repeat = set(), len(expected)
+            for index, slot in enumerate(expected):
+                if slot in seen:
+                    repeat = index
+                    break
+                seen.add(slot)
+            assert first_repeat == repeat
+            assert table.folded(ii, alignment) is table.folded(ii, alignment)
+
+    def test_fold_of_any_issue_cycle_is_its_slot_fold(self):
+        table = ReservationTable({"u": [0, 2], "w": [3]})
+        for cycle in range(-5, 6):
+            slots, first_repeat = table.folded(2, cycle % 2)
+            assert slots == tuple(
+                (resource, (cycle + c) % 2)
+                for resource, c in table.iter_usages()
+            )
+            assert first_repeat == 1
+
+    def test_filled_folds_pickle_compare_and_hash_equal(self):
+        filled = ReservationTable({"x": [0, 4], "y": [2]})
+        for ii in (1, 2, 3, 5):
+            for alignment in range(ii):
+                filled.folded(ii, alignment)
+        hash(filled)
+        clone = pickle.loads(pickle.dumps(filled))
+        fresh = ReservationTable({"y": [2], "x": [4, 0]})
+        for table in (filled, clone):
+            assert table == fresh
+            assert hash(table) == hash(fresh)
+            assert table.folded(3, 1) == fresh.folded(3, 1)
