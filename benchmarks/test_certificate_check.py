@@ -8,11 +8,11 @@ This benchmark pins that ratio per study machine and records the
 numbers behind it in ``BENCH_certificates.json``.
 """
 
-from repro.core import (
+from repro.core import reduce_machine
+from repro.core.certificate import (
     check_certificate,
     equivalence_work_units,
     issue_certificate,
-    reduce_machine,
 )
 
 

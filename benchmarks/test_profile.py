@@ -13,7 +13,7 @@ import os
 from conftest import BENCH_LOOPS
 
 from repro.machines import cydra5_subset
-from repro.obs import metrics_document, render_text
+from repro.obs.export import metrics_document, render_text
 from repro.obs.profile import profile_machine
 
 #: Loops to profile; a slice of the benchmark suite keeps the checked-in

@@ -13,9 +13,13 @@ from typing import List, Optional
 
 from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
-from repro.scheduler.lifetimes import max_live, register_requirement
-from repro.scheduler.modulo import IterativeModuloScheduler
+from repro.query.work import WorkCounters
 from repro.scheduler.ddg import DependenceGraph
+from repro.scheduler.lifetimes import max_live, register_requirement
+from repro.scheduler.modulo import (
+    IterativeModuloScheduler,
+    ModuloScheduleResult,
+)
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,6 @@ def ii_sweep(
 
 def _schedule_at_exact_ii(scheduler, graph, ii):
     """Run one IMS attempt pinned at ``ii``."""
-    from repro.query.work import WorkCounters
-    from repro.scheduler.modulo import ModuloScheduleResult
-
     graph.validate()
     work = WorkCounters()
     outcome = scheduler._attempt(graph, ii, work)

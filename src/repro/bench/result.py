@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import BenchFormatError
+from repro.resilience import artifacts
 
 RESULT_SCHEMA_NAME = "repro-bench-result"
 RESULT_SCHEMA_VERSION = 1
@@ -188,8 +189,6 @@ def default_meta(label: str = "") -> Dict[str, object]:
 
 def save_result(path: str, result: BenchResult) -> None:
     """Write a result as a checksummed artifact (atomic + sidecar)."""
-    from repro.resilience import artifacts
-
     artifacts.write_json(path, result.to_dict(), kind="bench-result")
 
 
@@ -201,8 +200,6 @@ def load_result(path: str) -> BenchResult:
     means a schema mismatch.  Sidecar-less documents (CI downloads,
     hand-built fixtures) load without integrity verification.
     """
-    from repro.resilience import artifacts
-
     if artifacts.has_sidecar(path):
         text, _header = artifacts.read_artifact(
             path, expect_kind="bench-result"

@@ -15,7 +15,7 @@ shows.  Per repetition it collects:
   gating;
 * schedule quality (loops at MII, total achieved II vs total MII).
 
-A :class:`~repro.resilience.Budget` can bound the whole run: the runner
+A :class:`~repro.resilience.budget.Budget` can bound the whole run: the runner
 checkpoints after every repetition, charging the repetition's query work
 units in the shared WorkCounters currency, so ``--deadline`` /
 ``--max-units`` behave exactly as they do for ``repro reduce``.

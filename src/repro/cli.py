@@ -22,7 +22,7 @@ Commands
               differential pipeline oracle (plus composed chaos plans)
 ``bench``     benchmark observatory: ``run`` / ``compare`` / ``report``
 ``runs``      run registry: ``list`` / ``show`` / ``diff`` / ``trend`` /
-              ``gc`` / ``metrics`` (OpenMetrics export)
+              ``gc``
 
 ``certify`` validates Theorem-1 witness certificates without re-running
 the reduction (``repro certify ORIG REDUCED [--cert FILE]``); ``reduce``
@@ -90,6 +90,7 @@ from repro.machines import (
     playdoh,
 )
 from repro.query import DISCRETE, REPRESENTATIONS
+from repro.query.work import FUNCTIONS
 from repro.scheduler import IterativeModuloScheduler
 from repro.stats import describe
 from repro.workloads import KERNELS, loop_suite
@@ -173,10 +174,8 @@ def _runlog_harvest(tracer) -> None:
     """
     if _RECORDER is None or tracer is None:
         return
-    from repro.obs.instrument import QUERY_FUNCTIONS
-
     units = {}
-    for function in QUERY_FUNCTIONS:
+    for function in FUNCTIONS:
         name = "query." + function
         value = tracer.metrics.get_counter(name + ".units")
         if value:
@@ -211,10 +210,11 @@ def _observing(args: argparse.Namespace):
     if not trace_path and not metrics_path and _RECORDER is None:
         yield None
         return
-    from repro import obs
+    from repro.obs.export import write_chrome_trace, write_metrics
+    from repro.obs.trace import Tracer, tracing
 
-    tracer = obs.Tracer(trace_queries=bool(trace_path))
-    with obs.tracing(tracer):
+    tracer = Tracer(trace_queries=bool(trace_path))
+    with tracing(tracer):
         if metrics_path == "-":
             # Stdout must carry the JSON document alone; the command's
             # human-readable report moves to stderr.
@@ -224,11 +224,11 @@ def _observing(args: argparse.Namespace):
             yield tracer
     _runlog_harvest(tracer)
     if metrics_path:
-        _write_export(obs.write_metrics, tracer, metrics_path, "metrics")
+        _write_export(write_metrics, tracer, metrics_path, "metrics")
         if metrics_path != "-":
             print("wrote metrics %s" % metrics_path, file=sys.stderr)
     if trace_path:
-        _write_export(obs.write_chrome_trace, tracer, trace_path, "trace")
+        _write_export(write_chrome_trace, tracer, trace_path, "trace")
         print(
             "wrote trace %s (open in https://ui.perfetto.dev)" % trace_path,
             file=sys.stderr,
@@ -256,13 +256,13 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_budget(args: argparse.Namespace, label: str):
-    """A :class:`~repro.resilience.Budget` from ``--deadline``/``--max-units``
-    (``None`` when neither flag is given)."""
+    """A :class:`~repro.resilience.budget.Budget` from ``--deadline`` /
+    ``--max-units`` (``None`` when neither flag is given)."""
     deadline = getattr(args, "deadline", None)
     max_units = getattr(args, "max_units", None)
     if deadline is None and max_units is None:
         return None
-    from repro.resilience import Budget
+    from repro.resilience.budget import Budget
 
     budget = Budget(deadline_s=deadline, max_units=max_units, label=label)
     if _RECORDER is not None:
@@ -313,7 +313,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             )
         certificate = None
         if args.fallback:
-            from repro.resilience import FallbackPolicy, reduce_with_fallback
+            from repro.resilience.fallback import reduce_with_fallback
+            from repro.scheduler.ladder import FallbackPolicy
 
             policy = FallbackPolicy(
                 deadline_s=args.deadline, max_units=args.max_units
@@ -335,7 +336,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             served = outcome.machine
             certificate = outcome.certificate
         elif args.cache:
-            from repro.resilience import cached_reduce
+            from repro.resilience.reduction_cache import cached_reduce
 
             cached = cached_reduce(
                 machine,
@@ -573,7 +574,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                 kernel=args.kernel or ("suite[%d]" % args.loops),
             )
         if args.fallback:
-            from repro.resilience import FallbackPolicy, schedule_with_fallback
+            from repro.scheduler.ladder import (
+                FallbackPolicy,
+                schedule_with_fallback,
+            )
 
             policy = FallbackPolicy(
                 deadline_s=args.deadline, max_units=args.max_units
@@ -656,7 +660,7 @@ def _cmd_schedule_corpus(args: argparse.Namespace, machine) -> int:
     policy = None
     budget = None
     if args.fallback:
-        from repro.resilience import FallbackPolicy
+        from repro.scheduler.ladder import FallbackPolicy
 
         policy = FallbackPolicy(
             deadline_s=args.deadline, max_units=args.max_units
@@ -802,7 +806,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.resilience import artifacts, run_chaos
+    from repro.resilience import artifacts
+    from repro.resilience.chaos import run_chaos
 
     machine = _load_machine(args.machine)
     _runlog_note(machine=machine.name, seed=args.seed)
@@ -1018,8 +1023,14 @@ def _cmd_automata(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro import obs
+    from repro.obs.export import (
+        collapsed_stack_lines,
+        render_text,
+        write_chrome_trace,
+        write_metrics,
+    )
     from repro.obs.profile import profile_machine
+    from repro.obs.trace import Tracer
 
     machine = _load_machine(args.machine)
     _runlog_note(
@@ -1029,16 +1040,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     # Per-query spans are only worth recording when a per-span export
     # (Chrome trace or flamegraph) is requested.
-    tracer = obs.Tracer(
+    tracer = Tracer(
         trace_queries=bool(args.trace or args.flamegraph)
     )
     sampler = None
     if args.sample:
         from repro.obs.sampler import StackSampler
 
-        sampler = StackSampler(
-            interval_s=args.sample_interval, tracer=tracer
-        ).start()
+        sampler = StackSampler(interval_s=args.sample_interval).start()
     try:
         profile_machine(
             machine,
@@ -1064,19 +1073,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.metrics != "-" and args.flamegraph != "-":
         # With ``--metrics -``/``--flamegraph -`` stdout carries the
         # export alone.
-        print(obs.render_text(tracer))
+        print(render_text(tracer))
     if args.metrics:
-        _write_export(obs.write_metrics, tracer, args.metrics, "metrics")
+        _write_export(write_metrics, tracer, args.metrics, "metrics")
         if args.metrics != "-":
             print("wrote metrics %s" % args.metrics, file=sys.stderr)
     if args.trace:
-        _write_export(obs.write_chrome_trace, tracer, args.trace, "trace")
+        _write_export(write_chrome_trace, tracer, args.trace, "trace")
         print(
             "wrote trace %s (open in https://ui.perfetto.dev)" % args.trace,
             file=sys.stderr,
         )
     if args.flamegraph:
-        lines = obs.collapsed_stack_lines(tracer)
+        lines = collapsed_stack_lines(tracer)
         if sampler is not None:
             # Sampled stacks (weighted in estimated microseconds, rooted
             # under "sampler") merge into the same collapsed file as the
@@ -1422,37 +1431,6 @@ def _cmd_runs_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_runs_metrics(args: argparse.Namespace) -> int:
-    from repro.obs.openmetrics import (
-        metrics_to_openmetrics,
-        runlog_to_openmetrics,
-        write_openmetrics,
-    )
-
-    if args.from_metrics:
-        try:
-            with open(args.from_metrics, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise ReproError(
-                "cannot read metrics JSON %r: %s" % (args.from_metrics, exc)
-            )
-        text = metrics_to_openmetrics(document)
-    else:
-        log = _runs_log(args)
-        text = runlog_to_openmetrics(log.tail(args.tail))
-    try:
-        write_openmetrics(text, args.out)
-    except OSError as exc:
-        raise ReproError(
-            "cannot write OpenMetrics file %r: %s" % (args.out, exc)
-        )
-    if args.out != "-":
-        print("wrote OpenMetrics exposition %s" % args.out,
-              file=sys.stderr)
-    return 0
-
-
 def _load_machine_with_raw(
     ref: str,
 ) -> Tuple[Optional[MachineDescription], Optional["mdl.RawMachine"]]:
@@ -1786,8 +1764,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sample",
         action="store_true",
         help="run the background sampling stack profiler alongside the"
-        " span tracer; sampled stacks merge into --flamegraph and charge"
-        " the 'sample' work currency",
+        " span tracer; sampled stacks merge into --flamegraph",
     )
     p.add_argument(
         "--sample-interval",
@@ -2182,13 +2159,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "runs",
-        help="run registry: list / show / diff / trend / gc / metrics",
+        help="run registry: list / show / diff / trend / gc",
         description="Query the persistent run registry that --runlog"
         " (or REPRO_RUNLOG) populates: list and inspect records, gate"
         " one run against another with the bench comparator's policy,"
         " detect work/quality regressions over the longitudinal series"
-        " with a seeded changepoint test, expire old records, and export"
-        " the registry (or a metrics JSON) as an OpenMetrics scrape."
+        " with a seeded changepoint test, and expire old records."
         "  See docs/runs.md.",
     )
     runs_sub = p.add_subparsers(dest="runs_command", required=True)
@@ -2274,26 +2250,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_runs_common(r)
     r.set_defaults(func=_cmd_runs_gc)
-
-    r = runs_sub.add_parser(
-        "metrics",
-        help="export the registry (or a metrics JSON) as OpenMetrics",
-    )
-    r.add_argument(
-        "--tail", type=int, default=0, metavar="N",
-        help="aggregate only the newest N records (default: all)",
-    )
-    r.add_argument(
-        "--from-metrics", metavar="FILE",
-        help="render a repro-obs-metrics JSON document instead of the"
-        " registry",
-    )
-    r.add_argument(
-        "-o", "--out", default="-", metavar="FILE",
-        help="write the exposition to FILE (default: stdout)",
-    )
-    _add_runs_common(r)
-    r.set_defaults(func=_cmd_runs_metrics)
 
     return parser
 

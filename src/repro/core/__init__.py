@@ -5,21 +5,12 @@ The public surface of this subpackage mirrors the paper's three steps:
 1. :class:`ForbiddenLatencyMatrix` — Step 1, forbidden latency extraction;
 2. :func:`build_generating_set` — Step 2, Algorithm 1 (maximal resources);
 3. :func:`select_resources` / :func:`reduce_machine` — Step 3, selection.
+
+Preservation certificates are imported from :mod:`repro.core.certificate`
+itself, so ``import repro.core`` does not load the MDL serializer,
+``hashlib`` or ``json``.
 """
 
-from repro.core.certificate import (
-    CERTIFICATE_SCHEMA_NAME,
-    CERTIFICATE_SCHEMA_VERSION,
-    Certificate,
-    CertificateCheck,
-    certificate_from_machines,
-    check_certificate,
-    equivalence_work_units,
-    issue_certificate,
-    machine_digest,
-    matrix_digest_value,
-    matrix_work_units,
-)
 from repro.core.exact_cover import SearchExhausted, exact_minimum_cover
 from repro.core.elementary import (
     Resource,
@@ -59,10 +50,6 @@ from repro.core.verify import (
 )
 
 __all__ = [
-    "CERTIFICATE_SCHEMA_NAME",
-    "CERTIFICATE_SCHEMA_VERSION",
-    "Certificate",
-    "CertificateCheck",
     "ForbiddenLatencyMatrix",
     "MachineBuilder",
     "MachineDescription",
@@ -79,15 +66,8 @@ __all__ = [
     "assert_equivalent",
     "build_generating_set",
     "canonical_instance",
-    "certificate_from_machines",
-    "check_certificate",
     "collapse_to_classes",
     "differences",
-    "equivalence_work_units",
-    "issue_certificate",
-    "machine_digest",
-    "matrix_digest_value",
-    "matrix_work_units",
     "exact_minimum_cover",
     "elementary_pair",
     "find_witness",

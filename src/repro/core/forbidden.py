@@ -59,10 +59,11 @@ class ForbiddenLatencyMatrix:
     ) -> "ForbiddenLatencyMatrix":
         """Compute the matrix of a machine description (paper Step 1).
 
-        ``budget`` is an optional :class:`repro.resilience.Budget` checked
-        once per resource row (one unit per row's usage cross-product);
-        exceeding it raises :class:`~repro.errors.BudgetExceeded` with
-        phase ``"forbidden_matrix"``.
+        ``budget`` is an optional :class:`repro.resilience.budget.Budget`
+        checked once per resource row (one unit per row's usage
+        cross-product); exceeding it raises
+        :class:`~repro.errors.BudgetExceeded` with phase
+        ``"forbidden_matrix"``.
         """
         ops = machine.operation_names
         # Index usages by resource once: resource -> list of (op, cycles).

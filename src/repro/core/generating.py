@@ -92,7 +92,7 @@ def build_generating_set(
         Optional callback receiving a :class:`TraceStep` after each pair —
         used to regenerate the paper's Figure 3.
     budget:
-        Optional :class:`repro.resilience.Budget` checked once per
+        Optional :class:`repro.resilience.budget.Budget` checked once per
         elementary pair (charged one unit per resource the pair is matched
         against).  :class:`~repro.errors.BudgetExceeded` carries phase
         ``"generating_set"``, the number of pairs processed, and the

@@ -148,12 +148,12 @@ def reduce_machine(
         class, so identical tables reproduce every entry.  A large
         speedup for machines with many interchangeable operations.
     budget:
-        Optional :class:`repro.resilience.Budget` (deadline and/or work-unit
-        cap) checked at every phase boundary and inside each phase's main
-        loop; :class:`~repro.errors.BudgetExceeded` records which phase ran
-        out and its best partial result.  Use
-        :func:`repro.resilience.reduce_with_fallback` for a version that
-        degrades verifiably instead of raising.
+        Optional :class:`repro.resilience.budget.Budget` (deadline and/or
+        work-unit cap) checked at every phase boundary and inside each
+        phase's main loop; :class:`~repro.errors.BudgetExceeded` records
+        which phase ran out and its best partial result.  Use
+        :func:`repro.resilience.fallback.reduce_with_fallback` for a
+        version that degrades verifiably instead of raising.
     """
     with obs.span("forbidden_matrix", obs.CAT_REDUCE, machine=machine.name):
         matrix = ForbiddenLatencyMatrix.from_machine(machine, budget=budget)

@@ -27,6 +27,9 @@ provenance
     Scheduler-layer ``ScheduleError`` raises must attach the active
     decision ledger's tail (``code-unattributed-raise``) so failures
     stay explainable by the fallback ladder and ``repro explain``.
+layering
+    Every module has one rank in :data:`LAYERS`, and imports point only
+    to equal or lower ranks (``code-upward-import``).
 
 Rules register in the shared registry with ``scope="code"`` and run
 over a :class:`CodeContext` per Python source file; findings ride the
@@ -625,10 +628,10 @@ def _check_unregistered_currency(ctx: CodeContext) -> Iterator[Diagnostic]:
     """Every charged currency must exist in ``repro.query.work.FUNCTIONS``.
 
     The work-unit registry is the shared vocabulary of the metrics JSON,
-    the bench comparator, the runlog, and the OpenMetrics export: a
-    charge under an unregistered name is invisible to ``query_summary``
-    (which iterates the registry), never gates a bench comparison, and
-    silently vanishes from every trend series.  Charges through a string
+    the bench comparator, and the runlog: a charge under an unregistered
+    name is invisible to ``query_summary`` (which iterates the
+    registry), never gates a bench comparison, and silently vanishes
+    from every trend series.  Charges through a string
     literal are checked against the registry values; ALL_CAPS name
     constants are checked against the registry's constant names (local
     variables and other expressions are unresolvable and skipped).
@@ -656,9 +659,178 @@ def _check_unregistered_currency(ctx: CodeContext) -> Iterator[Diagnostic]:
             "charge of currency %s, which is not registered in "
             "repro.query.work.FUNCTIONS" % charged,
             location=ctx.locate(node),
-            hint="register the currency constant in query/work.py (and "
-            "mirror it in obs/instrument.py) so exporters, the bench "
-            "comparator, and the runlog can see the work",
+            hint="register the currency constant in query/work.py so "
+            "exporters, the bench comparator, and the runlog can see "
+            "the work",
+        )
+
+
+# ----------------------------------------------------------------------
+# Layering
+# ----------------------------------------------------------------------
+#: The package's layers, lowest first: the one table the import order
+#: is read from (``docs/architecture.md``, "Layers").  A module may
+#: import only modules of its own rank or lower (``code-upward-import``).
+#: A key names a module and every module below it, and the longest
+#: matching key wins; ``X.__init__`` names package ``X``'s init alone.
+#: No key covers all of ``repro``, so a new subpackage or top-level
+#: module is a finding until it is given a rank here.
+LAYERS: Tuple[Tuple[str, ...], ...] = (
+    # 0: leaves any layer may import.
+    (
+        "repro.errors",
+        "repro._atomic",
+        "repro.obs.__init__",
+        "repro.obs.trace",
+        "repro.obs.metrics",
+        "repro.obs.ledger",
+        "repro.resilience.__init__",
+        "repro.resilience.budget",
+    ),
+    # 1: the reduction (paper Steps 1-3) and the description format.
+    ("repro.core", "repro.mdl"),
+    # 2: machines, the contention query modules, statistics and the
+    # pipeline simulator; the top-level init re-exports core.
+    (
+        "repro.__init__",
+        "repro.machines",
+        "repro.query",
+        "repro.stats",
+        "repro.simulate",
+    ),
+    # 3: the schedulers and automata that drive the query modules.
+    ("repro.scheduler", "repro.automata"),
+    # 4: kernels and loop suites, built as scheduler graphs.
+    ("repro.workloads",),
+    # 5: consumers of the whole pipeline.
+    ("repro.resilience", "repro.analysis", "repro.obs"),
+    # 6: tooling over the consumers.
+    ("repro.lint", "repro.fuzz", "repro.bench"),
+    # 7: entry points.
+    ("repro.cli", "repro.__main__"),
+)
+
+_RANKS: Dict[str, int] = {
+    key: rank for rank, keys in enumerate(LAYERS) for key in keys
+}
+
+
+def layer_rank(module: str) -> Optional[int]:
+    """Rank of dotted ``module`` in :data:`LAYERS` (``None``: unranked).
+
+    A package's name stands for its init, as in ``sys.modules``.
+    """
+    rank = _RANKS.get(module + ".__init__")
+    if rank is not None:
+        return rank
+    parts = module.split(".")
+    for end in range(len(parts), 1, -1):
+        rank = _RANKS.get(".".join(parts[:end]))
+        if rank is not None:
+            return rank
+    return None
+
+
+def _module_name(display_path: str) -> Optional[str]:
+    """Dotted module name of a ``repro/...`` source path."""
+    if not display_path.startswith("repro/"):
+        return None
+    if not display_path.endswith(".py"):
+        return None
+    parts = display_path[: -len(".py")].split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _is_module(name: str) -> bool:
+    """Whether dotted ``name`` is a module of the installed package."""
+    base = os.path.join(default_code_root(), *name.split("."))
+    return os.path.isfile(base + ".py") or os.path.isfile(
+        os.path.join(base, "__init__.py")
+    )
+
+
+def _imported_modules(node: ast.AST, package: str) -> List[str]:
+    """Every ``repro`` module an import statement runs.
+
+    ``from X import name`` imports ``X.name`` too when that is a module,
+    and importing ``repro.a.b`` runs the ``repro.a`` init first.  The
+    top-level init is left out: Python runs it before any of them.
+    """
+    if isinstance(node, ast.Import):
+        named = [alias.name for alias in node.names]
+    else:
+        base = node.module or ""
+        if node.level:
+            anchor = package.split(".")
+            anchor = anchor[: len(anchor) - node.level + 1]
+            base = ".".join(anchor + ([base] if base else []))
+        named = [base] + [
+            base + "." + alias.name
+            for alias in node.names
+            if _is_module(base + "." + alias.name)
+        ]
+    modules: List[str] = []
+    for name in named:
+        if not name.startswith("repro."):
+            continue
+        parts = name.split(".")
+        modules.extend(
+            ".".join(parts[:end]) for end in range(2, len(parts) + 1)
+        )
+    return list(dict.fromkeys(modules))
+
+
+@rule(
+    "code-upward-import",
+    severity="error",
+    summary="import of a higher-ranked module, or a module the layer "
+    "table does not rank",
+    scope="code",
+)
+def _check_upward_import(ctx: CodeContext) -> Iterator[Diagnostic]:
+    """Imports point only down the paper's pipeline.
+
+    Every module under ``repro`` has one rank in :data:`LAYERS`; an
+    ``import`` or ``from`` statement naming a higher-ranked module is a
+    finding wherever it stands — module level, inside a function, or
+    under ``TYPE_CHECKING`` — because a lazy import hides a cycle
+    rather than removing it.
+    """
+    module = _module_name(ctx.display_path)
+    if ctx.tree is None or module is None:
+        return
+    own = layer_rank(module)
+    if own is None:
+        yield finding(
+            "module %s has no rank in the layer table" % module,
+            location=ctx.locate(),
+            hint="give it a rank in LAYERS (repro/lint/code.py), the "
+            "one source of the import order",
+        )
+        return
+    if ctx.basename == "__init__.py":
+        package = module
+    else:
+        package = module.rpartition(".")[0]
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        upward = []
+        for target in _imported_modules(node, package):
+            rank = layer_rank(target)
+            if rank is not None and rank > own:
+                upward.append("%s (rank %d)" % (target, rank))
+        if not upward:
+            continue
+        yield finding(
+            "%s (rank %d) imports %s; imports must point down the layer "
+            "table" % (module, own, ", ".join(upward)),
+            location=ctx.locate(node),
+            hint="move the shared code down to the importer's rank or "
+            "below, or change LAYERS in repro/lint/code.py; there are no "
+            "per-file exceptions",
         )
 
 
@@ -775,8 +947,10 @@ __all__ = [
     "CODE_REPORT_NAME",
     "CodeContext",
     "INVALID_SOURCE_RULE",
+    "LAYERS",
     "default_code_paths",
     "default_code_root",
     "iter_python_files",
+    "layer_rank",
     "lint_code_paths",
 ]

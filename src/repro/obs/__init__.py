@@ -1,139 +1,25 @@
 """Observability: spans, counters, events, and exporters (``repro.obs``).
 
 The measurement substrate for every performance claim in this repo.  A
-process-global :class:`Tracer` can be activated around any workload; the
-reduction pipeline, both schedulers, and the contention query modules
-emit spans/events/counters into it, and three exporters render the
-result (text summary, schema-versioned metrics JSON, Chrome
-``trace_event`` JSON for Perfetto).  With no tracer active every
-instrumentation site is a single ``None`` check — see
-``docs/observability.md`` and ``tests/test_obs_overhead.py``.
+process-global :class:`~repro.obs.trace.Tracer` can be activated around
+any workload; the reduction pipeline, both schedulers, and the
+contention query modules emit spans/events/counters into it, and
+:mod:`repro.obs.export` renders the result (text summary,
+schema-versioned metrics JSON, Chrome ``trace_event`` JSON for
+Perfetto).  With no tracer active every instrumentation site is a single
+``None`` check — see ``docs/observability.md`` and
+``tests/test_obs_overhead.py``.
 
-Beyond the per-run tracer, the package hosts the durable plane: the
-append-only run registry (:mod:`repro.obs.runlog`), the background
-sampling profiler (:mod:`repro.obs.sampler`), and the OpenMetrics
-exporter (:mod:`repro.obs.openmetrics`) — see ``docs/runs.md``.
+The package spans two layers (``docs/architecture.md``, "Layers"):
 
-This package is a *leaf*: it never imports the query/scheduler/core
-layers (they import it).  The one exception, the ``repro profile``
-pipeline, lives in :mod:`repro.obs.profile` and is intentionally not
-re-exported here.
+* leaves every layer may import — :mod:`repro.obs.trace`,
+  :mod:`repro.obs.metrics` and :mod:`repro.obs.ledger`;
+* consumers above the scheduler — :mod:`repro.obs.export`,
+  :mod:`repro.obs.provenance`, :mod:`repro.obs.profile` (the
+  ``repro profile`` pipeline), the append-only run registry
+  :mod:`repro.obs.runlog` and the sampling profiler
+  :mod:`repro.obs.sampler` (``docs/runs.md``).
+
+This init imports nothing, so importing a leaf never loads the
+consumers; import each name from the module that defines it.
 """
-
-from repro.obs.export import (
-    METRICS_SCHEMA_NAME,
-    METRICS_SCHEMA_VERSION,
-    chrome_trace_document,
-    collapsed_stack_lines,
-    exclusive_times,
-    metrics_document,
-    query_summary,
-    render_text,
-    write_chrome_trace,
-    write_collapsed_stack,
-    write_metrics,
-)
-from repro.obs.instrument import QUERY_FUNCTIONS, observed_class
-from repro.obs.ledger import DecisionLedger, LedgerRecord
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    TimerStats,
-    units_per_second,
-)
-from repro.obs.openmetrics import (
-    metrics_to_openmetrics,
-    runlog_to_openmetrics,
-    validate_openmetrics,
-    write_openmetrics,
-)
-from repro.obs.provenance import (
-    attempt_summaries,
-    blame_counts,
-    pressure_histogram,
-    summarize,
-)
-from repro.obs.runlog import (
-    RUNLOG_SCHEMA_NAME,
-    RUNLOG_SCHEMA_VERSION,
-    Changepoint,
-    RunLog,
-    RunRecord,
-    RunRecorder,
-    detect_changepoint,
-)
-from repro.obs.sampler import StackSampler
-from repro.obs.trace import (
-    CAT_AUTOMATA,
-    CAT_PROFILE,
-    CAT_QUERY,
-    CAT_REDUCE,
-    CAT_RESILIENCE,
-    CAT_SCHED,
-    EventRecord,
-    SpanRecord,
-    Tracer,
-    count,
-    current,
-    enabled,
-    event,
-    span,
-    start,
-    stop,
-    tracing,
-)
-
-__all__ = [
-    "CAT_AUTOMATA",
-    "CAT_PROFILE",
-    "CAT_QUERY",
-    "CAT_REDUCE",
-    "CAT_RESILIENCE",
-    "CAT_SCHED",
-    "Changepoint",
-    "DecisionLedger",
-    "EventRecord",
-    "Histogram",
-    "METRICS_SCHEMA_NAME",
-    "METRICS_SCHEMA_VERSION",
-    "LedgerRecord",
-    "MetricsRegistry",
-    "QUERY_FUNCTIONS",
-    "RUNLOG_SCHEMA_NAME",
-    "RUNLOG_SCHEMA_VERSION",
-    "RunLog",
-    "RunRecord",
-    "RunRecorder",
-    "SpanRecord",
-    "StackSampler",
-    "TimerStats",
-    "Tracer",
-    "attempt_summaries",
-    "blame_counts",
-    "chrome_trace_document",
-    "collapsed_stack_lines",
-    "count",
-    "current",
-    "detect_changepoint",
-    "enabled",
-    "event",
-    "exclusive_times",
-    "metrics_document",
-    "metrics_to_openmetrics",
-    "observed_class",
-    "pressure_histogram",
-    "query_summary",
-    "render_text",
-    "runlog_to_openmetrics",
-    "span",
-    "start",
-    "stop",
-    "summarize",
-    "tracing",
-    "units_per_second",
-    "validate_openmetrics",
-    "write_chrome_trace",
-    "write_collapsed_stack",
-    "write_metrics",
-    "write_openmetrics",
-]

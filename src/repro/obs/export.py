@@ -18,8 +18,8 @@ import sys
 from typing import Dict, List, Optional
 
 from repro._atomic import atomic_write_text
-from repro.obs.instrument import QUERY_FUNCTIONS
 from repro.obs.trace import Tracer
+from repro.query.work import FUNCTIONS
 
 #: Version of the metrics JSON document.  Bump on breaking changes and
 #: record the migration in docs/observability.md.
@@ -39,7 +39,7 @@ def query_summary(tracer: Tracer) -> Dict[str, Dict[str, object]]:
     so units-per-second is a straight division.
     """
     summary: Dict[str, Dict[str, object]] = {}
-    for function in QUERY_FUNCTIONS:
+    for function in FUNCTIONS:
         name = "query." + function
         timer = tracer.metrics.timers.get(name)
         if timer is None or not timer.count:

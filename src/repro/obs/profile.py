@@ -3,9 +3,9 @@
 Runs the paper's full workflow — forbidden-matrix construction,
 Algorithm 1, selection, then Iterative Modulo Scheduling of one kernel or
 a generated loop suite — with a tracer active, and returns the tracer so
-callers can render any of the exports.  This module is deliberately *not*
-imported from ``repro.obs.__init__``: it pulls in the scheduler stack,
-and the obs core must stay a leaf package the query layer can import.
+callers can render any of the exports.  It sits above the scheduler
+(``docs/architecture.md``, "Layers"); the tracer it drives,
+:mod:`repro.obs.trace`, is a leaf the layers below import.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import List, Optional
 from repro.core.reduce import reduce_machine
 from repro.errors import MachineDescriptionError
 from repro.obs.trace import CAT_PROFILE, Tracer, tracing
+from repro.resilience.reduction_cache import cached_reduce
 from repro.scheduler.ddg import chain
 from repro.scheduler.modulo import IterativeModuloScheduler
 from repro.workloads import KERNELS, loop_suite
@@ -109,8 +110,6 @@ def profile_machine(
     with tracing(tracer):
         with tracer.span("reduce", CAT_PROFILE):
             if reduction_cache is not None:
-                from repro.resilience.reduction_cache import cached_reduce
-
                 cached = cached_reduce(
                     machine,
                     objective=objective,

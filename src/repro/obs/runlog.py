@@ -8,8 +8,7 @@ budget consumption), and what it measured (a
 :class:`~repro.query.work.WorkCounters` snapshot by currency plus
 schedule quality).  Where a ``BENCH_*.json`` file is one deliberate
 snapshot, the runlog is the *longitudinal* record — the series the
-``repro runs trend`` changepoint detector and the OpenMetrics scrape
-surface (:mod:`repro.obs.openmetrics`) read.
+``repro runs trend`` changepoint detector reads.
 
 Crash safety follows the artifact store's discipline, one granularity
 down: each record is its *own* file, written atomically via

@@ -7,12 +7,9 @@ periodically snapshots every other thread's Python stack via
 so a ``repro profile --sample`` flamegraph shows where wall time went
 even inside plain library code.
 
-Each captured stack charges one unit of the SAMPLE currency through the
-active tracer (``query.sample`` timer + ``query.sample.units`` counter —
-the same registry keys every other currency uses), so sampling work is
-visible in metrics JSON, the runlog, and the bench comparator.  A run
-with the sampler off charges exactly zero SAMPLE units (guarded by
-``tests/test_obs_overhead.py``).
+Sampler ticks are not query work: they charge no work currency and
+touch no tracer.  A sampler reports its ticks through
+:attr:`StackSampler.samples` and its collapsed stacks only.
 
 Determinism hooks for tests: the frames provider and the tick loop are
 both injectable — call :meth:`StackSampler.sample_once` with a synthetic
@@ -24,12 +21,9 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._atomic import atomic_write_text
-from repro.obs.instrument import QUERY_SAMPLE
-from repro.obs.trace import Tracer
 
 #: Default wall-clock seconds between samples.  5 ms keeps the sampler
 #: under the <5% overhead guard with plenty of margin while still
@@ -65,10 +59,6 @@ class StackSampler:
         Seconds between samples; also the weight one sample contributes
         to the collapsed-stack export (a tick approximates
         ``interval_s`` of wall time on its stack).
-    tracer:
-        Tracer charged one SAMPLE unit per captured stack.  ``None``
-        accumulates stacks without charging — the registry then shows
-        zero ``sample`` units, exactly as if the sampler never ran.
     frames:
         Injectable provider returning a ``{thread_id: frame}`` mapping
         (the shape of :func:`sys._current_frames`).  Tests pass
@@ -80,7 +70,6 @@ class StackSampler:
     def __init__(
         self,
         interval_s: float = DEFAULT_INTERVAL_S,
-        tracer: Optional[Tracer] = None,
         frames: Optional[Callable[[], Dict[int, object]]] = None,
         max_depth: int = DEFAULT_MAX_DEPTH,
     ):
@@ -89,7 +78,6 @@ class StackSampler:
                 "sampler interval must be positive, got %r" % interval_s
             )
         self.interval_s = interval_s
-        self.tracer = tracer
         self.max_depth = max_depth
         self._frames = frames if frames is not None else sys._current_frames
         self.counts: Dict[Tuple[str, ...], int] = {}
@@ -100,7 +88,6 @@ class StackSampler:
     # -- capture -------------------------------------------------------
     def sample_once(self) -> int:
         """Capture one snapshot of every other thread; returns stacks kept."""
-        start = perf_counter()
         own = threading.get_ident()
         captured = 0
         for thread_id, frame in list(self._frames().items()):
@@ -111,13 +98,7 @@ class StackSampler:
                 continue
             self.counts[path] = self.counts.get(path, 0) + 1
             captured += 1
-        duration = perf_counter() - start
-        if captured:
-            self.samples += captured
-            if self.tracer is not None:
-                self.tracer.record_query(
-                    QUERY_SAMPLE, start, duration, captured
-                )
+        self.samples += captured
         return captured
 
     def _run(self) -> None:

@@ -31,14 +31,10 @@ COMPILE = "compile"
 #: one unit per usage or word inspected.  A separate currency so the
 #: provenance plane never perturbs the paper's Table 6 numbers.
 ATTRIBUTE = "attribute"
-#: Background stack-profiler ticks (:mod:`repro.obs.sampler`): one charge
-#: per captured stack.  A separate currency so an always-on sampler is
-#: visible in the shared units registry without perturbing any query
-#: trajectory — a sampler-off run charges exactly zero ``sample`` units.
-SAMPLE = "sample"
+#: Every currency, in report order; exporters, the runlog and the lint
+#: plane all read this one tuple.
 FUNCTIONS = (
     CHECK, ASSIGN, ASSIGN_FREE, FREE, CHECK_RANGE, COMPILE, ATTRIBUTE,
-    SAMPLE,
 )
 
 

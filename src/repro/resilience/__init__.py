@@ -1,14 +1,16 @@
-"""Resilience layer: budgets, fallback ladders, artifacts, and chaos.
+"""Resilience layer: budgets, the reduction ladder, artifacts, and chaos.
 
 The paper's thesis is that a reduced machine description is only
 trustworthy because it is *checked*; this package extends that stance to
-runtime failure modes.  Four pieces:
+runtime failure modes:
 
 * :mod:`~repro.resilience.budget` — wall-clock deadlines and work-unit
-  caps with cooperative cancellation at phase boundaries;
-* :mod:`~repro.resilience.fallback` — verified degradation ladders for
-  reduction (reduced → partially-selected → original) and scheduling
-  (IMS with escalation → flat list schedule);
+  caps with cooperative cancellation at phase boundaries (a leaf every
+  layer may import);
+* :mod:`~repro.resilience.fallback` — the verified reduction ladder
+  (reduced → partially-selected → original); the scheduling ladder and
+  the :class:`~repro.scheduler.ladder.FallbackPolicy` both ladders read
+  live in :mod:`repro.scheduler.ladder`;
 * :mod:`~repro.resilience.artifacts` — crash-safe, checksummed artifact
   store with semantic (forbidden-matrix digest) self-verification;
 * :mod:`~repro.resilience.reduction_cache` — digest-keyed reduction
@@ -17,120 +19,7 @@ runtime failure modes.  Four pieces:
 * :mod:`~repro.resilience.chaos` — deterministic fault injection proving
   the above actually hold (``repro chaos <machine> --seed N``).
 
-See ``docs/robustness.md``.
+This init imports nothing, so importing the budget leaf never loads the
+rest; import each name from the module that defines it.  See
+``docs/robustness.md``.
 """
-
-from repro.errors import ArtifactIntegrityError, BudgetExceeded
-from repro.resilience.artifacts import (
-    ARTIFACT_SCHEMA_NAME,
-    ARTIFACT_SCHEMA_VERSION,
-    SIDECAR_SUFFIX,
-    content_digest,
-    has_sidecar,
-    load_certificate,
-    load_machine,
-    matrix_digest,
-    read_artifact,
-    read_sidecar,
-    sidecar_path,
-    verify_artifact,
-    write_artifact,
-    write_certificate,
-    write_json,
-    write_machine,
-)
-from repro.resilience.budget import Budget
-from repro.resilience.chaos import (
-    CHAOS_SCHEMA_NAME,
-    CHAOS_SCHEMA_VERSION,
-    ChaosReport,
-    DelayedClock,
-    FAULTS,
-    FaultOutcome,
-    run_chaos,
-)
-from repro.resilience.reduction_cache import (
-    CACHE_SCHEMA_VERSION,
-    CachedReduction,
-    SOURCE_DISK,
-    SOURCE_FRESH,
-    SOURCE_MEMO,
-    VERIFIED_CERTIFICATE,
-    VERIFIED_EQUIVALENCE,
-    VERIFIED_FRESH,
-    VERIFIED_MEMO,
-    cache_entry_path,
-    cached_reduce,
-    certificate_entry_path,
-    clear_reduction_memo,
-    reduction_digest,
-)
-from repro.resilience.fallback import (
-    AttemptRecord,
-    FallbackPolicy,
-    ReduceOutcome,
-    RUNG_IMS,
-    RUNG_LIST,
-    RUNG_ORIGINAL,
-    RUNG_PARTIAL,
-    RUNG_REDUCED,
-    ScheduleOutcome,
-    UNVERIFIED_POLICY,
-    reduce_with_fallback,
-    schedule_with_fallback,
-)
-
-__all__ = [
-    "ARTIFACT_SCHEMA_NAME",
-    "ARTIFACT_SCHEMA_VERSION",
-    "ArtifactIntegrityError",
-    "AttemptRecord",
-    "Budget",
-    "BudgetExceeded",
-    "CACHE_SCHEMA_VERSION",
-    "CHAOS_SCHEMA_NAME",
-    "CHAOS_SCHEMA_VERSION",
-    "CachedReduction",
-    "ChaosReport",
-    "DelayedClock",
-    "FAULTS",
-    "FallbackPolicy",
-    "FaultOutcome",
-    "ReduceOutcome",
-    "RUNG_IMS",
-    "RUNG_LIST",
-    "RUNG_ORIGINAL",
-    "RUNG_PARTIAL",
-    "RUNG_REDUCED",
-    "SIDECAR_SUFFIX",
-    "SOURCE_DISK",
-    "SOURCE_FRESH",
-    "SOURCE_MEMO",
-    "ScheduleOutcome",
-    "UNVERIFIED_POLICY",
-    "VERIFIED_CERTIFICATE",
-    "VERIFIED_EQUIVALENCE",
-    "VERIFIED_FRESH",
-    "VERIFIED_MEMO",
-    "cache_entry_path",
-    "cached_reduce",
-    "certificate_entry_path",
-    "clear_reduction_memo",
-    "content_digest",
-    "has_sidecar",
-    "load_certificate",
-    "load_machine",
-    "matrix_digest",
-    "read_artifact",
-    "read_sidecar",
-    "reduce_with_fallback",
-    "reduction_digest",
-    "run_chaos",
-    "schedule_with_fallback",
-    "sidecar_path",
-    "verify_artifact",
-    "write_artifact",
-    "write_certificate",
-    "write_json",
-    "write_machine",
-]

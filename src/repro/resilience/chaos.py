@@ -42,11 +42,13 @@ from repro.core.machine import MachineDescription
 from repro.errors import ArtifactIntegrityError, ReproError
 from repro.obs import trace as obs
 from repro.resilience import artifacts
-from repro.resilience.fallback import (
-    FallbackPolicy,
-    RUNG_REDUCED,
-    reduce_with_fallback,
+from repro.resilience.fallback import RUNG_REDUCED, reduce_with_fallback
+from repro.resilience.reduction_cache import (
+    SOURCE_DISK,
+    SOURCE_FRESH,
+    cached_reduce,
 )
+from repro.scheduler.ladder import FallbackPolicy
 
 FAULT_DROP_USAGE = "drop-usage"
 FAULT_SHIFT_USAGE = "shift-usage"
@@ -360,12 +362,6 @@ def inject_cache_fault(
     the seeded stream — the fuzz composer uses this to target the
     cache-warm point with a specific primitive.
     """
-    from repro.resilience.reduction_cache import (
-        SOURCE_DISK,
-        SOURCE_FRESH,
-        cached_reduce,
-    )
-
     rng = _rng(machine, seed, FAULT_CORRUPT_CACHE)
     cache_dir = os.path.join(workdir, "reduction-cache")
     primed = cached_reduce(machine, cache_dir=cache_dir, use_memo=False)

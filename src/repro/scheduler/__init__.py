@@ -5,6 +5,8 @@
   backtracking via ``assign&free``.
 * :class:`OperationDrivenScheduler` — critical-path-first acyclic scheduler
   in the style of the Cydra 5 compiler, with block-boundary support.
+* :func:`repro.scheduler.ladder.schedule_with_fallback` — the verified
+  scheduling ladder (escalating IMS, then a flat list schedule).
 """
 
 from repro.scheduler.bundle import Bundling, InstructionWord, bundle, issue_unit

@@ -12,7 +12,7 @@ Degradation is loop-local, never corpus-fatal:
 * a shared :class:`~repro.resilience.budget.Budget` is checkpointed at
   every loop boundary; once starved, remaining loops are recorded as
   failed outcomes and the corpus result is still served;
-* with a :class:`~repro.resilience.fallback.FallbackPolicy`, each loop
+* with a :class:`~repro.scheduler.ladder.FallbackPolicy`, each loop
   runs the full scheduling ladder (IMS escalation, then the flat list
   rung), so a hard loop degrades alone while its neighbours pipeline.
 
@@ -27,15 +27,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.certificate import machine_digest
 from repro.core.machine import MachineDescription
@@ -45,16 +37,12 @@ from repro.query.modulo import DISCRETE, make_query_module
 from repro.query.work import WorkCounters
 from repro.resilience.budget import Budget
 from repro.scheduler.ddg import DependenceGraph
+from repro.scheduler.ladder import (
+    RUNG_IMS,
+    FallbackPolicy,
+    schedule_with_fallback,
+)
 from repro.scheduler.modulo import IterativeModuloScheduler
-
-#: The IMS ladder rung name (``repro.resilience.fallback.RUNG_IMS``),
-#: inlined because :mod:`repro.resilience.fallback` imports the
-#: scheduler package — importing it here at module scope would make
-#: ``import repro.resilience`` order-dependent.  Pinned by a test.
-RUNG_IMS = "ims"
-
-if TYPE_CHECKING:  # pragma: no cover - type-checking only
-    from repro.resilience.fallback import FallbackPolicy
 
 Signature = Tuple[
     int, Tuple[Tuple[str, int], ...], Tuple[Tuple[str, str], ...]
@@ -151,7 +139,7 @@ class CorpusScheduler:
         Forwarded to the one :class:`IterativeModuloScheduler` that
         every loop of a suite (or shard) runs.
     policy:
-        Optional :class:`~repro.resilience.fallback.FallbackPolicy`;
+        Optional :class:`~repro.scheduler.ladder.FallbackPolicy`;
         when set, each loop runs the verified scheduling ladder instead
         of bare IMS.
     processes:
@@ -167,7 +155,7 @@ class CorpusScheduler:
         word_cycles: int = 1,
         budget_ratio: int = 6,
         max_ii_slack: int = 64,
-        policy: Optional["FallbackPolicy"] = None,
+        policy: Optional[FallbackPolicy] = None,
         processes: int = 0,
     ):
         self.machine = machine
@@ -335,13 +323,11 @@ def _loop_scheduler(
 def _schedule_one(
     scheduler: IterativeModuloScheduler,
     graph: DependenceGraph,
-    policy: Optional["FallbackPolicy"],
+    policy: Optional[FallbackPolicy],
     budget: Optional[Budget],
 ) -> Tuple[LoopOutcome, WorkCounters]:
     """Schedule one loop; raises only what the caller records."""
     if policy is not None:
-        from repro.resilience.fallback import schedule_with_fallback
-
         outcome = schedule_with_fallback(
             scheduler.machine, graph, policy,
             representation=scheduler.representation,

@@ -19,12 +19,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.core.machine import MachineDescription
-from repro.obs.instrument import observed_class
 from repro.obs.trace import current as _current_tracer
 from repro.query.alternatives import ROUND_ROBIN, order_variants
 from repro.query.base import ContentionQueryModule, ScheduledToken
 from repro.query.discrete import DiscreteQueryModule
-from repro.query.modulo import DISCRETE, make_query_module
+from repro.query.modulo import DISCRETE, make_query_module, observed_class
 
 
 class ReferenceDiscreteQueryModule(DiscreteQueryModule):

@@ -4,14 +4,14 @@ import dataclasses
 
 import pytest
 
-from repro.core import (
+from repro.core import reduce_machine
+from repro.core.certificate import (
     Certificate,
     certificate_from_machines,
     check_certificate,
     equivalence_work_units,
     issue_certificate,
     machine_digest,
-    reduce_machine,
 )
 from repro.core.machine import MachineDescription
 from repro.core.reservation import ReservationTable
@@ -222,7 +222,10 @@ class TestWorkUnits:
 
 class TestArtifactStore:
     def test_write_and_load_certificate(self, tmp_path):
-        from repro.resilience import load_certificate, write_certificate
+        from repro.resilience.artifacts import (
+            load_certificate,
+            write_certificate,
+        )
 
         machine = example_machine()
         reduction = reduce_machine(machine)
@@ -235,7 +238,10 @@ class TestArtifactStore:
 
     def test_tampered_certificate_artifact_rejected(self, tmp_path):
         from repro.errors import ArtifactIntegrityError
-        from repro.resilience import load_certificate, write_certificate
+        from repro.resilience.artifacts import (
+            load_certificate,
+            write_certificate,
+        )
 
         machine = example_machine()
         certificate = certificate_from_machines(machine, machine)
@@ -251,7 +257,7 @@ class TestArtifactStore:
 
 class TestFallbackIntegration:
     def test_reduced_rung_carries_certificate(self):
-        from repro.resilience import reduce_with_fallback
+        from repro.resilience.fallback import reduce_with_fallback
 
         machine = example_machine()
         outcome = reduce_with_fallback(machine)
@@ -263,7 +269,8 @@ class TestFallbackIntegration:
         )
 
     def test_unverified_policy_has_no_certificate(self):
-        from repro.resilience import FallbackPolicy, reduce_with_fallback
+        from repro.resilience.fallback import reduce_with_fallback
+        from repro.scheduler.ladder import FallbackPolicy
 
         machine = example_machine()
         outcome = reduce_with_fallback(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.machines import example_machine, mips_r3000
-from repro.resilience import FAULTS, DelayedClock, run_chaos
+from repro.resilience.chaos import FAULTS, DelayedClock, run_chaos
 from repro.resilience.chaos import (
     FAULT_DROP_USAGE,
     FAULT_FLIP_CHECKSUM,

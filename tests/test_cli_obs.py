@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.cli import main
+from repro.obs import trace as obs
+from repro.obs.export import METRICS_SCHEMA_VERSION
 
 
 class TestProfileCommand:
@@ -31,7 +32,7 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         document = json.loads(out)
         assert document["schema"] == "repro-obs-metrics"
-        assert document["version"] == obs.METRICS_SCHEMA_VERSION
+        assert document["version"] == METRICS_SCHEMA_VERSION
         assert document["meta"]["machine"] == "paper-example"
 
     def test_profile_writes_trace_and_metrics(self, tmp_path, capsys):

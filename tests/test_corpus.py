@@ -18,15 +18,13 @@ from repro.machines import cydra5_subset, example_machine
 from repro.obs import trace as obs
 from repro.query.work import WorkCounters
 from repro.resilience.budget import Budget
-from repro.resilience.fallback import RUNG_IMS as FALLBACK_RUNG_IMS
-from repro.resilience.fallback import FallbackPolicy
 from repro.scheduler import IterativeModuloScheduler
-from repro.scheduler import corpus as corpus_module
 from repro.scheduler.corpus import (
     CorpusScheduler,
     LoopOutcome,
     schedule_signature,
 )
+from repro.scheduler.ladder import RUNG_IMS, FallbackPolicy
 from repro.workloads import loop_suite
 
 
@@ -57,15 +55,10 @@ class TestSignatures:
         assert failed.signature is None
         served = LoopOutcome(
             name="l", ops=3, ii=2, mii=2, times={"a": 0},
-            chosen_opcodes={}, rung=corpus_module.RUNG_IMS,
+            chosen_opcodes={}, rung=RUNG_IMS,
         )
         assert not served.failed and not served.degraded
         assert served.signature == (2, (("a", 0),), ())
-
-
-def test_rung_ims_pin_matches_fallback_module():
-    """The constant inlined to break the import cycle must not drift."""
-    assert corpus_module.RUNG_IMS == FALLBACK_RUNG_IMS
 
 
 def _per_loop_ims(machine, graphs, representation):
@@ -177,7 +170,7 @@ class TestFallbackLadder:
         plain = CorpusScheduler(machine).schedule_suite(graphs)
         assert result.failed == 0
         assert result.degraded == 0
-        assert all(o.rung == FALLBACK_RUNG_IMS for o in result.outcomes)
+        assert all(o.rung == RUNG_IMS for o in result.outcomes)
         assert result.signatures() == plain.signatures()
 
 

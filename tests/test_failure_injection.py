@@ -163,8 +163,9 @@ class TestFallbackLadderUnderFaults:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_drop_usage_fault(self, seed):
-        from repro.resilience import FallbackPolicy, reduce_with_fallback
         from repro.resilience.chaos import _rng, corrupt_drop_usage
+        from repro.resilience.fallback import reduce_with_fallback
+        from repro.scheduler.ladder import FallbackPolicy
 
         machine = example_machine()
         rng = _rng(machine, seed, "drop-usage")
@@ -177,8 +178,9 @@ class TestFallbackLadderUnderFaults:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_shift_usage_fault(self, seed):
-        from repro.resilience import FallbackPolicy, reduce_with_fallback
         from repro.resilience.chaos import _rng, corrupt_shift_usage
+        from repro.resilience.fallback import reduce_with_fallback
+        from repro.scheduler.ladder import FallbackPolicy
 
         machine = example_machine()
         rng = _rng(machine, seed, "shift-usage")
@@ -194,8 +196,9 @@ class TestFallbackLadderUnderFaults:
         self._assert_served_safely(machine, outcome)
 
     def test_phase_delay_fault(self):
-        from repro.resilience import DelayedClock, FallbackPolicy
-        from repro.resilience import reduce_with_fallback
+        from repro.resilience.chaos import DelayedClock
+        from repro.resilience.fallback import reduce_with_fallback
+        from repro.scheduler.ladder import FallbackPolicy
 
         machine = example_machine()
         outcome = reduce_with_fallback(

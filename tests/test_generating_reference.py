@@ -29,7 +29,7 @@ from repro.machines import (
     single_op_machine,
 )
 from repro.obs import trace as obs
-from repro.resilience import Budget
+from repro.resilience.budget import Budget
 
 from tests import test_generating
 from tests._reference_generating import reference_generating_set

@@ -20,7 +20,7 @@ from repro.obs import ledger as obs_ledger
 from repro.query import POLICIES, DiscreteQueryModule
 from repro.query.modulo import REPRESENTATIONS
 from repro.query.work import WorkCounters
-from repro.resilience import Budget
+from repro.resilience.budget import Budget
 from repro.scheduler import (
     CorpusScheduler,
     DependenceGraph,

@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from repro.lint import Baseline, lint_code_paths
-from repro.lint.code import CODE_REPORT_NAME, iter_python_files
+from repro.lint.code import CODE_REPORT_NAME, iter_python_files, layer_rank
 
 
 def _lint_snippet(tmp_path, source, name="repro/core/snippet.py", **kwargs):
@@ -510,12 +510,12 @@ class TestUnregisteredCurrency:
         report = _lint_snippet(
             tmp_path,
             """
-            from repro.query.work import CHECK, SAMPLE
+            from repro.query.work import ATTRIBUTE, CHECK
 
             def probe(self, work):
                 work.charge("check", 4)
                 work.charge(CHECK, 2)
-                self.work.charge(SAMPLE, 1)
+                self.work.charge(ATTRIBUTE, 1)
             """,
             rules=self.RULE,
         )
@@ -543,3 +543,109 @@ class TestUnregisteredCurrency:
             rules=self.RULE,
         )
         assert _rules(report) == []
+
+
+class TestUpwardImport:
+    RULE = ["code-upward-import"]
+
+    def _findings(self, tmp_path, source, name="repro/core/snippet.py"):
+        report = _lint_snippet(tmp_path, source, name=name, rules=self.RULE)
+        assert all(d.severity == "error" for d in report.diagnostics)
+        return report.diagnostics
+
+    def test_module_level_upward_import_flagged(self, tmp_path):
+        [diag] = self._findings(
+            tmp_path,
+            """
+            from repro.scheduler.modulo import IterativeModuloScheduler
+            """,
+        )
+        assert diag.rule == "code-upward-import"
+        assert diag.location.line == 2
+        assert "repro.scheduler.modulo (rank 3)" in diag.message
+
+    def test_function_level_upward_import_flagged(self, tmp_path):
+        [diag] = self._findings(
+            tmp_path,
+            """
+            def late():
+                from repro.resilience.fallback import reduce_with_fallback
+                return reduce_with_fallback
+            """,
+        )
+        assert diag.location.symbol == "late"
+        assert "repro.resilience.fallback (rank 5)" in diag.message
+
+    def test_type_checking_upward_import_flagged(self, tmp_path):
+        [diag] = self._findings(
+            tmp_path,
+            """
+            from typing import TYPE_CHECKING
+
+            if TYPE_CHECKING:
+                import repro.analysis.explain
+            """,
+        )
+        assert "repro.analysis (rank 5)" in diag.message
+
+    def test_import_inside_leaf_package_init_flagged(self, tmp_path):
+        diags = self._findings(
+            tmp_path,
+            """
+            from repro.obs import export
+            from repro.obs.trace import Tracer
+            """,
+            name="repro/obs/__init__.py",
+        )
+        assert [d.location.line for d in diags] == [2]
+        assert diags[0].message.startswith("repro.obs (rank 0) imports "
+                                           "repro.obs.export (rank 5)")
+
+    def test_unranked_module_flagged(self, tmp_path):
+        [diag] = self._findings(
+            tmp_path,
+            """
+            from repro.core.machine import MachineDescription
+            """,
+            name="repro/plugins/extra.py",
+        )
+        assert "repro.plugins.extra has no rank" in diag.message
+
+    def test_relative_upward_import_flagged(self, tmp_path):
+        [diag] = self._findings(
+            tmp_path,
+            """
+            from ..scheduler import ddg
+            """,
+        )
+        assert "repro.scheduler.ddg (rank 3)" in diag.message
+
+    def test_downward_and_leaf_imports_pass(self, tmp_path):
+        assert self._findings(
+            tmp_path,
+            """
+            import repro.obs.trace
+            from repro import mdl
+            from repro.core.machine import MachineDescription
+            from repro.obs import ledger as obs_ledger
+            from repro.query.modulo import make_query_module
+            from repro.resilience.budget import Budget
+            from repro.scheduler.ladder import FallbackPolicy
+
+            def late():
+                from repro.query.work import FUNCTIONS
+                return FUNCTIONS
+            """,
+            name="repro/scheduler/snippet.py",
+        ) == []
+
+    def test_layer_rank_resolves_longest_key_and_inits(self):
+        assert layer_rank("repro.obs") == 0
+        assert layer_rank("repro.obs.ledger") == 0
+        assert layer_rank("repro.obs.export") == 5
+        assert layer_rank("repro.resilience") == 0
+        assert layer_rank("repro.resilience.chaos") == 5
+        assert layer_rank("repro.core.certificate") == 1
+        assert layer_rank("repro") == 2
+        assert layer_rank("repro.cli") == 7
+        assert layer_rank("repro.plugins") is None

@@ -4,10 +4,22 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.machines import cydra5_subset, example_machine
+from repro.obs import trace as obs
+from repro.obs.export import (
+    METRICS_SCHEMA_NAME,
+    METRICS_SCHEMA_VERSION,
+    chrome_trace_document,
+    collapsed_stack_lines,
+    exclusive_times,
+    metrics_document,
+    render_text,
+    write_chrome_trace,
+    write_collapsed_stack,
+    write_metrics,
+)
 from repro.obs.metrics import HISTOGRAM_BUCKETS, Histogram, MetricsRegistry, TimerStats
-from repro.query import FUNCTIONS, make_query_module
+from repro.query import make_query_module
 from repro.query.discrete import DiscreteQueryModule
 from repro.scheduler import IterativeModuloScheduler
 from repro.workloads import KERNELS
@@ -142,11 +154,6 @@ class TestMetricsRegistry:
 
 
 class TestQueryInstrumentation:
-    def test_function_names_match_work_counters(self):
-        # obs deliberately avoids importing repro.query; the duplicated
-        # function-name constants must stay in sync.
-        assert obs.QUERY_FUNCTIONS == FUNCTIONS
-
     def test_factory_returns_plain_class_when_disabled(self):
         qm = make_query_module(example_machine())
         assert type(qm) is DiscreteQueryModule
@@ -299,9 +306,9 @@ class TestExports:
 
     def test_metrics_document_schema(self):
         tracer = self._traced_run()
-        document = obs.metrics_document(tracer)
-        assert document["schema"] == obs.METRICS_SCHEMA_NAME
-        assert document["version"] == obs.METRICS_SCHEMA_VERSION
+        document = metrics_document(tracer)
+        assert document["schema"] == METRICS_SCHEMA_NAME
+        assert document["version"] == METRICS_SCHEMA_VERSION
         for key in ("counters", "timers", "histograms", "queries",
                     "records", "meta"):
             assert key in document
@@ -317,7 +324,7 @@ class TestExports:
 
     def test_chrome_trace_document(self):
         tracer = self._traced_run()
-        document = obs.chrome_trace_document(tracer)
+        document = chrome_trace_document(tracer)
         events = document["traceEvents"]
         assert events
         categories = {event["cat"] for event in events}
@@ -337,16 +344,16 @@ class TestExports:
         tracer = self._traced_run()
         metrics_path = tmp_path / "metrics.json"
         trace_path = tmp_path / "trace.json"
-        obs.write_metrics(tracer, str(metrics_path))
-        obs.write_chrome_trace(tracer, str(trace_path))
+        write_metrics(tracer, str(metrics_path))
+        write_chrome_trace(tracer, str(trace_path))
         metrics = json.loads(metrics_path.read_text())
-        assert metrics["version"] == obs.METRICS_SCHEMA_VERSION
+        assert metrics["version"] == METRICS_SCHEMA_VERSION
         trace = json.loads(trace_path.read_text())
         assert trace["otherData"]["producer"] == "repro.obs"
 
     def test_render_text_breakdown(self):
         tracer = self._traced_run()
-        text = obs.render_text(tracer)
+        text = render_text(tracer)
         assert "phases" in text
         assert "reduce.generating_set" in text
         assert "query functions" in text
@@ -408,7 +415,7 @@ class TestExclusiveTimes:
         return tracer
 
     def test_exclusive_times_subtract_direct_children(self):
-        times = obs.exclusive_times(self._synthetic_tracer())
+        times = exclusive_times(self._synthetic_tracer())
         assert times["reduce.reduce"] == pytest.approx(4.0)
         assert times["reduce.generating_set"] == pytest.approx(3.0)
         assert times["reduce.verify"] == pytest.approx(3.0)
@@ -427,11 +434,11 @@ class TestExclusiveTimes:
             SpanRecord("outer", "sched", 0.0, 1.0),
             SpanRecord("inner", "sched", 0.1, 2.0),
         ]
-        times = obs.exclusive_times(tracer)
+        times = exclusive_times(tracer)
         assert times["sched.outer"] == 0.0
 
     def test_collapsed_stack_lines(self):
-        lines = obs.collapsed_stack_lines(self._synthetic_tracer())
+        lines = collapsed_stack_lines(self._synthetic_tracer())
         as_map = {}
         for line in lines:
             stack, _, value = line.rpartition(" ")
@@ -449,12 +456,12 @@ class TestExclusiveTimes:
         tracer.spans = [
             SpanRecord("check", "query", float(i), 0.5) for i in range(4)
         ]
-        (line,) = obs.collapsed_stack_lines(tracer)
+        (line,) = collapsed_stack_lines(tracer)
         assert line == "query.check 2000000"
 
     def test_write_collapsed_stack(self, tmp_path):
         out = tmp_path / "flame.txt"
-        obs.write_collapsed_stack(self._synthetic_tracer(), str(out))
+        write_collapsed_stack(self._synthetic_tracer(), str(out))
         content = out.read_text()
         assert "reduce.reduce;reduce.verify 3000000" in content
         assert content.endswith("\n")
@@ -466,16 +473,16 @@ class TestExclusiveTimes:
         with obs.tracing(trace_queries=True) as tracer:
             reduce_machine(machine)
             IterativeModuloScheduler(machine).schedule(KERNELS["daxpy"]())
-        times = obs.exclusive_times(tracer)
+        times = exclusive_times(tracer)
         assert times
         # Self time never exceeds the timer's inclusive total.
         for key, self_s in times.items():
             stats = tracer.metrics.timers.get(key)
             assert stats is not None, key
             assert self_s <= stats.total + 1e-9
-        document = obs.metrics_document(tracer)
+        document = metrics_document(tracer)
         assert set(document["exclusive_s"]) == set(times)
-        text = obs.render_text(tracer)
+        text = render_text(tracer)
         assert "self ms" in text
 
 
@@ -483,20 +490,20 @@ class TestEmptyTraceGuards:
     """Span-math guards: exports must survive empty and trivial traces."""
 
     def test_exclusive_times_empty_trace(self):
-        assert obs.exclusive_times(obs.Tracer()) == {}
+        assert exclusive_times(obs.Tracer()) == {}
 
     def test_collapsed_stack_lines_empty_trace(self):
-        assert obs.collapsed_stack_lines(obs.Tracer()) == []
+        assert collapsed_stack_lines(obs.Tracer()) == []
 
     def test_single_span_is_its_own_self_time(self):
         from repro.obs.trace import SpanRecord
 
         tracer = obs.Tracer()
         tracer.spans = [SpanRecord("reduce", "reduce", 0.0, 2.0)]
-        assert obs.exclusive_times(tracer) == {
+        assert exclusive_times(tracer) == {
             "reduce.reduce": pytest.approx(2.0)
         }
-        assert obs.collapsed_stack_lines(tracer) == [
+        assert collapsed_stack_lines(tracer) == [
             "reduce.reduce 2000000"
         ]
 
@@ -506,5 +513,5 @@ class TestEmptyTraceGuards:
         # A lone blank line reads as a malformed frame to flamegraph
         # tooling; a no-span trace must produce a genuinely empty file.
         out = tmp_path / "flame.txt"
-        obs.write_collapsed_stack(obs.Tracer(), str(out))
+        write_collapsed_stack(obs.Tracer(), str(out))
         assert out.read_text() == ""

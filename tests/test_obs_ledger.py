@@ -150,7 +150,10 @@ class TestSchedulerEmission:
 
 class TestFallbackTails:
     def test_failed_rung_carries_ledger_tail(self):
-        from repro.resilience import FallbackPolicy, schedule_with_fallback
+        from repro.scheduler.ladder import (
+            FallbackPolicy,
+            schedule_with_fallback,
+        )
 
         machine = _machine()
         graph = KERNELS["tridiagonal"]()

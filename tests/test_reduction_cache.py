@@ -8,16 +8,14 @@ import pytest
 
 from repro.core import matrices_equal
 from repro.machines import cydra5_subset, example_machine
-from repro.resilience import (
-    FAULTS,
-    cached_reduce,
+from repro.resilience.artifacts import sidecar_path
+from repro.resilience.chaos import FAULT_CORRUPT_CACHE, FAULTS, run_chaos
+from repro.resilience.reduction_cache import (
     cache_entry_path,
+    cached_reduce,
     clear_reduction_memo,
     reduction_digest,
-    run_chaos,
-    sidecar_path,
 )
-from repro.resilience.chaos import FAULT_CORRUPT_CACHE
 
 
 @pytest.fixture(autouse=True)
@@ -151,7 +149,7 @@ class TestCorruptionFallback:
         assert first.to_dict()["outcomes"] == second.to_dict()["outcomes"]
 
     def test_corrupt_certificate_falls_back_and_rewrites(self, tmp_path):
-        from repro.resilience import certificate_entry_path
+        from repro.resilience.reduction_cache import certificate_entry_path
 
         machine = example_machine()
         primed = cached_reduce(machine, cache_dir=str(tmp_path))
@@ -193,7 +191,10 @@ class TestCorruptionFallback:
 
 class TestCertificateVerification:
     def test_disk_hit_verified_via_certificate(self, tmp_path):
-        from repro.core import check_certificate, equivalence_work_units
+        from repro.core.certificate import (
+            check_certificate,
+            equivalence_work_units,
+        )
 
         machine = cydra5_subset()
         primed = cached_reduce(machine, cache_dir=str(tmp_path))
@@ -226,7 +227,7 @@ class TestCertificateVerification:
         assert served.verify_units == 0
 
     def test_legacy_entry_without_certificate_is_healed(self, tmp_path):
-        from repro.resilience import certificate_entry_path
+        from repro.resilience.reduction_cache import certificate_entry_path
 
         machine = example_machine()
         primed = cached_reduce(machine, cache_dir=str(tmp_path))

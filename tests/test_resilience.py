@@ -13,17 +13,19 @@ from repro.errors import (
     ScheduleError,
 )
 from repro.machines import cydra5_subset, example_machine
-from repro.resilience import (
-    Budget,
-    FallbackPolicy,
-    RUNG_IMS,
-    RUNG_LIST,
+from repro.resilience import artifacts
+from repro.resilience.budget import Budget
+from repro.resilience.fallback import (
     RUNG_ORIGINAL,
     RUNG_PARTIAL,
     RUNG_REDUCED,
     UNVERIFIED_POLICY,
-    artifacts,
     reduce_with_fallback,
+)
+from repro.scheduler.ladder import (
+    RUNG_IMS,
+    RUNG_LIST,
+    FallbackPolicy,
     schedule_with_fallback,
 )
 from repro.workloads import KERNELS

@@ -312,35 +312,3 @@ class TestRunsGcAndMetrics:
         assert "removed 3 record(s)" in capsys.readouterr().out
         assert [r.seq for r in RunLog(str(tmp_path / "runs")).records()
                 ] == [4, 5]
-
-    def test_metrics_from_registry_round_trips(self, tmp_path, capsys):
-        from repro.obs.openmetrics import validate_openmetrics
-
-        _seed(tmp_path / "runs", [100.0, 110.0])
-        out_path = tmp_path / "scrape.prom"
-        assert main(["runs", "metrics",
-                     "--runlog", str(tmp_path / "runs"),
-                     "-o", str(out_path)]) == 0
-        text = out_path.read_text()
-        assert validate_openmetrics(text) == []
-        assert "repro_runs_records 2" in text
-        assert ('repro_runs_work_units_total{command="schedule",'
-                'currency="check"} 210') in text
-
-    def test_metrics_from_metrics_json(self, tmp_path, capsys):
-        from repro.obs.openmetrics import validate_openmetrics
-
-        document = {"counters": {"reduce.iterations": 3}}
-        source = tmp_path / "m.json"
-        source.write_text(json.dumps(document))
-        assert main(["runs", "metrics", "--from-metrics", str(source)]
-                    ) == 0
-        out = capsys.readouterr().out
-        assert validate_openmetrics(out) == []
-        assert "repro_reduce_iterations_total 3" in out
-
-    def test_metrics_bad_json_is_an_error(self, tmp_path, capsys):
-        source = tmp_path / "m.json"
-        source.write_text("{ nope")
-        assert main(["runs", "metrics",
-                     "--from-metrics", str(source)]) == 2

@@ -1,4 +1,4 @@
-"""The background sampling profiler: synthetic frames, SAMPLE charges,
+"""The background sampling profiler: synthetic frames, tick counts,
 collapsed export, and thread lifecycle."""
 
 import threading
@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from repro import obs
+from repro.obs import trace as obs
+from repro.obs.export import collapsed_stack_lines
 from repro.obs.sampler import (
     DEFAULT_INTERVAL_S,
     StackSampler,
@@ -84,24 +85,25 @@ class TestSampleOnce:
         assert sampler.sample_once() == 0
         assert sampler.counts == {}
 
-    def test_charges_sample_units_through_tracer(self):
-        tracer = obs.Tracer()
-        sampler = StackSampler(
-            tracer=tracer, frames=_frames_provider([LEAF, LEAF])
-        )
-        sampler.sample_once()
-        assert tracer.metrics.counters["query.sample.units"] == 2
-        assert tracer.metrics.timers["query.sample"].count == 1
+    def test_active_tracer_sees_no_sampler_ticks(self):
+        # Sampler ticks are not query work: they count in the sampler
+        # alone, never in the active tracer's registry.
+        with obs.tracing() as tracer:
+            sampler = StackSampler(frames=_frames_provider([LEAF, LEAF]))
+            assert sampler.sample_once() == 2
+        assert sampler.samples == 2
+        assert tracer.metrics.counters == {}
+        assert tracer.metrics.timers == {}
 
     def test_no_tracer_charges_nothing(self):
         sampler = StackSampler(frames=_frames_provider([LEAF]))
         assert sampler.sample_once() == 1  # accumulates, never raises
 
     def test_empty_snapshot_charges_nothing(self):
-        tracer = obs.Tracer()
-        sampler = StackSampler(tracer=tracer, frames=lambda: {})
+        sampler = StackSampler(frames=lambda: {})
         assert sampler.sample_once() == 0
-        assert "query.sample.units" not in tracer.metrics.counters
+        assert sampler.samples == 0
+        assert sampler.counts == {}
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -149,7 +151,7 @@ class TestCollapsedExport:
         with obs.tracing(tracer=tracer):
             with obs.span("phase", obs.CAT_PROFILE):
                 pass
-        merged = obs.collapsed_stack_lines(tracer) + (
+        merged = collapsed_stack_lines(tracer) + (
             self._sampler(ticks=1).collapsed_lines()
         )
         assert any(line.startswith("profile.phase ") for line in merged)
