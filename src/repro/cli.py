@@ -2007,10 +2007,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--processes",
         type=int,
-        default=0,
+        default=None,
         metavar="N",
-        help="with --corpus: fan the suite out over N worker processes"
-        " (forced serial when a --max-units/--deadline budget is set)",
+        help="with --corpus: schedule the suite in N processes (default:"
+        " the available CPUs, fewer for small suites; 1 is serial)."
+        " Forced serial when a --max-units/--deadline budget is set or"
+        " the run is traced",
     )
     p.add_argument("--word-cycles", type=int, default=1)
     p.add_argument(

@@ -210,32 +210,39 @@ def select_resources(
         use_words=use_words,
     )
     candidates = _build_candidates(matrix, pool)
-    uncovered = set(candidates)
+    # Paper: pick an uncovered latency with the shortest candidate list.
+    # Candidate lists never change, a covered instance stays covered,
+    # and the pair chosen for a target generates it, so the targets are
+    # the uncovered instances of one fixed order, taken in turn.
+    order = sorted(candidates, key=lambda inst: (len(candidates[inst]), inst))
 
     tracer = obs.current()
     if tracer is not None:
-        tracer.count("reduce.selection.instances", len(uncovered))
-    total_instances = len(uncovered)
-    while uncovered:
+        tracer.count("reduce.selection.instances", len(order))
+    total_instances = len(order)
+    for position, target in enumerate(order):
+        if target in state.covered:
+            continue
         if budget is not None:
+            covered = total_instances - sum(
+                1 for inst in order[position:] if inst not in state.covered
+            )
             budget.checkpoint(
                 "selection",
                 units=1,
                 progress="%d/%d instances covered"
-                % (total_instances - len(uncovered), total_instances),
+                % (covered, total_instances),
                 partial={
                     "pool": pool,
                     "selected": {
                         i: set(u) for i, u in state.selected.items()
                     },
-                    "covered": total_instances - len(uncovered),
+                    "covered": covered,
                     "total": total_instances,
                 },
             )
         if tracer is not None:
             tracer.count("reduce.selection.iterations")
-        # Paper: pick an uncovered latency with the shortest candidate list.
-        target = min(uncovered, key=lambda inst: (len(candidates[inst]), inst))
         best_key = None
         best: Optional[Candidate] = None
         for candidate in candidates[target]:
@@ -260,7 +267,6 @@ def select_resources(
         usages = [usage_u] if usage_u == usage_v else [usage_u, usage_v]
         state.apply(index, usages)
         state.free_fill()
-        uncovered -= state.covered
 
     ordered_indices = sorted(state.selected)
     return SelectionResult(

@@ -16,22 +16,30 @@ Degradation is loop-local, never corpus-fatal:
   runs the full scheduling ladder (IMS escalation, then the flat list
   rung), so a hard loop degrades alone while its neighbours pipeline.
 
-``processes > 1`` fans the suite out over a ``multiprocessing`` pool,
-sharded deterministically; every worker checks that the machine it
-unpickled has the parent's digest.  Each loop's work is its own, so
-schedules and every work currency are identical serial vs parallel —
-asserted by ``tests/test_corpus.py``.
+By default the suite is sharded round-robin over the CPUs the process
+may run on: ``N - 1`` forked workers inherit the machine, the suite,
+the policy and the loop configuration, so a task carries loop indices
+only, and the caller schedules one shard itself.  Outcomes merge by
+loop index.  Each loop's work is its own, so schedules and every work
+currency are identical serial vs parallel — asserted by
+``tests/test_corpus.py``.  A run that a second process cannot serve
+faithfully stays serial: one under a shared budget, an active tracer
+or decision ledger, without the ``fork`` start method, or with other
+live threads in the caller (forking those can deadlock the child).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.certificate import machine_digest
 from repro.core.machine import MachineDescription
 from repro.errors import BudgetExceeded, ScheduleError
+from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.modulo import DISCRETE, make_query_module
 from repro.query.work import WorkCounters
@@ -103,6 +111,7 @@ class CorpusResult:
     machine_name: str
     digest: str
     representation: str
+    #: Processes that scheduled the suite; 1 for a serial run.
     processes: int
     outcomes: List[LoopOutcome] = field(default_factory=list)
     work: WorkCounters = field(default_factory=WorkCounters)
@@ -143,9 +152,15 @@ class CorpusScheduler:
         when set, each loop runs the verified scheduling ladder instead
         of bare IMS.
     processes:
-        ``0``/``1`` for serial; ``> 1`` fans out over a process pool
-        (ignored, with a counter, when a shared budget is supplied —
-        cooperative budgets do not cross process boundaries).
+        ``None`` (the default) uses the CPUs available to the process,
+        lowered so each process gets at least
+        :data:`MIN_LOOPS_PER_PROCESS` loops; ``0``/``1`` is serial and
+        ``N > 1`` asks for ``N`` processes.  Either way the run stays
+        serial under a shared budget (with a counter — cooperative
+        budgets do not cross process boundaries), an active tracer or
+        decision ledger (their records are process-local), without the
+        ``fork`` start method, or with other live threads.
+        :attr:`CorpusResult.processes` is the count that ran.
     """
 
     def __init__(
@@ -156,7 +171,7 @@ class CorpusScheduler:
         budget_ratio: int = 6,
         max_ii_slack: int = 64,
         policy: Optional[FallbackPolicy] = None,
-        processes: int = 0,
+        processes: Optional[int] = None,
     ):
         self.machine = machine
         self.representation = representation
@@ -179,27 +194,26 @@ class CorpusScheduler:
         boundary: a starved run keeps going, recording the remaining
         loops as failed outcomes.
         """
-        digest = machine_digest(self.machine)
+        processes = self._processes(len(graphs), budget)
         result = CorpusResult(
             machine_name=self.machine.name,
-            digest=digest,
+            digest=machine_digest(self.machine),
             representation=self.representation,
-            processes=self.processes,
+            processes=processes,
         )
-        processes = self.processes
-        if processes > 1 and budget is not None:
-            obs.count("corpus.serialized_for_budget")
-            processes = 0
         with obs.span(
             "corpus.schedule", obs.CAT_SCHED,
             machine=self.machine.name, loops=len(graphs),
             representation=self.representation,
             processes=processes,
         ) as span:
-            if processes > 1 and len(graphs) > 1:
-                self._schedule_parallel(graphs, processes, digest, result)
+            if processes > 1:
+                self._schedule_parallel(graphs, processes, result)
             else:
-                self._schedule_serial(graphs, budget, result)
+                result.outcomes, result.work = _schedule_loops(
+                    self.machine, graphs, range(len(graphs)), self.policy,
+                    self._loop_config(), budget,
+                )
             span.set(
                 scheduled=result.scheduled,
                 failed=result.failed,
@@ -208,6 +222,27 @@ class CorpusScheduler:
         return result
 
     # ------------------------------------------------------------------
+    def _processes(self, loops: int, budget: Optional[Budget]) -> int:
+        """How many processes schedule ``loops`` loops; 1 is serial."""
+        processes = self.processes
+        if processes is None:
+            processes = min(_available_cpus(), loops // MIN_LOOPS_PER_PROCESS)
+        if processes > 1 and budget is not None:
+            obs.count("corpus.serialized_for_budget")
+            return 1
+        if (
+            processes <= 1
+            or loops <= 1
+            or obs.enabled()
+            or obs_ledger.enabled()
+            or "fork" not in multiprocessing.get_all_start_methods()
+            # A daemonic process may not have children.
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1
+        ):
+            return 1
+        return min(processes, loops)
+
     def _loop_config(self) -> dict:
         return {
             "representation": self.representation,
@@ -216,66 +251,36 @@ class CorpusScheduler:
             "max_ii_slack": self.max_ii_slack,
         }
 
-    def _schedule_serial(
-        self,
-        graphs: Sequence[DependenceGraph],
-        budget: Optional[Budget],
-        result: CorpusResult,
-    ) -> None:
-        scheduler = _loop_scheduler(self.machine, self._loop_config())
-        pending_units = 0
-        for index, graph in enumerate(graphs):
-            try:
-                if budget is not None:
-                    # Loop-boundary checkpoint: charge the previous
-                    # loop's work, and let starvation land *between*
-                    # loops so each remaining loop fails cleanly.
-                    budget.checkpoint(
-                        "corpus", units=pending_units, progress=index
-                    )
-                    pending_units = 0
-                outcome, work = _schedule_one(
-                    scheduler, graph, self.policy, budget
-                )
-            except (BudgetExceeded, ScheduleError) as exc:
-                result.outcomes.append(LoopOutcome(
-                    name=graph.name,
-                    ops=graph.num_operations,
-                    error_type=type(exc).__name__,
-                    error=str(exc),
-                ))
-                continue
-            result.outcomes.append(outcome)
-            result.work.merge(work)
-            pending_units = work.total_units
-
     def _schedule_parallel(
         self,
         graphs: Sequence[DependenceGraph],
         processes: int,
-        digest: str,
         result: CorpusResult,
     ) -> None:
-        """Fan the suite out over a process pool, sharded round-robin.
+        """Shard the suite round-robin over ``processes - 1`` forked
+        workers and the caller, then merge the outcomes by loop index.
 
-        Workers verify they unpickled the *same* machine (by digest).
+        The workers inherit the inputs through :data:`_INHERITED`, so
+        nothing but loop indices and replies crosses a process boundary.
         """
-        processes = min(processes, len(graphs))
-        shards = []
-        for rank in range(processes):
-            indices = list(range(rank, len(graphs), processes))
-            shards.append((
-                self.machine,
-                [graphs[i] for i in indices],
-                indices,
-                digest,
-                self.policy,
-                self._loop_config(),
-            ))
-        with multiprocessing.Pool(processes) as pool:
-            shard_results = pool.map(_schedule_shard, shards)
+        global _INHERITED
+        context = multiprocessing.get_context("fork")
+        shards = [
+            range(rank, len(graphs), processes) for rank in range(processes)
+        ]
+        workers: List[_Worker] = []
+        _INHERITED = (self.machine, graphs, self.policy, self._loop_config())
+        try:
+            for shard in shards[1:]:
+                workers.append(_Worker(context, shard))
+            replies = [_schedule_shard(shards[0])]
+            replies.extend(worker.reply() for worker in workers)
+        finally:
+            _INHERITED = None
+            for worker in workers:
+                worker.stop()
         slots: List[Optional[LoopOutcome]] = [None] * len(graphs)
-        for indices, outcomes, work in shard_results:
+        for indices, outcomes, work in replies:
             for index, outcome in zip(indices, outcomes):
                 slots[index] = outcome
             result.work.merge(work)
@@ -283,7 +288,87 @@ class CorpusScheduler:
 
 
 # ----------------------------------------------------------------------
-# Per-loop machinery (module-level so multiprocessing can pickle it)
+# Fan-out: forked workers that inherit the suite
+# ----------------------------------------------------------------------
+#: Fewest loops each process must get before a default run fans out.
+#: Serial against the caller plus one forked worker on the reduced
+#: cydra5-subset suite (x86_64, 2 vCPUs, Python 3.11.7; medians of 10
+#: fresh processes): 32 loops 0.019 vs 0.026 s, 64 loops 0.041 vs
+#: 0.040 s (break-even), 96 loops 0.061 vs 0.049 s, 128 loops 0.070 vs
+#: 0.057 s.  48 fans out from 96 loops, the first size that won (8 of 10).
+MIN_LOOPS_PER_PROCESS = 48
+
+#: ``(machine, graphs, policy, loop config)`` of the suite being fanned
+#: out.  Set only while its workers are forked and run, so they inherit
+#: it instead of unpickling it.
+_INHERITED: Optional[tuple] = None
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where it has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _Worker:
+    """One forked process scheduling one shard of :data:`_INHERITED`."""
+
+    def __init__(self, context, indices: range):
+        self._reader, writer = context.Pipe(duplex=False)
+        self._process = context.Process(
+            target=_serve_shard, args=(indices, writer), daemon=True
+        )
+        self._process.start()
+        writer.close()
+
+    def reply(self) -> Tuple[range, List[LoopOutcome], WorkCounters]:
+        """The shard's ``(indices, outcomes, work)``; re-raises whatever
+        the worker raised."""
+        try:
+            ok, payload = self._reader.recv()
+        except EOFError:
+            self._process.join()
+            raise RuntimeError(
+                "corpus worker %d exited with code %s before replying"
+                % (self._process.pid, self._process.exitcode)
+            ) from None
+        self._process.join()
+        if not ok:
+            raise payload
+        return payload
+
+    def stop(self) -> None:
+        """Reap the worker, ending it first if it has not replied."""
+        self._process.terminate()
+        self._process.join()
+        self._reader.close()
+
+
+def _serve_shard(indices: range, writer) -> None:
+    """A forked worker's body: send the caller ``(True, shard result)``,
+    or ``(False, exception)`` and re-raise it, so the worker prints its
+    traceback and exits non-zero."""
+    try:
+        reply = (True, _schedule_shard(indices))
+    except BaseException as exc:
+        writer.send((False, exc))
+        raise
+    writer.send(reply)
+
+
+def _schedule_shard(
+    indices: range,
+) -> Tuple[range, List[LoopOutcome], WorkCounters]:
+    """One process's share of the suite in :data:`_INHERITED`."""
+    machine, graphs, policy, config = _INHERITED
+    outcomes, work = _schedule_loops(machine, graphs, indices, policy, config)
+    return indices, outcomes, work
+
+
+# ----------------------------------------------------------------------
+# Per-loop machinery
 # ----------------------------------------------------------------------
 def _make_factory(
     machine: MachineDescription, config: dict
@@ -318,6 +403,48 @@ def _loop_scheduler(
         max_ii_slack=config["max_ii_slack"],
         query_factory=_make_factory(machine, config),
     )
+
+
+def _schedule_loops(
+    machine: MachineDescription,
+    graphs: Sequence[DependenceGraph],
+    indices: range,
+    policy: Optional[FallbackPolicy],
+    config: dict,
+    budget: Optional[Budget] = None,
+) -> Tuple[List[LoopOutcome], WorkCounters]:
+    """Outcomes of ``graphs[i]`` for each ``i`` in ``indices``, in that
+    order, and their merged work."""
+    scheduler = _loop_scheduler(machine, config)
+    outcomes: List[LoopOutcome] = []
+    work = WorkCounters()
+    pending_units = 0
+    for index in indices:
+        graph = graphs[index]
+        try:
+            if budget is not None:
+                # Loop-boundary checkpoint: charge the previous
+                # loop's work, and let starvation land *between*
+                # loops so each remaining loop fails cleanly.
+                budget.checkpoint(
+                    "corpus", units=pending_units, progress=index
+                )
+                pending_units = 0
+            outcome, loop_work = _schedule_one(
+                scheduler, graph, policy, budget
+            )
+        except (BudgetExceeded, ScheduleError) as exc:
+            outcomes.append(LoopOutcome(
+                name=graph.name,
+                ops=graph.num_operations,
+                error_type=type(exc).__name__,
+                error=str(exc),
+            ))
+            continue
+        outcomes.append(outcome)
+        work.merge(loop_work)
+        pending_units = loop_work.total_units
+    return outcomes, work
 
 
 def _schedule_one(
@@ -356,37 +483,10 @@ def _schedule_one(
     ), result.work
 
 
-def _schedule_shard(payload) -> Tuple[List[int], List[LoopOutcome], WorkCounters]:
-    """One worker's share of the corpus (top-level for pickling)."""
-    machine, graphs, indices, digest, policy, config = payload
-    rebuilt = machine_digest(machine)
-    if rebuilt != digest:
-        raise RuntimeError(
-            "corpus shard rebuilt a different machine: %s != %s"
-            % (rebuilt, digest)
-        )
-    scheduler = _loop_scheduler(machine, config)
-    outcomes: List[LoopOutcome] = []
-    work = WorkCounters()
-    for graph in graphs:
-        try:
-            outcome, loop_work = _schedule_one(scheduler, graph, policy, None)
-        except (BudgetExceeded, ScheduleError) as exc:
-            outcomes.append(LoopOutcome(
-                name=graph.name,
-                ops=graph.num_operations,
-                error_type=type(exc).__name__,
-                error=str(exc),
-            ))
-            continue
-        outcomes.append(outcome)
-        work.merge(loop_work)
-    return indices, outcomes, work
-
-
 __all__ = [
     "CorpusResult",
     "CorpusScheduler",
     "LoopOutcome",
+    "MIN_LOOPS_PER_PROCESS",
     "schedule_signature",
 ]

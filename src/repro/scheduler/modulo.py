@@ -358,11 +358,14 @@ class IterativeModuloScheduler:
                         if bound > estart:
                             estart = bound
 
-                # Search an II-wide window for a contention-free slot
-                # with one batched scan per alternative.  The lifetime
-                # policy scans downward from the latest slot permitted
-                # by already-scheduled consumers (when any exist),
-                # shortening the lifetimes of this op's produced value.
+                # Search an II-wide window for a contention-free slot:
+                # discrete scans cycle-major over the kept folds with
+                # the probe order taken once per window; bitvector and
+                # compiled run one batched scan per alternative.  The
+                # lifetime policy scans downward from the latest slot
+                # permitted by already-scheduled consumers (when any
+                # exist), shortening the lifetimes of this op's produced
+                # value.
                 window = (estart, estart + ii, 1)
                 if self.placement_policy == "lifetime":
                     deadline = None

@@ -7,19 +7,30 @@ per-loop IMS signature-for-signature, with merged work equal to the
 per-loop sum.
 The satellite contracts ride along — budget starvation stays
 loop-local, the fallback ladder degrades loops without sinking the
-corpus, and the multiprocessing fan-out replays the serial run exactly.
+corpus, and the multiprocessing fan-out (the default on a large enough
+suite) replays the serial run exactly, stays serial whenever a second
+process cannot serve the run faithfully, and raises a worker's failure
+in the caller.
 """
+
+import multiprocessing
+import os
+import threading
 
 import pytest
 
 from repro.cli import main
 from repro.core.certificate import machine_digest
+from repro.errors import ScheduleError
 from repro.machines import cydra5_subset, example_machine
+from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.work import WorkCounters
 from repro.resilience.budget import Budget
 from repro.scheduler import IterativeModuloScheduler
+from repro.scheduler import corpus as corpus_module
 from repro.scheduler.corpus import (
+    MIN_LOOPS_PER_PROCESS,
     CorpusScheduler,
     LoopOutcome,
     schedule_signature,
@@ -187,6 +198,187 @@ class TestParallel:
         assert parallel.signatures() == serial.signatures()
         assert dict(parallel.work.units) == dict(serial.work.units)
         assert dict(parallel.work.calls) == dict(serial.work.calls)
+
+
+@pytest.fixture(scope="module")
+def large_suite():
+    """Just enough loops for a default run to fan out over two CPUs."""
+    return loop_suite(2 * MIN_LOOPS_PER_PROCESS)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Make the process see two available CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+class TestDefaultFanOut:
+    @pytest.mark.parametrize("policy", [None, FallbackPolicy()],
+                             ids=["ims", "ladder"])
+    def test_default_replays_serial_run(
+        self, machine, large_suite, two_cpus, policy
+    ):
+        default = CorpusScheduler(machine, policy=policy).schedule_suite(
+            large_suite
+        )
+        serial = CorpusScheduler(
+            machine, policy=policy, processes=1
+        ).schedule_suite(large_suite)
+        assert default.processes == 2
+        assert serial.processes == 1
+        assert default.failed == 0
+        assert default.signatures() == serial.signatures()
+        assert dict(default.work.units) == dict(serial.work.units)
+        assert dict(default.work.calls) == dict(serial.work.calls)
+        assert (default.scheduled, default.degraded, default.failed) == (
+            serial.scheduled, serial.degraded, serial.failed
+        )
+
+    def test_small_suite_stays_serial(self, machine, two_cpus):
+        graphs = loop_suite(2 * MIN_LOOPS_PER_PROCESS - 1)
+        assert CorpusScheduler(machine).schedule_suite(graphs).processes == 1
+
+    def test_one_cpu_affinity_stays_serial(
+        self, machine, large_suite, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        result = CorpusScheduler(machine).schedule_suite(large_suite)
+        assert result.processes == 1
+        assert result.failed == 0
+
+    def test_explicit_count_asks_for_that_many(self, machine, suite):
+        result = CorpusScheduler(machine, processes=3).schedule_suite(
+            suite[:8]
+        )
+        assert result.processes == 3
+        assert result.signatures() == CorpusScheduler(
+            machine, processes=0
+        ).schedule_suite(suite[:8]).signatures()
+
+
+class TestSerialRules:
+    """Runs a second process cannot serve faithfully stay serial, and the
+    effective count on the result and the span says so."""
+
+    def test_active_tracer(self, machine, suite):
+        with obs.tracing() as tracer:
+            result = CorpusScheduler(machine, processes=2).schedule_suite(
+                suite[:8]
+            )
+        assert result.processes == 1
+        (span,) = [s for s in tracer.spans if s.name == "corpus.schedule"]
+        assert span.args["processes"] == 1
+        assert "corpus.serialized_for_budget" not in tracer.metrics.counters
+
+    def test_active_ledger(self, machine, suite):
+        with obs_ledger.recording() as ledger:
+            result = CorpusScheduler(machine, processes=2).schedule_suite(
+                suite[:8]
+            )
+        assert result.processes == 1
+        assert len(ledger) > 0  # every loop's decisions, in this process
+
+    def test_budget(self, machine, suite):
+        result = CorpusScheduler(machine, processes=2).schedule_suite(
+            suite[:8], budget=Budget(max_units=10_000_000)
+        )
+        assert result.processes == 1
+        assert result.failed == 0
+
+    def test_live_extra_thread(self, machine, suite):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            result = CorpusScheduler(machine, processes=2).schedule_suite(
+                suite[:8]
+            )
+        finally:
+            release.set()
+            thread.join()
+        assert result.processes == 1
+
+    def test_no_fork_start_method(self, machine, suite, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        result = CorpusScheduler(machine, processes=2).schedule_suite(
+            suite[:8]
+        )
+        assert result.processes == 1
+
+    def test_daemonic_caller(self, machine, suite, monkeypatch):
+        # A daemonic process (a multiprocessing pool worker, say) may
+        # not start children.
+        monkeypatch.setitem(
+            multiprocessing.current_process()._config, "daemon", True
+        )
+        result = CorpusScheduler(machine, processes=2).schedule_suite(
+            suite[:8]
+        )
+        assert result.processes == 1
+
+    def test_single_loop(self, machine, suite):
+        result = CorpusScheduler(machine, processes=2).schedule_suite(
+            suite[:1]
+        )
+        assert result.processes == 1
+
+
+class TestWorkerFailure:
+    """With two processes the caller schedules the even loops and the
+    worker the odd ones, so a fault on loop 1 strikes the worker."""
+
+    def test_worker_exception_raises_in_caller(
+        self, machine, suite, monkeypatch
+    ):
+        schedule_one = corpus_module._schedule_one
+
+        def faulty(scheduler, graph, policy, budget):
+            if graph.name == suite[1].name:
+                raise ValueError("injected fault in %s" % graph.name)
+            return schedule_one(scheduler, graph, policy, budget)
+
+        monkeypatch.setattr(corpus_module, "_schedule_one", faulty)
+        with pytest.raises(ValueError, match="injected fault"):
+            CorpusScheduler(machine, processes=2).schedule_suite(suite[:4])
+        assert corpus_module._INHERITED is None
+
+    def test_worker_that_dies_raises_in_caller(
+        self, machine, suite, monkeypatch
+    ):
+        schedule_one = corpus_module._schedule_one
+
+        def dying(scheduler, graph, policy, budget):
+            if graph.name == suite[1].name:
+                os._exit(3)
+            return schedule_one(scheduler, graph, policy, budget)
+
+        monkeypatch.setattr(corpus_module, "_schedule_one", dying)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            CorpusScheduler(machine, processes=2).schedule_suite(suite[:4])
+
+    def test_loop_errors_stay_failed_outcomes(
+        self, machine, suite, monkeypatch
+    ):
+        schedule_one = corpus_module._schedule_one
+
+        def refusing(scheduler, graph, policy, budget):
+            if graph.name == suite[1].name:
+                raise ScheduleError("no schedule for %s" % graph.name)
+            return schedule_one(scheduler, graph, policy, budget)
+
+        monkeypatch.setattr(corpus_module, "_schedule_one", refusing)
+        result = CorpusScheduler(machine, processes=2).schedule_suite(
+            suite[:4]
+        )
+        assert result.processes == 2
+        assert [o.failed for o in result.outcomes] == [
+            False, True, False, False
+        ]
+        assert result.outcomes[1].error_type == "ScheduleError"
 
 
 class TestCli:
