@@ -77,10 +77,21 @@ def reduction_table_data(
     }
 
 
+def pin_values(data: Dict[str, Dict[str, float]]) -> Dict[str, float]:
+    """``{"<row>.<column>": number}`` from a table's nested numbers, the
+    keys its ``paper_expected.json`` pins use."""
+    return {
+        "%s.%s" % (row, column): number
+        for row, entries in data.items()
+        for column, number in entries.items()
+    }
+
+
 __all__ = [
     "BENCH_SCHEMA_NAME",
     "BENCH_SCHEMA_VERSION",
     "bench_document",
+    "pin_values",
     "reduction_table_data",
     "render_reduction_table",
     "write_bench_json",

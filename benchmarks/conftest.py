@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Optional
 
 import pytest
 
@@ -34,19 +35,20 @@ EXPECTED_PATH = os.path.join(os.path.dirname(__file__), "paper_expected.json")
 
 @pytest.fixture(scope="session")
 def paper_pins():
-    """``check(name, values, loops)``: assert a benchmark's numbers
+    """``check(name, values, loops=None)``: assert a benchmark's numbers
     against its ``paper_expected.json`` pins.
 
-    ``values`` maps each pinned key to the reproduced number.  The pins
-    hold only at the recorded loop count; when ``REPRO_BENCH_LOOPS``
-    changes it, the check skips the test after its own assertions ran.
+    ``values`` maps each pinned key to the reproduced number.  A
+    scheduling benchmark's pins hold only at its recorded loop count;
+    when ``REPRO_BENCH_LOOPS`` changes it, the check skips the test
+    after its own assertions ran.  Reduction tables record no count.
     """
     with open(EXPECTED_PATH, encoding="utf-8") as handle:
         expected = json.load(handle)["benchmarks"]
 
-    def check(name: str, values, loops: int) -> None:
+    def check(name: str, values, loops: Optional[int] = None) -> None:
         entry = expected[name]
-        if loops != entry["loops"]:
+        if loops != entry.get("loops"):
             pytest.skip(
                 "%s pins hold at %d loops, not %d"
                 % (name, entry["loops"], loops)

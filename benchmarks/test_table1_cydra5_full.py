@@ -2,7 +2,7 @@
 for the original description and four reductions (res-uses; 1/2/4-cycle
 words, i.e. 32- and 64-bit packed bitvectors over 15-ish resources)."""
 
-from _tables import reduction_table_data, render_reduction_table
+from _tables import pin_values, reduction_table_data, render_reduction_table
 
 from repro.core import matrices_equal, reduce_machine
 
@@ -13,7 +13,7 @@ PAPER = {
 }
 
 
-def test_table1(benchmark, machines, cydra5_reductions, record):
+def test_table1(benchmark, machines, cydra5_reductions, record, paper_pins):
     machine = machines["cydra5"]
 
     # Timing row: one full res-uses reduction of the Cydra 5.
@@ -31,9 +31,11 @@ def test_table1(benchmark, machines, cydra5_reductions, record):
         word_cycles=(1, 2, 4),
         paper=PAPER,
     )
+    data = reduction_table_data(machine, cydra5_reductions, (1, 2, 4))
     record(
         "table1_cydra5_full",
         table,
-        data=reduction_table_data(machine, cydra5_reductions, (1, 2, 4)),
+        data=data,
         meta={"machine": machine.name, "word_cycles": [1, 2, 4]},
     )
+    paper_pins("table1_cydra5_full", pin_values(data))

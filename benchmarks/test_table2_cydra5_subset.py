@@ -1,7 +1,7 @@
 """Table 2 — Cydra 5 benchmark subset (the 12 operation classes the 1327
 loops use): original vs res-uses vs 1/3/7-cycle-word reductions."""
 
-from _tables import reduction_table_data, render_reduction_table
+from _tables import pin_values, reduction_table_data, render_reduction_table
 
 from repro.core import matrices_equal, reduce_machine
 
@@ -12,7 +12,7 @@ PAPER = {
 }
 
 
-def test_table2(benchmark, machines, subset_reductions, record):
+def test_table2(benchmark, machines, subset_reductions, record, paper_pins):
     machine = machines["cydra5-subset"]
     benchmark.pedantic(
         reduce_machine, args=(machine,), rounds=1, iterations=1
@@ -26,9 +26,11 @@ def test_table2(benchmark, machines, subset_reductions, record):
         word_cycles=(1, 3, 7),
         paper=PAPER,
     )
+    data = reduction_table_data(machine, subset_reductions, (1, 3, 7))
     record(
         "table2_cydra5_subset",
         table,
-        data=reduction_table_data(machine, subset_reductions, (1, 3, 7)),
+        data=data,
         meta={"machine": machine.name, "word_cycles": [1, 3, 7]},
     )
+    paper_pins("table2_cydra5_subset", pin_values(data))

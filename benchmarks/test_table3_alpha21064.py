@@ -1,7 +1,7 @@
 """Table 3 — DEC Alpha 21064: original vs res-uses vs 1/4/9-cycle-word
 reductions (9 cycles of 7 bits fit a 64-bit word)."""
 
-from _tables import reduction_table_data, render_reduction_table
+from _tables import pin_values, reduction_table_data, render_reduction_table
 
 from repro.core import matrices_equal, reduce_machine
 
@@ -12,7 +12,7 @@ PAPER = {
 }
 
 
-def test_table3(benchmark, machines, alpha_reductions, record):
+def test_table3(benchmark, machines, alpha_reductions, record, paper_pins):
     machine = machines["alpha21064"]
     benchmark.pedantic(
         reduce_machine, args=(machine,), rounds=1, iterations=1
@@ -26,9 +26,11 @@ def test_table3(benchmark, machines, alpha_reductions, record):
         word_cycles=(1, 4, 9),
         paper=PAPER,
     )
+    data = reduction_table_data(machine, alpha_reductions, (1, 4, 9))
     record(
         "table3_alpha21064",
         table,
-        data=reduction_table_data(machine, alpha_reductions, (1, 4, 9)),
+        data=data,
         meta={"machine": machine.name, "word_cycles": [1, 4, 9]},
     )
+    paper_pins("table3_alpha21064", pin_values(data))

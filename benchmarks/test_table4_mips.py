@@ -1,7 +1,7 @@
 """Table 4 — MIPS R3000/R3010: original vs res-uses vs 1/4/9-cycle-word
 reductions."""
 
-from _tables import reduction_table_data, render_reduction_table
+from _tables import pin_values, reduction_table_data, render_reduction_table
 
 from repro.core import matrices_equal, reduce_machine
 
@@ -12,7 +12,7 @@ PAPER = {
 }
 
 
-def test_table4(benchmark, machines, mips_reductions, record):
+def test_table4(benchmark, machines, mips_reductions, record, paper_pins):
     machine = machines["mips-r3000"]
     benchmark.pedantic(
         reduce_machine, args=(machine,), rounds=1, iterations=1
@@ -26,9 +26,11 @@ def test_table4(benchmark, machines, mips_reductions, record):
         word_cycles=(1, 4, 9),
         paper=PAPER,
     )
+    data = reduction_table_data(machine, mips_reductions, (1, 4, 9))
     record(
         "table4_mips",
         table,
-        data=reduction_table_data(machine, mips_reductions, (1, 4, 9)),
+        data=data,
         meta={"machine": machine.name, "word_cycles": [1, 4, 9]},
     )
+    paper_pins("table4_mips", pin_values(data))

@@ -2,6 +2,7 @@
 modulo-scheduled for the Cydra 5: operations per loop, achieved II,
 II/MII, and scheduling decisions per operation."""
 
+from _tables import pin_values
 from conftest import BENCH_LOOPS
 
 from repro.core import ForbiddenLatencyMatrix
@@ -81,10 +82,5 @@ def test_table5(benchmark, machines, record, paper_pins):
     assert sum(ratios) / len(ratios) < 1.05  # paper: 1.01
     assert 1.0 <= sum(decisions) / len(decisions) < 2.5  # paper: 1.52
 
-    values = {
-        "%s.%s" % (row, column): number
-        for row, summary in data.items()
-        for column, number in summary.items()
-    }
-    values["fraction_at_mii"] = optimal
+    values = dict(pin_values(data), fraction_at_mii=optimal)
     paper_pins("table5_loop_suite", values, len(loops))

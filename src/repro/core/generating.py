@@ -26,6 +26,11 @@ union of pairs ``{(X, 0), (Y, f)}`` and subsets of earlier resources, so
 memoized anchor masks.  Masks are decoded to ``frozenset`` resources only
 for the return value, traces and a budget's partial result.
 
+The generating set is a set, as in the paper: an insertion-ordered
+``dict`` of masks rebuilt per pair, so a Rule-1 merge that lands on a
+resource already present collapses into it.  Rules 1 and 2 depend only
+on the mask, so keeping equal resources would return the same list.
+
 ``prune_subsets_every`` enables an optimization discussed in DESIGN.md:
 dropping a resource that is a subset of another current resource is safe
 because any future Rule-1/2 product grown from the subset is dominated by
@@ -61,16 +66,16 @@ class TraceStep:
     resources: Tuple[Resource, ...] = ()
 
 
-def _prune_subset_masks(masks: List[int]) -> List[int]:
-    """Drop duplicates and masks contained in another mask of the list,
-    keeping the first-seen order of the survivors."""
+def _prune_subset_masks(masks: Dict[int, None]) -> Dict[int, None]:
+    """Drop masks contained in another mask of the set, keeping the
+    insertion order of the survivors."""
     kept: List[int] = []
-    by_size = sorted(set(masks), key=lambda m: bin(m).count("1"), reverse=True)
+    by_size = sorted(masks, key=lambda m: bin(m).count("1"), reverse=True)
     for candidate in by_size:
         if not any(candidate & existing == candidate for existing in kept):
             kept.append(candidate)
     survivors = set(kept)
-    return [mask for mask in dict.fromkeys(masks) if mask in survivors]
+    return {mask: None for mask in masks if mask in survivors}
 
 
 def build_generating_set(
@@ -93,8 +98,9 @@ def build_generating_set(
         used to regenerate the paper's Figure 3.
     budget:
         Optional :class:`repro.resilience.budget.Budget` checked once per
-        elementary pair (charged one unit per resource the pair is matched
-        against).  :class:`~repro.errors.BudgetExceeded` carries phase
+        elementary pair (charged one unit plus one per resource the pair
+        is matched against; equal resources count once).
+        :class:`~repro.errors.BudgetExceeded` carries phase
         ``"generating_set"``, the number of pairs processed, and the
         resource list grown so far as its partial result.
     """
@@ -128,7 +134,7 @@ def build_generating_set(
             mask ^= low
         return frozenset(usages)
 
-    masks: List[int] = []
+    masks: Dict[int, None] = {}  # the generating set, insertion-ordered
     tracer = obs.current()
     if tracer is not None:
         tracer.count("reduce.algorithm1.pairs", len(worklist))
@@ -147,19 +153,24 @@ def build_generating_set(
         pair_mask = (1 << (base[u0[0]] + u0[1])) | (1 << (base[u1[0]] + u1[1]))
         allowed = anchor(u0) & anchor(u1)
         fired = []  # (rule, target, result) masks for the trace
+        rows: Dict[int, None] = {}
         additions: List[int] = []
         merges = 0
-        for index, current in enumerate(masks):
+        for current in masks:
             compatible = current & allowed
             if compatible == current:
-                # Rule 1: fully compatible -> merge the pair in.
-                masks[index] = merged = current | pair_mask
+                # Rule 1: fully compatible -> merge the pair in.  The
+                # merged row takes its source's place, or collapses into
+                # an equal row already present.
+                merged = current | pair_mask
+                rows[merged] = None
                 merges += 1
                 if trace is not None:
                     fired.append((1, current, merged))
             else:
                 # Rule 2: partially compatible -> candidate new resource,
                 # discarded when it is just the pair itself.
+                rows[current] = None
                 candidate = pair_mask | compatible
                 if candidate == pair_mask:
                     candidate = None
@@ -167,17 +178,14 @@ def build_generating_set(
                     additions.append(candidate)
                 if trace is not None:
                     fired.append((2, current, candidate))
-        existing = set(masks)
-        for candidate in additions:
-            if candidate not in existing:
-                existing.add(candidate)
-                masks.append(candidate)
+        rows.update(dict.fromkeys(additions))
         alone = int(not merges and not additions)
         if alone:
             # Rule 3: the pair starts a resource of its own.
-            if pair_mask not in existing:
-                masks.append(pair_mask)
-            fired.append((3, None, pair_mask))
+            rows[pair_mask] = None
+            if trace is not None:
+                fired.append((3, None, pair_mask))
+        masks = rows
         if tracer is not None:
             for rule, hits in ((1, merges), (2, len(additions)), (3, alone)):
                 if hits:
@@ -203,7 +211,7 @@ def build_generating_set(
             continue
         row = ((1 << width) - 1) << base[op]
         if not any(mask & row for mask in masks):
-            masks.append(1 << base[op])
+            masks[1 << base[op]] = None
             if tracer is not None:
                 tracer.count("reduce.algorithm1.rule4")
             if trace is not None:

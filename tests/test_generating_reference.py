@@ -2,10 +2,19 @@
 reference in ``tests/_reference_generating.py``.
 
 The production implementation must return the same list, order
-included, emit the same trace step for step, bump the same
-``reduce.algorithm1.*`` counters and stop at the same budget checkpoint
-with the same partial result.
+included.  The reference keeps its rows in a list, so two rows that a
+Rule-1 merge makes equal both stay until the next subset prune; the
+production generating set is a set and keeps only the first.  Rules 1
+and 2 depend only on a row's usages, so equal rows fire equal rules
+and the returned list cannot move.  What the loop *does* is compared
+against the reference's steps collapsed to their first occurrences
+(:func:`_collapse`): the trace step for step, the
+``reduce.algorithm1.*`` counters and the budget checkpoint with its
+partial result.  On machines without colliding merges (the Figure 3
+machines, cydra5-subset) the collapsed reference is the reference.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -14,6 +23,7 @@ from repro.core import (
     build_generating_set,
     resource_is_valid,
 )
+from repro.core.generating import TraceStep
 from repro.errors import BudgetExceeded
 from repro.fuzz.mdlgen import PROFILES, generate_machine
 from repro.machines import (
@@ -48,6 +58,10 @@ BUILTINS = {
     "independent-ops": independent_ops_machine,
     "dense-conflict": dense_conflict_machine,
 }
+
+#: Built-ins where two rows absorb the same pair through Rule 1 and
+#: become equal.
+COLLIDING = ("mips-r3000", "playdoh")
 
 FUZZ_PROFILES = ("mixed", "tiny", "clustered-vliw", "buffered-pu")
 FUZZ_SEEDS = range(40)
@@ -105,19 +119,113 @@ def test_traces_match_reference(machine):
         assert mine.resources == theirs.resources
 
 
-@pytest.mark.parametrize("name", ["mips-r3000", "playdoh", "example"])
+def _collapse(step):
+    """A reference step with each resource and each ``(rule, target,
+    result)`` application kept at its first occurrence."""
+    applications = {}
+    for app in step.applications:
+        applications.setdefault((app.rule, app.target, app.result), app)
+    return TraceStep(
+        step.pair, list(applications.values()),
+        tuple(dict.fromkeys(step.resources)),
+    )
+
+
+def _collapsed_reference(matrix, prune_subsets_every=64):
+    steps = []
+    reference_generating_set(matrix, prune_subsets_every, trace=steps.append)
+    return [_collapse(step) for step in steps]
+
+
+def _pair_steps(steps):
+    """The steps of the elementary pairs, without Rule 4's singletons."""
+    return [step for step in steps if step.applications[0].rule != 4]
+
+
+def _rows_before_prune(previous, step):
+    """Distinct rows a collapsed step holds before its subset prune: the
+    previous step's rows with this step's Rule-1 merges applied, then
+    its Rule-2 and Rule-3 results."""
+    merged = {app.target: app.result for app in step.applications
+              if app.rule == 1}
+    rows = [merged.get(row, row) for row in previous]
+    rows += [app.result for app in step.applications
+             if app.rule in (2, 3) and app.result is not None]
+    return len(dict.fromkeys(rows))
+
+
+@pytest.mark.parametrize("name", COLLIDING + ("example",))
 def test_counters_match_reference(name):
+    """The rule counters count the collapsed reference's distinct rows."""
     matrix = _matrix(BUILTINS[name]())
-    counters = []
-    for builder in (reference_generating_set, build_generating_set):
-        with obs.tracing() as tracer:
-            builder(matrix)
-        counters.append({
-            key: value for key, value in tracer.metrics.counters.items()
-            if key.startswith("reduce.algorithm1.")
-        })
-    assert counters[0] == counters[1]
-    assert counters[1]["reduce.algorithm1.rule1"] > 0
+    with obs.tracing() as tracer:
+        build_generating_set(matrix)
+    actual = {
+        key[len("reduce.algorithm1."):]: value
+        for key, value in tracer.metrics.counters.items()
+        if key.startswith("reduce.algorithm1.") and value
+    }
+    steps = _collapsed_reference(matrix)
+    pair_steps = _pair_steps(steps)
+    expected = Counter(
+        "rule%d" % app.rule
+        for step in steps for app in step.applications
+        if app.result is not None
+    )
+    expected["pairs"] = len(pair_steps)
+    previous = ()
+    for processed, step in enumerate(pair_steps, start=1):
+        if processed % 64 == 0:
+            expected["subset_pruned"] += (
+                _rows_before_prune(previous, step) - len(step.resources)
+            )
+        previous = step.resources
+    assert actual == +expected
+    assert actual["rule1"] > 0
+
+
+@pytest.mark.parametrize("name", COLLIDING)
+def test_traces_match_collapsed_reference(name):
+    matrix = _matrix(BUILTINS[name]())
+    expected = _collapsed_reference(matrix)
+    actual = _trace(build_generating_set, matrix)
+    assert actual == expected
+    # The machines do have colliding merges, so the collapse is not a
+    # no-op and the test exercises the set semantics.
+    raw = _trace(reference_generating_set, matrix)
+    assert any(len(set(s.resources)) < len(s.resources) for s in raw)
+
+
+def _assert_rows_distinct(matrix, prune_subsets_every, label):
+    steps = []
+    build_generating_set(matrix, prune_subsets_every, trace=steps.append)
+    for step in steps:
+        assert len(set(step.resources)) == len(step.resources), label
+
+
+@pytest.mark.parametrize("name", COLLIDING + ("example",))
+def test_no_step_holds_equal_resources(name):
+    matrix = _matrix(BUILTINS[name]())
+    # Unpruned, mips-r3000 grows to 845 rows, and decoding every step's
+    # rows for the trace takes seconds; the pruned settings still merge.
+    settings = (1, 64) if name == "mips-r3000" else PRUNE_SETTINGS
+    for setting in settings:
+        _assert_rows_distinct(matrix, setting, name)
+
+
+@pytest.mark.parametrize("profile", FUZZ_PROFILES)
+def test_fuzz_steps_hold_distinct_resources(profile):
+    for seed in FUZZ_SEEDS:
+        matrix = _matrix(generate_machine(seed, PROFILES[profile]))
+        for setting in PRUNE_SETTINGS:
+            _assert_rows_distinct(matrix, setting, (profile, seed))
+
+
+def test_cydra5_textbook_path_matches_default(cydra_full):
+    """The textbook algorithm (no subset pruning) returns the default's
+    list; with equal rows collapsed it runs in seconds on Cydra 5."""
+    matrix = _matrix(cydra_full)
+    assert build_generating_set(matrix, None) == build_generating_set(matrix)
 
 
 class TestBudgetPartial:
@@ -147,3 +255,25 @@ class TestBudgetPartial:
         assert mine.units == theirs.units
         assert mine.progress == theirs.progress
         assert mine.partial == theirs.partial
+
+    def test_charges_distinct_rows(self):
+        """A checkpoint charges ``1 + distinct rows``: the stop falls at
+        the pair where that running sum, over the collapsed reference,
+        first exceeds the cap, with that step's rows as the partial.
+        (The reference charges its equal rows too and stops five pairs
+        earlier.)"""
+        cap = 2000
+        matrix = _matrix(mips_r3000())
+        steps = _pair_steps(_collapsed_reference(matrix))
+        charged, previous = 0, ()
+        for stop, step in enumerate(steps):
+            charged += 1 + len(previous)
+            if charged > cap:
+                break
+            previous = step.resources
+        with pytest.raises(BudgetExceeded) as info:
+            build_generating_set(matrix, budget=Budget(max_units=cap))
+        exc = info.value
+        assert exc.units == charged
+        assert exc.progress == "%d/%d pairs" % (stop, len(steps))
+        assert exc.partial == list(previous)
