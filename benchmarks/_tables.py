@@ -13,6 +13,7 @@ import json
 import os
 from typing import Dict, Optional, Sequence
 
+from repro.core.elementary import elementary_pairs
 from repro.stats.metrics import average_usages_per_op, average_word_usages
 from repro.stats.tables import render_reduction_table
 
@@ -87,11 +88,30 @@ def pin_values(data: Dict[str, Dict[str, float]]) -> Dict[str, float]:
     }
 
 
+def reduction_facts(reduction) -> Dict[str, int]:
+    """Steps 1-2 facts of a machine's res-uses ``Reduction``, keyed as
+    its ``paper_expected.json`` pins: operations, operation classes,
+    canonical forbidden latencies and the largest one (Step 1), then
+    elementary pairs and the sizes of the generating set and of its
+    pruned pool (Step 2).  Tables 1-4 pin them without printing them."""
+    matrix = reduction.matrix
+    return {
+        "step1.operations": len(matrix.operations),
+        "step1.classes": len(matrix.operation_classes()),
+        "step1.latencies": matrix.instance_count,
+        "step1.max_latency": matrix.max_latency,
+        "step2.pairs": len(elementary_pairs(matrix)),
+        "step2.generating_set": len(reduction.generating_set),
+        "step2.pruned_set": len(reduction.pruned_set),
+    }
+
+
 __all__ = [
     "BENCH_SCHEMA_NAME",
     "BENCH_SCHEMA_VERSION",
     "bench_document",
     "pin_values",
+    "reduction_facts",
     "reduction_table_data",
     "render_reduction_table",
     "write_bench_json",

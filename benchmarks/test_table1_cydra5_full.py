@@ -2,7 +2,12 @@
 for the original description and four reductions (res-uses; 1/2/4-cycle
 words, i.e. 32- and 64-bit packed bitvectors over 15-ish resources)."""
 
-from _tables import pin_values, reduction_table_data, render_reduction_table
+from _tables import (
+    pin_values,
+    reduction_facts,
+    reduction_table_data,
+    render_reduction_table,
+)
 
 from repro.core import matrices_equal, reduce_machine
 
@@ -38,4 +43,5 @@ def test_table1(benchmark, machines, cydra5_reductions, record, paper_pins):
         data=data,
         meta={"machine": machine.name, "word_cycles": [1, 2, 4]},
     )
-    paper_pins("table1_cydra5_full", pin_values(data))
+    facts = reduction_facts(cydra5_reductions["res-uses"])
+    paper_pins("table1_cydra5_full", {**pin_values(data), **facts})

@@ -1,7 +1,12 @@
 """Table 2 — Cydra 5 benchmark subset (the 12 operation classes the 1327
 loops use): original vs res-uses vs 1/3/7-cycle-word reductions."""
 
-from _tables import pin_values, reduction_table_data, render_reduction_table
+from _tables import (
+    pin_values,
+    reduction_facts,
+    reduction_table_data,
+    render_reduction_table,
+)
 
 from repro.core import matrices_equal, reduce_machine
 
@@ -33,4 +38,5 @@ def test_table2(benchmark, machines, subset_reductions, record, paper_pins):
         data=data,
         meta={"machine": machine.name, "word_cycles": [1, 3, 7]},
     )
-    paper_pins("table2_cydra5_subset", pin_values(data))
+    facts = reduction_facts(subset_reductions["res-uses"])
+    paper_pins("table2_cydra5_subset", {**pin_values(data), **facts})

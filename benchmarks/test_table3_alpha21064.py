@@ -1,7 +1,12 @@
 """Table 3 — DEC Alpha 21064: original vs res-uses vs 1/4/9-cycle-word
 reductions (9 cycles of 7 bits fit a 64-bit word)."""
 
-from _tables import pin_values, reduction_table_data, render_reduction_table
+from _tables import (
+    pin_values,
+    reduction_facts,
+    reduction_table_data,
+    render_reduction_table,
+)
 
 from repro.core import matrices_equal, reduce_machine
 
@@ -33,4 +38,5 @@ def test_table3(benchmark, machines, alpha_reductions, record, paper_pins):
         data=data,
         meta={"machine": machine.name, "word_cycles": [1, 4, 9]},
     )
-    paper_pins("table3_alpha21064", pin_values(data))
+    facts = reduction_facts(alpha_reductions["res-uses"])
+    paper_pins("table3_alpha21064", {**pin_values(data), **facts})

@@ -1,7 +1,12 @@
 """Table 4 — MIPS R3000/R3010: original vs res-uses vs 1/4/9-cycle-word
 reductions."""
 
-from _tables import pin_values, reduction_table_data, render_reduction_table
+from _tables import (
+    pin_values,
+    reduction_facts,
+    reduction_table_data,
+    render_reduction_table,
+)
 
 from repro.core import matrices_equal, reduce_machine
 
@@ -33,4 +38,5 @@ def test_table4(benchmark, machines, mips_reductions, record, paper_pins):
         data=data,
         meta={"machine": machine.name, "word_cycles": [1, 4, 9]},
     )
-    paper_pins("table4_mips", pin_values(data))
+    facts = reduction_facts(mips_reductions["res-uses"])
+    paper_pins("table4_mips", {**pin_values(data), **facts})

@@ -18,13 +18,16 @@ Theorem 1 (proved in the paper, re-checked by our test-suite) guarantees the
 final set (a) never forbids a latency the target machine allows and (b)
 contains every maximal resource of the target machine.
 
-Resources are packed usage masks, as in :mod:`repro.query.compiled`: bit
-``op_index * width + cycle`` is usage ``(op, cycle)``.  Every resource is a
-union of pairs ``{(X, 0), (Y, f)}`` and subsets of earlier resources, so
-``width`` (largest pair latency + 1) holds all its cycles.  Rule 1 is then
-``current & allowed == current``, where ``allowed`` is the AND of two
-memoized anchor masks.  Masks are decoded to ``frozenset`` resources only
-for the return value, traces and a budget's partial result.
+Resources are packed usage masks with one bit per usage that can appear
+in a row.  Every resource is a union of pairs ``{(X, 0), (Y, f)}`` and
+subsets of earlier resources, so its usages are among those the
+elementary pairs hold; with each operation's ``(op, 0)`` for Rule 4,
+these are numbered in sorted order and no other bit is ever set.
+Rule 1 is then ``current & allowed == current``, where ``allowed`` is
+the AND of two memoized anchor masks.  Masks are only ANDed, ORed,
+compared, popcounted and decoded, so the numbering cannot change the
+result.  They are decoded to ``frozenset`` resources only for the return
+value, traces and a budget's partial result.
 
 The generating set is a set, as in the paper: an insertion-ordered
 ``dict`` of masks rebuilt per pair, so a Rule-1 merge that lands on a
@@ -106,38 +109,45 @@ def build_generating_set(
     """
     worklist = elementary_pairs(matrix)
     operations = matrix.operations
-    width = 1 + max((max(c for _, c in pair) for pair in worklist), default=0)
-    base = {op: i * width for i, op in enumerate(operations)}
+    usages = sorted({usage for pair in worklist for usage in pair}
+                    | {(op, 0) for op in operations})
+    bits = {usage: 1 << index for index, usage in enumerate(usages)}
+    # Per operation, the (cycle, bit) of each of its numbered usages.
+    held: Dict[str, List[Tuple[int, int]]] = {op: [] for op in operations}
+    for (op, cycle), bit in bits.items():
+        held[op].append((cycle, bit))
     anchors: Dict[Usage, int] = {}
 
     def anchor(usage: Usage) -> int:
-        """Mask of every usage (B, b) compatible with usage (X, x), that
-        is with x - b in F[B][X] (bits are distinct, so sum is OR)."""
+        """Mask of every numbered usage (B, b) compatible with usage
+        (X, x), that is with x - b in F[B][X]."""
         if usage not in anchors:
             op_x, x = usage
-            anchors[usage] = sum(
-                1 << (base[op] + x - g)
-                for op in operations
-                for g in matrix.latencies(op, op_x)
-                if 0 <= x - g < width
-            )
+            mask = 0
+            for op in operations:
+                forbidden = matrix.latencies(op, op_x)
+                if forbidden:
+                    for cycle, bit in held[op]:
+                        if x - cycle in forbidden:
+                            mask |= bit
+            anchors[usage] = mask
         return anchors[usage]
 
     def decode(mask: Optional[int]) -> Optional[Resource]:
         if mask is None:
             return None
-        usages = []
+        found = []
         while mask:
             low = mask & -mask
-            bit = low.bit_length() - 1
-            usages.append((operations[bit // width], bit % width))
+            found.append(usages[low.bit_length() - 1])
             mask ^= low
-        return frozenset(usages)
+        return frozenset(found)
 
     masks: Dict[int, None] = {}  # the generating set, insertion-ordered
     tracer = obs.current()
     if tracer is not None:
         tracer.count("reduce.algorithm1.pairs", len(worklist))
+        tracer.count("reduce.algorithm1.usages", len(usages))
     for processed, pair in enumerate(worklist, start=1):
         if budget is not None:
             try:
@@ -150,7 +160,7 @@ def build_generating_set(
                 exc.partial = list(map(decode, masks))
                 raise
         u0, u1 = pair_usages(pair)
-        pair_mask = (1 << (base[u0[0]] + u0[1])) | (1 << (base[u1[0]] + u1[1]))
+        pair_mask = bits[u0] | bits[u1]
         allowed = anchor(u0) & anchor(u1)
         fired = []  # (rule, target, result) masks for the trace
         rows: Dict[int, None] = {}
@@ -209,9 +219,9 @@ def build_generating_set(
             if other != op
         ):
             continue
-        row = ((1 << width) - 1) << base[op]
-        if not any(mask & row for mask in masks):
-            masks[1 << base[op]] = None
+        lane = sum(bit for _, bit in held[op])  # distinct bits: sum is OR
+        if not any(mask & lane for mask in masks):
+            masks[bits[op, 0]] = None
             if tracer is not None:
                 tracer.count("reduce.algorithm1.rule4")
             if trace is not None:

@@ -12,6 +12,10 @@ against the reference's steps collapsed to their first occurrences
 ``reduce.algorithm1.*`` counters and the budget checkpoint with its
 partial result.  On machines without colliding merges (the Figure 3
 machines, cydra5-subset) the collapsed reference is the reference.
+
+The production masks number only the usages of the elementary pairs
+plus each operation's ``(op, 0)``; the reference's rows are checked to
+hold no other usage, step by step.
 """
 
 from collections import Counter
@@ -23,6 +27,7 @@ from repro.core import (
     build_generating_set,
     resource_is_valid,
 )
+from repro.core.elementary import elementary_pairs
 from repro.core.generating import TraceStep
 from repro.errors import BudgetExceeded
 from repro.fuzz.mdlgen import PROFILES, generate_machine
@@ -30,6 +35,7 @@ from repro.machines import (
     alpha21064,
     buffered_pu,
     clustered_vliw,
+    cydra5,
     cydra5_subset,
     dense_conflict_machine,
     example_machine,
@@ -69,6 +75,14 @@ FUZZ_SEEDS = range(40)
 
 def _matrix(machine):
     return ForbiddenLatencyMatrix.from_machine(machine)
+
+
+def _row_usages(matrix):
+    """The usages a row can hold: those of the elementary pairs, plus
+    each operation's ``(op, 0)`` for Rule 4."""
+    return {usage for pair in elementary_pairs(matrix) for usage in pair} | {
+        (op, 0) for op in matrix.operations
+    }
 
 
 def _assert_same(matrix, prune_subsets_every, label):
@@ -173,6 +187,7 @@ def test_counters_match_reference(name):
         if app.result is not None
     )
     expected["pairs"] = len(pair_steps)
+    expected["usages"] = len(_row_usages(matrix))
     previous = ()
     for processed, step in enumerate(pair_steps, start=1):
         if processed % 64 == 0:
@@ -194,6 +209,45 @@ def test_traces_match_collapsed_reference(name):
     # no-op and the test exercises the set semantics.
     raw = _trace(reference_generating_set, matrix)
     assert any(len(set(s.resources)) < len(s.resources) for s in raw)
+
+
+def _assert_rows_hold_pair_usages(matrix, label):
+    """Every row of every reference step uses only :func:`_row_usages`,
+    the bits ``build_generating_set`` numbers."""
+    allowed = _row_usages(matrix)
+    for step in _trace(reference_generating_set, matrix):
+        for resource in step.resources:
+            assert resource <= allowed, (label, step.pair, resource - allowed)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_reference_rows_hold_pair_usages(name):
+    _assert_rows_hold_pair_usages(_matrix(BUILTINS[name]()), name)
+
+
+@pytest.mark.parametrize("profile", FUZZ_PROFILES)
+def test_fuzz_reference_rows_hold_pair_usages(profile):
+    for seed in FUZZ_SEEDS:
+        matrix = _matrix(generate_machine(seed, PROFILES[profile]))
+        _assert_rows_hold_pair_usages(matrix, (profile, seed))
+
+
+#: Bits per row mask: the usages of the elementary pairs plus each
+#: operation's ``(op, 0)``.
+USAGE_BITS = {
+    "cydra5": (cydra5, 252),
+    "alpha21064": (alpha21064, 123),
+    "mips-r3000": (mips_r3000, 98),
+    "cydra5-subset": (cydra5_subset, 21),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_BITS))
+def test_usages_counter_is_mask_width(name):
+    factory, bits = USAGE_BITS[name]
+    with obs.tracing() as tracer:
+        build_generating_set(_matrix(factory()))
+    assert tracer.metrics.counters["reduce.algorithm1.usages"] == bits
 
 
 def _assert_rows_distinct(matrix, prune_subsets_every, label):
