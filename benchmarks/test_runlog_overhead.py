@@ -9,14 +9,12 @@ Two jobs:
   repo's <5% disabled-overhead guard (the same margin
   ``tests/test_obs_overhead.py`` enforces structurally).
 
-* **Trajectory seeding** — run the quick bench suite through the CLI
-  with ``--runlog`` live, persist the result as the repo-root headline
-  ``BENCH_runs.json`` (+ ``.sum.json`` checksum sidecar via the artifact
-  store), and record the registry's own view of the run alongside the
-  per-cell numbers under ``benchmarks/results/``.
+* **Trajectory seeding** — run the default bench matrix through the
+  CLI with ``--runlog`` live, check that its result round-trips through
+  the artifact store (+ ``.sum.json`` checksum sidecar), and record the
+  registry's own view of the run under ``benchmarks/results/``.
 """
 
-import json
 import os
 import time
 
@@ -35,8 +33,6 @@ REPEATS = 7
 #: fixed append cost over an invocation-sized batch of work — the shape
 #: ``repro schedule`` actually has.
 LOOPS_PER_RUN = 150
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-HEADLINE = os.path.join(REPO_ROOT, "BENCH_runs.json")
 
 
 def _best_of(run):
@@ -125,22 +121,22 @@ def test_runlog_and_sampler_overhead(tmp_path, record):
 
 
 def test_headline_runs_trajectory(tmp_path, record, capsys):
-    """Seed the repo-root bench trajectory from a runlog-driven run."""
+    """Seed the bench trajectory from a runlog-driven run."""
     runlog = tmp_path / "runs"
+    output = str(tmp_path / "bench.json")
     assert main([
-        "bench", "run", "--quick",
-        "--output", HEADLINE,
+        "bench", "run",
+        "--output", output,
         "--runlog", str(runlog),
     ]) == 0
     capsys.readouterr()  # the rendered result table
 
-    # The artifact store wrote the headline plus its checksum sidecar,
+    # The artifact store wrote the result plus its checksum sidecar,
     # and it loads back through the bench comparator's entry point.
     from repro.bench import load_result
 
-    assert os.path.exists(HEADLINE)
-    assert os.path.exists(HEADLINE + ".sum.json")
-    result = load_result(HEADLINE)
+    assert os.path.exists(output + ".sum.json")
+    result = load_result(output)
     assert result.cases
 
     # The same invocation landed in the registry with the summed work.
@@ -151,15 +147,12 @@ def test_headline_runs_trajectory(tmp_path, record, capsys):
     assert not bench_record.corrupt
     assert bench_record.units().get("check", 0) > 0
 
-    sidecar = json.load(open(HEADLINE + ".sum.json"))
     text = (
         "headline runs trajectory\n"
-        "  wrote %s (%d cases, sha256 %s)\n"
+        "  bench run: %d cases\n"
         "  registry record: command=%s outcome=%s check-units=%d\n"
         % (
-            os.path.relpath(HEADLINE, REPO_ROOT),
             len(result.cases),
-            sidecar["sha256"][:12],
             bench_record.command,
             bench_record.outcome,
             int(bench_record.units().get("check", 0)),
@@ -168,11 +161,10 @@ def test_headline_runs_trajectory(tmp_path, record, capsys):
     record(
         "runs_trajectory", text,
         data={
-            "headline": os.path.relpath(HEADLINE, REPO_ROOT),
             "cases": sorted(result.cases),
             "registry": bench_record.data,
         },
-        meta={"quick": True},
+        meta={"loops": result.config["loops"]},
     )
     assert os.path.exists(
         os.path.join(RESULTS_DIR, "BENCH_runs_trajectory.json")

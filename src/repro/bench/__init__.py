@@ -1,14 +1,12 @@
 """The benchmark observatory (``repro.bench``).
 
-Layered on :mod:`repro.obs`, this package turns single profiling
-snapshots into a *perf trajectory*: schema-versioned result documents
-(``repro-bench-result`` v1) recording deterministic work-unit counts,
-robust wall-time statistics, per-phase span attribution, and schedule
-quality per run; a noise-immune comparator (deterministic metrics gate
-hard, wall time only when bootstrap intervals disagree); and
-differential profiling that explains *where* a regression landed.
-Driven by ``repro bench run | compare | report`` — see
-``docs/benchmarking.md``.
+Layered on :mod:`repro.obs`, this package is the deterministic work
+gate: schema-versioned result documents (``repro-bench-result`` v1)
+recording, per machine × query-representation case, the work counters
+and schedule quality of one traced pass, and an exact comparator that
+``repro runs diff`` shares.  Wall time is measured by the untraced
+``benchmarks/e2e`` harness, not here.  Driven by ``repro bench run |
+compare | report`` — see ``docs/benchmarking.md``.
 
 Like :mod:`repro.obs`, the package root stays clear of the scheduler
 stack: the runner (which executes the full reduce + schedule pipeline)
@@ -21,19 +19,11 @@ from repro.bench.compare import (
     MISSING_NEW,
     NEUTRAL,
     REGRESSION,
-    CompareConfig,
     Comparison,
     MetricDelta,
     compare_metric_maps,
     compare_results,
     ensure_comparable,
-)
-from repro.bench.diffprof import (
-    CounterDelta,
-    PhaseDelta,
-    diff_case,
-    diff_profiles,
-    render_diff_text,
 )
 from repro.bench.report import render_comparison_text, render_result_text
 from repro.bench.result import (
@@ -46,14 +36,6 @@ from repro.bench.result import (
     load_result,
     save_result,
 )
-from repro.bench.stats import (
-    bootstrap_ci,
-    interval_of,
-    intervals_overlap,
-    mad,
-    median,
-    summarize,
-)
 
 __all__ = [
     "IMPROVEMENT",
@@ -65,27 +47,15 @@ __all__ = [
     "RESULT_SCHEMA_VERSION",
     "BenchCase",
     "BenchResult",
-    "CompareConfig",
     "Comparison",
-    "CounterDelta",
     "MetricDelta",
-    "PhaseDelta",
-    "bootstrap_ci",
     "compare_metric_maps",
     "compare_results",
     "default_meta",
-    "diff_case",
-    "diff_profiles",
     "ensure_comparable",
     "git_sha",
-    "interval_of",
-    "intervals_overlap",
     "load_result",
-    "mad",
-    "median",
     "render_comparison_text",
-    "render_diff_text",
     "render_result_text",
     "save_result",
-    "summarize",
 ]

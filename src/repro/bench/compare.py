@@ -1,21 +1,16 @@
-"""The regression comparator: classify metric pairs, gate deterministically.
+"""The regression comparator: an exact gate on deterministic metrics.
 
-Two classes of metric, two gating policies:
+Every compared metric is deterministic — work counters (usages touched,
+rules fired, decisions made) and schedule quality — so the same commit
+and configuration reproduce it exactly and there is no noise to be
+immune to.  The gate is therefore exact:
 
-* **Deterministic metrics** (work units, query calls, rule firings,
-  schedule quality) gate *hard*: any increase beyond the configured
-  ratio is a regression, full stop.  They are bit-identical across runs
-  on the same commit, so there is no noise to be immune to — a 2% work
-  increase is a real 2% work increase.
-* **Wall-time metrics** gate *statistically*: a difference only counts
-  when the two runs' bootstrap confidence intervals do not overlap, and
-  even then wall time only fails the build when gating is explicitly
-  enabled (``gate_wall=True``).  CI compares a checked-in baseline from
-  different hardware, so its gate is the deterministic one; wall-time
-  verdicts are reported for humans.
+* a rise in a work counter or in ``ii_total``, or a fall in
+  ``loops_at_mii``, is a gated regression;
+* a move the other way is a reported improvement;
+* a metric present on only one side is reported and never gated.
 
-Directionality: for most metrics smaller is better; ``loops_at_mii`` is
-better bigger.  ``mii_total`` is a property of the workload, not the
+``loops`` and ``mii_total`` are properties of the workload, not of the
 implementation — a change there means the two runs measured different
 things, which marks the case incomparable rather than regressed.
 """
@@ -26,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.bench.result import BenchResult
-from repro.bench.stats import interval_of, intervals_overlap
 from repro.errors import BenchFormatError
 
 IMPROVEMENT = "improvement"
@@ -39,24 +33,14 @@ MISSING_NEW = "missing-new"
 #: metrics — they must match exactly for a comparison to mean anything.
 _WORKLOAD_KEYS = ("loops", "mii_total")
 
-#: Quality metrics where bigger is better.
-_BIGGER_IS_BETTER = ("loops_at_mii",)
+#: Gated quality metrics, each with whether bigger is better.
+_QUALITY_METRICS = (("ii_total", False), ("loops_at_mii", True))
 
-
-@dataclass
-class CompareConfig:
-    """Gating policy knobs (defaults documented in docs/benchmarking.md)."""
-
-    #: Deterministic work counters fail when ``new > base * work_ratio``.
-    work_ratio: float = 1.01
-    #: Schedule-quality counters use the same hard-gate ratio.
-    quality_ratio: float = 1.0
-    #: Let wall-time regressions fail the build (off for CI: the
-    #: baseline's hardware is not the runner's hardware).
-    gate_wall: bool = False
-    #: Ignore work counters below this many units — ratio gating on
-    #: near-zero counters turns one extra event into a "regression".
-    min_units: float = 16.0
+#: Work counters the runner copies into ``quality``; compared there, once.
+_QUALITY_COUNTERS = frozenset(
+    "profile." + key
+    for key in ("loops", "loops_at_mii", "ii_total", "mii_total")
+)
 
 
 @dataclass
@@ -65,7 +49,7 @@ class MetricDelta:
 
     case: str
     metric: str
-    kind: str  # "work" | "quality" | "wall"
+    kind: str  # "work" | "quality"
     base: Optional[float]
     new: Optional[float]
     classification: str
@@ -96,9 +80,8 @@ class MetricDelta:
 class Comparison:
     """The full verdict of one baseline-vs-candidate comparison."""
 
-    base_meta: Dict[str, object]
-    new_meta: Dict[str, object]
-    config: CompareConfig
+    base_meta: Dict[str, object] = field(default_factory=dict)
+    new_meta: Dict[str, object] = field(default_factory=dict)
     deltas: List[MetricDelta] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
@@ -127,201 +110,100 @@ class Comparison:
             "ok": self.ok,
             "base_meta": dict(self.base_meta),
             "new_meta": dict(self.new_meta),
-            "policy": {
-                "work_ratio": self.config.work_ratio,
-                "quality_ratio": self.config.quality_ratio,
-                "gate_wall": self.config.gate_wall,
-                "min_units": self.config.min_units,
-            },
             "notes": list(self.notes),
             "regressions": [d.to_dict() for d in self.regressions],
             "deltas": [d.to_dict() for d in self.deltas],
         }
 
 
-def _classify_ratio(
-    base: float, new: float, ratio: float, bigger_is_better: bool = False
-) -> str:
-    if bigger_is_better:
-        base, new = new, base
-    if new > base * ratio:
-        return REGRESSION
-    if base > new * ratio:
-        return IMPROVEMENT
-    return NEUTRAL
-
-
-def _compare_work(
-    case_key: str,
-    base_work: Dict[str, float],
-    new_work: Dict[str, float],
-    skip: frozenset,
-    config: CompareConfig,
-    deltas: List[MetricDelta],
-) -> None:
-    for metric in sorted(set(base_work) | set(new_work)):
-        if metric in skip:
-            continue
-        base_value = base_work.get(metric)
-        new_value = new_work.get(metric)
-        if base_value is None or new_value is None:
-            deltas.append(
-                MetricDelta(
-                    case_key, metric, "work", base_value, new_value,
-                    MISSING_BASE if base_value is None else MISSING_NEW,
-                    note="only present on one side; not gated",
-                )
-            )
-            continue
-        if max(base_value, new_value) < config.min_units:
-            deltas.append(
-                MetricDelta(
-                    case_key, metric, "work", base_value, new_value,
-                    NEUTRAL,
-                    note="below min_units=%g; not gated" % config.min_units,
-                )
-            )
-            continue
-        classification = _classify_ratio(
-            base_value, new_value, config.work_ratio
-        )
-        deltas.append(
-            MetricDelta(
-                case_key, metric, "work", base_value, new_value,
-                classification, gated=True,
-            )
-        )
-
-
-def _compare_quality(
-    case_key: str,
-    base_quality: Dict[str, float],
-    new_quality: Dict[str, float],
-    config: CompareConfig,
-    deltas: List[MetricDelta],
-    notes: List[str],
-) -> bool:
-    """Compare quality metrics; returns False when the case is
-    incomparable (workload mismatch)."""
-    for key in _WORKLOAD_KEYS:
-        if base_quality.get(key) != new_quality.get(key):
-            notes.append(
-                "%s: workload mismatch (%s: base=%s new=%s) — case not"
-                " compared" % (
-                    case_key, key,
-                    base_quality.get(key), new_quality.get(key),
-                )
-            )
-            return False
-    for metric in ("ii_total", "loops_at_mii"):
-        base_value = base_quality.get(metric)
-        new_value = new_quality.get(metric)
-        if base_value is None or new_value is None:
-            deltas.append(
-                MetricDelta(
-                    case_key, "quality." + metric, "quality",
-                    base_value, new_value,
-                    MISSING_BASE if base_value is None else MISSING_NEW,
-                    note="only present on one side; not gated",
-                )
-            )
-            continue
-        classification = _classify_ratio(
-            base_value,
-            new_value,
-            config.quality_ratio,
-            bigger_is_better=metric in _BIGGER_IS_BETTER,
-        )
-        deltas.append(
-            MetricDelta(
-                case_key, "quality." + metric, "quality",
-                base_value, new_value, classification, gated=True,
-            )
-        )
-    return True
-
-
-def _compare_wall(
+def _delta(
     case_key: str,
     metric: str,
-    base_wall: Dict[str, object],
-    new_wall: Dict[str, object],
-    config: CompareConfig,
-    deltas: List[MetricDelta],
-) -> None:
-    base_median = base_wall.get("median")
-    new_median = new_wall.get("median")
-    if base_median is None or new_median is None:
-        deltas.append(
-            MetricDelta(
-                case_key, metric, "wall", base_median, new_median,
-                MISSING_BASE if base_median is None else MISSING_NEW,
-                note="only present on one side; not gated",
-            )
+    kind: str,
+    base: Optional[float],
+    new: Optional[float],
+    bigger_is_better: bool = False,
+) -> MetricDelta:
+    if base is None or new is None:
+        return MetricDelta(
+            case_key, metric, kind, base, new,
+            MISSING_BASE if base is None else MISSING_NEW,
+            note="only present on one side; not gated",
         )
-        return
-    base_n = int(base_wall.get("n") or 0)
-    new_n = int(new_wall.get("n") or 0)
-    if base_n < 2 or new_n < 2:
-        deltas.append(
-            MetricDelta(
-                case_key, metric, "wall", base_median, new_median,
-                NEUTRAL,
-                note="single-repetition run: no interval, not classified",
-            )
-        )
-        return
-    base_interval = interval_of(base_wall)
-    new_interval = interval_of(new_wall)
-    if base_interval is None or new_interval is None:
-        deltas.append(
-            MetricDelta(
-                case_key, metric, "wall", base_median, new_median,
-                NEUTRAL, note="no confidence interval recorded",
-            )
-        )
-        return
-    if intervals_overlap(base_interval, new_interval):
+    if new == base:
         classification = NEUTRAL
-        note = "bootstrap intervals overlap"
-    elif new_median > base_median:
+    elif (new < base) == bigger_is_better:
         classification = REGRESSION
-        note = "bootstrap intervals disjoint"
     else:
         classification = IMPROVEMENT
-        note = "bootstrap intervals disjoint"
-    deltas.append(
-        MetricDelta(
-            case_key, metric, "wall", base_median, new_median,
-            classification, gated=config.gate_wall, note=note,
-        )
+    return MetricDelta(
+        case_key, metric, kind, base, new, classification, gated=True
     )
 
 
-def compare_results(
-    base: BenchResult,
-    new: BenchResult,
-    config: Optional[CompareConfig] = None,
+def compare_metric_maps(
+    case_key: str,
+    base_work: Dict[str, float],
+    new_work: Dict[str, float],
+    base_quality: Optional[Dict[str, float]] = None,
+    new_quality: Optional[Dict[str, float]] = None,
 ) -> Comparison:
-    """Compare a candidate run against a baseline run.
+    """Compare one case's work and quality maps under the exact gate.
+
+    :func:`compare_results` applies this to every case two bench results
+    share, and ``repro runs diff`` to two runlog records, so a registry
+    diff and a bench comparison run one code path.  A workload-property
+    mismatch (``loops``, ``mii_total``) marks the case incomparable and
+    compares nothing else.
+    """
+    comparison = Comparison()
+    base_quality = base_quality or {}
+    new_quality = new_quality or {}
+    if base_quality or new_quality:
+        for key in _WORKLOAD_KEYS:
+            if base_quality.get(key) != new_quality.get(key):
+                comparison.notes.append(
+                    "%s: workload mismatch (%s: base=%s new=%s) — case"
+                    " not compared" % (
+                        case_key, key,
+                        base_quality.get(key), new_quality.get(key),
+                    )
+                )
+                return comparison
+        for metric, bigger_is_better in _QUALITY_METRICS:
+            comparison.deltas.append(
+                _delta(
+                    case_key, "quality." + metric, "quality",
+                    base_quality.get(metric), new_quality.get(metric),
+                    bigger_is_better,
+                )
+            )
+    for metric in sorted(set(base_work) | set(new_work)):
+        if metric not in _QUALITY_COUNTERS:
+            comparison.deltas.append(
+                _delta(
+                    case_key, metric, "work",
+                    base_work.get(metric), new_work.get(metric),
+                )
+            )
+    return comparison
+
+
+def compare_results(base: BenchResult, new: BenchResult) -> Comparison:
+    """Compare a candidate run against a baseline run, case by case.
 
     Both results must carry the current schema (loading already enforced
     that); differing *configurations* degrade gracefully — cases present
     on only one side are noted, never gated.
     """
-    if config is None:
-        config = CompareConfig()
     comparison = Comparison(
-        base_meta=dict(base.meta),
-        new_meta=dict(new.meta),
-        config=config,
+        base_meta=dict(base.meta), new_meta=dict(new.meta)
     )
     if base.config != new.config:
         comparison.notes.append(
             "run configurations differ (base=%r new=%r): only matching"
             " cases are compared" % (base.config, new.config)
         )
-
     for case_key in sorted(set(base.cases) | set(new.cases)):
         base_case = base.cases.get(case_key)
         new_case = new.cases.get(case_key)
@@ -331,85 +213,12 @@ def compare_results(
                 % (case_key, "candidate" if base_case is None else "base")
             )
             continue
-        if not _compare_quality(
-            case_key, base_case.quality, new_case.quality,
-            config, comparison.deltas, comparison.notes,
-        ):
-            continue
-        # Counters that drifted between repetitions on either side are
-        # unreliable on both; quality counters are compared separately.
-        skip = frozenset(
-            base_case.nondeterministic
-        ) | frozenset(new_case.nondeterministic) | frozenset(
-            "profile." + key for key in (
-                "loops", "loops_at_mii", "ii_total", "mii_total",
-            )
+        case = compare_metric_maps(
+            case_key, base_case.work, new_case.work,
+            base_case.quality, new_case.quality,
         )
-        _compare_work(
-            case_key, base_case.work, new_case.work, skip,
-            config, comparison.deltas,
-        )
-        _compare_wall(
-            case_key, "wall", base_case.wall, new_case.wall,
-            config, comparison.deltas,
-        )
-        for phase in sorted(
-            set(base_case.phases) & set(new_case.phases)
-        ):
-            _compare_wall(
-                case_key,
-                "phase." + phase,
-                base_case.phases[phase].get("total") or {},
-                new_case.phases[phase].get("total") or {},
-                # Phase times inform the differential profile; they
-                # never gate on their own (the whole-run wall does).
-                CompareConfig(
-                    work_ratio=config.work_ratio,
-                    quality_ratio=config.quality_ratio,
-                    gate_wall=False,
-                    min_units=config.min_units,
-                ),
-                comparison.deltas,
-            )
-    return comparison
-
-
-def compare_metric_maps(
-    case_key: str,
-    base_work: Dict[str, float],
-    new_work: Dict[str, float],
-    base_quality: Optional[Dict[str, float]] = None,
-    new_quality: Optional[Dict[str, float]] = None,
-    config: Optional[CompareConfig] = None,
-    skip: frozenset = frozenset(),
-) -> Comparison:
-    """Compare bare work/quality metric maps under the bench policy.
-
-    The reuse surface for callers that have metric dictionaries but no
-    :class:`~repro.bench.result.BenchResult` envelope — ``repro runs
-    diff`` feeds two runlog records through this so a registry diff and
-    a bench comparison always agree on what gates.  Semantics are
-    identical to :func:`compare_results`: deterministic work counters
-    hard-gate at ``work_ratio`` above the ``min_units`` floor, quality
-    gates at ``quality_ratio`` with ``loops_at_mii`` bigger-is-better, a
-    workload-property mismatch marks the case incomparable, and metrics
-    present on only one side are noted but never gated.
-    """
-    if config is None:
-        config = CompareConfig()
-    comparison = Comparison(base_meta={}, new_meta={}, config=config)
-    base_quality = base_quality or {}
-    new_quality = new_quality or {}
-    comparable = True
-    if base_quality or new_quality:
-        comparable = _compare_quality(
-            case_key, base_quality, new_quality,
-            config, comparison.deltas, comparison.notes,
-        )
-    if comparable:
-        _compare_work(
-            case_key, base_work, new_work, skip, config, comparison.deltas
-        )
+        comparison.deltas.extend(case.deltas)
+        comparison.notes.extend(case.notes)
     return comparison
 
 
@@ -432,7 +241,6 @@ __all__ = [
     "MISSING_NEW",
     "NEUTRAL",
     "REGRESSION",
-    "CompareConfig",
     "Comparison",
     "MetricDelta",
     "compare_metric_maps",

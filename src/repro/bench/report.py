@@ -6,10 +6,9 @@ human-facing views printed by ``repro bench run | compare | report``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.bench.compare import Comparison, MetricDelta
-from repro.bench.diffprof import diff_profiles, render_diff_text
 from repro.bench.result import BenchResult
 
 
@@ -25,87 +24,39 @@ def _meta_line(result: BenchResult) -> str:
 
 
 def render_result_text(result: BenchResult) -> str:
-    """One run: per-case wall/work/quality table plus top phases."""
+    """One run: per-case work units and schedule quality."""
     lines: List[str] = []
     lines.append("benchmark run  %s" % _meta_line(result))
     config = result.config
     lines.append(
-        "config: loops=%s repetitions=%s reduced=%s%s"
-        % (
-            config.get("loops"),
-            config.get("repetitions"),
-            config.get("schedule_reduced"),
-            "  (quick)" if config.get("quick") else "",
-        )
+        "config: loops=%s reduced=%s"
+        % (config.get("loops"), config.get("schedule_reduced"))
     )
     lines.append("")
     lines.append(
-        "  %-28s %12s %10s %14s %10s %8s"
-        % ("case", "wall median", "±MAD", "95% CI", "units", "at MII")
+        "  %-28s %12s %8s %10s" % ("case", "query units", "at MII", "II/MII")
     )
     for key in sorted(result.cases):
         case = result.cases[key]
-        wall = case.wall
         units = sum(
             value for name, value in case.work.items()
             if name.startswith("query.") and name.endswith(".units")
         )
         quality = case.quality
-        at_mii = "%d/%d" % (
-            quality.get("loops_at_mii", 0), quality.get("loops", 0),
-        )
         lines.append(
-            "  %-28s %10.2fms %8.2fms [%5.1f,%5.1f]ms %10d %8s"
+            "  %-28s %12d %8s %10s"
             % (
                 key,
-                float(wall.get("median", 0.0)) * 1e3,
-                float(wall.get("mad", 0.0)) * 1e3,
-                float(wall.get("ci_low", 0.0)) * 1e3,
-                float(wall.get("ci_high", 0.0)) * 1e3,
                 units,
-                at_mii,
+                "%d/%d" % (
+                    quality.get("loops_at_mii", 0), quality.get("loops", 0)
+                ),
+                "%d/%d" % (
+                    quality.get("ii_total", 0), quality.get("mii_total", 0)
+                ),
             )
         )
-        if case.nondeterministic:
-            lines.append(
-                "    WARNING nondeterministic counters: %s"
-                % ", ".join(case.nondeterministic)
-            )
-    lines.append("")
-    for key in sorted(result.cases):
-        case = result.cases[key]
-        if not case.phases:
-            continue
-        lines.append("  phases — %s" % key)
-        lines.append(
-            "    %-36s %8s %12s %12s"
-            % ("span", "count", "median ms", "self ms")
-        )
-        by_median = sorted(
-            case.phases.items(),
-            key=lambda item: -float(
-                (item[1].get("total") or {}).get("median", 0.0)
-            ),
-        )
-        for name, entry in by_median:
-            total = entry.get("total") or {}
-            self_summary = entry.get("self") or {}
-            self_ms = (
-                "%12.3f" % (float(self_summary["median"]) * 1e3)
-                if self_summary.get("median") is not None
-                else "%12s" % "-"
-            )
-            lines.append(
-                "    %-36s %8d %12.3f %s"
-                % (
-                    name,
-                    int(entry.get("count", 0)),
-                    float(total.get("median", 0.0)) * 1e3,
-                    self_ms,
-                )
-            )
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _delta_line(delta: MetricDelta) -> str:
@@ -124,16 +75,11 @@ def _delta_line(delta: MetricDelta) -> str:
 
 
 def render_comparison_text(
-    comparison: Comparison,
-    base: Optional[BenchResult] = None,
-    new: Optional[BenchResult] = None,
-    top: int = 5,
-    verbose: bool = False,
+    comparison: Comparison, verbose: bool = False
 ) -> str:
     """The comparison verdict: gate result, then the interesting deltas.
 
-    With both results in hand the differential profile is appended; a
-    verbose render also lists every neutral delta.
+    A verbose render also lists every neutral and one-sided delta.
     """
     lines: List[str] = []
     lines.append(
@@ -146,11 +92,6 @@ def render_comparison_text(
             len(comparison.deltas),
         )
     )
-    policy = comparison.config
-    lines.append(
-        "policy: work-ratio=%.3f quality-ratio=%.3f wall-gate=%s"
-        % (policy.work_ratio, policy.quality_ratio, policy.gate_wall)
-    )
     for note in comparison.notes:
         lines.append("note: %s" % note)
     lines.append("")
@@ -159,15 +100,6 @@ def render_comparison_text(
     if regressions:
         lines.append("gated regressions")
         for delta in regressions:
-            lines.append(_delta_line(delta))
-        lines.append("")
-    ungated = [
-        d for d in comparison.deltas
-        if d.classification == "regression" and not d.gated
-    ]
-    if ungated:
-        lines.append("ungated regressions (reported, not failing)")
-        for delta in ungated:
             lines.append(_delta_line(delta))
         lines.append("")
     if comparison.improvements:
@@ -185,9 +117,6 @@ def render_comparison_text(
             for delta in neutral:
                 lines.append(_delta_line(delta))
             lines.append("")
-
-    if base is not None and new is not None:
-        lines.append(render_diff_text(diff_profiles(base, new, top=top)))
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -5,16 +5,13 @@ per ``machine/representation`` case:
 
 * **work** — deterministic work-unit and event counters (the
   :class:`~repro.query.work.WorkCounters` currency plus Algorithm 1 rule
-  firings, scheduling decisions, ...).  Bit-identical across repeated
-  runs on the same commit; any drift is recorded per case under
-  ``nondeterministic`` and excluded from gating.
-* **wall** — robust wall-time statistics over N repetitions (median,
-  MAD, seeded bootstrap confidence interval; see
-  :mod:`repro.bench.stats`).
-* **phases** — per-span inclusive and exclusive (self) time summaries,
-  the input to differential profiling.
+  firings, scheduling decisions, ...), exact on the same commit.
 * **quality** — schedule quality: loops at MII, total achieved II vs the
   total MII lower bound.
+
+Documents written before the runner took one pass per case also carry
+``wall``, ``phases`` and ``nondeterministic`` per case; the reader
+ignores them, so those documents still load and compare.
 
 Results round-trip through the crash-safe artifact store
 (:mod:`repro.resilience.artifacts`): atomic writes plus a SHA-256
@@ -29,7 +26,7 @@ import os
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import BenchFormatError
 from repro.resilience import artifacts
@@ -64,17 +61,9 @@ class BenchCase:
     #: Deterministic counters: ``query.<fn>.units``, ``query.<fn>.calls``,
     #: Algorithm 1 rules, scheduling decisions, ...
     work: Dict[str, float] = field(default_factory=dict)
-    #: :func:`repro.bench.stats.summarize` of the per-repetition wall times.
-    wall: Dict[str, object] = field(default_factory=dict)
-    #: Per-span-name summaries: ``{"total": summarize(...),
-    #: "self": summarize(...), "count": calls-per-repetition}``.
-    phases: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: ``loops`` / ``loops_at_mii`` / ``ii_total`` / ``mii_total`` /
     #: ``mii_gap``.
     quality: Dict[str, float] = field(default_factory=dict)
-    #: Work counters that disagreed between repetitions (excluded from
-    #: gating; non-empty values indicate a determinism bug worth chasing).
-    nondeterministic: List[str] = field(default_factory=list)
 
     @property
     def key(self) -> str:
@@ -85,10 +74,7 @@ class BenchCase:
             "machine": self.machine,
             "representation": self.representation,
             "work": dict(sorted(self.work.items())),
-            "wall": self.wall,
-            "phases": {k: self.phases[k] for k in sorted(self.phases)},
             "quality": dict(sorted(self.quality.items())),
-            "nondeterministic": sorted(self.nondeterministic),
         }
 
     @classmethod
@@ -102,10 +88,7 @@ class BenchCase:
             machine=str(data.get("machine", "?")),
             representation=str(data.get("representation", "?")),
             work=dict(data.get("work") or {}),
-            wall=dict(data.get("wall") or {}),
-            phases=dict(data.get("phases") or {}),
             quality=dict(data.get("quality") or {}),
-            nondeterministic=list(data.get("nondeterministic") or []),
         )
 
 

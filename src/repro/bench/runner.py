@@ -1,22 +1,22 @@
 """The benchmark runner: the machine × query-representation matrix.
 
 Each case runs the paper's full pipeline (reduce, then modulo-schedule a
-loop workload) ``repetitions`` times under a fresh tracer, via
+loop workload) once under a fresh tracer, via
 :func:`repro.obs.profile.profile_machine` — the same code path as
-``repro profile``, so the observatory measures exactly what the profiler
-shows.  Per repetition it collects:
+``repro profile``.  It keeps what the pass counted and never what it
+timed:
 
-* the wall time of the whole pipeline plus per-phase inclusive and
-  exclusive (self) span times;
 * every deterministic counter (work units, query calls, Algorithm 1 rule
-  firings, scheduling decisions, IMS events) — these must be
-  bit-identical across repetitions, and any counter that is not is
-  recorded under the case's ``nondeterministic`` list and excluded from
-  gating;
+  firings, scheduling decisions, IMS events);
 * schedule quality (loops at MII, total achieved II vs total MII).
 
-A :class:`~repro.resilience.budget.Budget` can bound the whole run: the runner
-checkpoints after every repetition, charging the repetition's query work
+Counters count algorithmic events, so the same commit and configuration
+reproduce them exactly and one pass per case is the whole measurement.
+Wall time belongs to the untraced ``benchmarks/e2e`` harness: a traced
+pass times the observed query subclasses, not the shipped ones.
+
+A :class:`~repro.resilience.budget.Budget` can bound the whole run: the
+runner checkpoints after every case, charging the case's query work
 units in the shared WorkCounters currency, so ``--deadline`` /
 ``--max-units`` behave exactly as they do for ``repro reduce``.
 
@@ -26,53 +26,50 @@ it is intentionally not imported from ``repro.bench.__init__``.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.bench.result import BenchCase, BenchResult, default_meta
-from repro.bench.stats import summarize
-from repro.obs.export import exclusive_times
 from repro.obs.profile import profile_machine
 from repro.obs.trace import Tracer
 from repro.query.modulo import REPRESENTATIONS
 
-#: The default matrix: both study-scale machines, all representations.
-DEFAULT_MACHINES = ("example", "cydra5-subset")
+#: The default matrix: the paper's worked example and two real-size
+#: study machines, under every representation.
+DEFAULT_MACHINES = ("example", "cydra5-subset", "alpha21064")
 DEFAULT_REPRESENTATIONS = REPRESENTATIONS
-DEFAULT_LOOPS = 8
-DEFAULT_REPETITIONS = 5
-
-#: The CI configuration (``repro bench run --quick``): single machine,
-#: all representations, enough repetitions for a bootstrap interval.
-QUICK_MACHINES = ("example",)
-QUICK_LOOPS = 4
-QUICK_REPETITIONS = 3
+DEFAULT_LOOPS = 64
 
 
 def deterministic_work(tracer: Tracer) -> Dict[str, float]:
-    """The deterministic counters of one traced repetition.
+    """The deterministic counters of one traced pass.
 
     Counters count algorithmic events (usages touched, rules fired,
     decisions made), never time, so every one of them must reproduce
     exactly on the same commit and configuration.  Query call counts are
     lifted out of the timers (``query.<fn>.calls``) because call counts
-    are deterministic even though the attached durations are not.
+    are deterministic even though the attached durations are not.  Only
+    a query function's timer is lifted — one with a ``query.<fn>.units``
+    counter beside it.  Other ``query.*`` spans, such as the compiled
+    plane's ``query.kernel.compile``, fire only on a cold cache, so
+    their counts depend on what the process ran before.
     """
-    work: Dict[str, float] = dict(tracer.metrics.counters)
+    counters = tracer.metrics.counters
+    work: Dict[str, float] = dict(counters)
     for name, timer in tracer.metrics.timers.items():
-        if name.startswith("query."):
+        if name.startswith("query.") and name + ".units" in counters:
             work[name + ".calls"] = timer.count
     return work
 
 
-def _run_repetition(
+def run_case(
     machine,
     representation: str,
     loops: int,
-    schedule_reduced: bool,
-) -> Tuple[float, Tracer]:
+    schedule_reduced: bool = False,
+    budget=None,
+) -> BenchCase:
+    """Run one ``machine/representation`` cell of the matrix."""
     tracer = Tracer()
-    start = perf_counter()
     profile_machine(
         machine,
         loops=loops,
@@ -80,97 +77,28 @@ def _run_repetition(
         schedule_reduced=schedule_reduced,
         tracer=tracer,
     )
-    return perf_counter() - start, tracer
-
-
-def run_case(
-    machine,
-    representation: str,
-    loops: int,
-    repetitions: int,
-    schedule_reduced: bool = False,
-    budget=None,
-) -> BenchCase:
-    """Run one ``machine/representation`` cell of the matrix."""
-    wall_samples: List[float] = []
-    phase_total_samples: Dict[str, List[float]] = {}
-    phase_self_samples: Dict[str, List[float]] = {}
-    phase_counts: Dict[str, int] = {}
-    work: Optional[Dict[str, float]] = None
-    nondeterministic: List[str] = []
-    quality: Dict[str, float] = {}
-
-    for _rep in range(repetitions):
-        wall_s, tracer = _run_repetition(
-            machine, representation, loops, schedule_reduced
+    work = deterministic_work(tracer)
+    if budget is not None:
+        budget.checkpoint(
+            "bench:%s/%s" % (machine.name, representation),
+            units=int(
+                sum(
+                    value
+                    for name, value in work.items()
+                    if name.startswith("query.") and name.endswith(".units")
+                )
+            ),
         )
-        wall_samples.append(wall_s)
-
-        for name, timer in tracer.metrics.timers.items():
-            if name.startswith("query."):
-                continue
-            phase_total_samples.setdefault(name, []).append(timer.total)
-            phase_counts[name] = timer.count
-        for name, self_s in exclusive_times(tracer).items():
-            if name.startswith("query."):
-                continue
-            phase_self_samples.setdefault(name, []).append(self_s)
-
-        rep_work = deterministic_work(tracer)
-        if work is None:
-            work = rep_work
-        elif rep_work != work:
-            drifted = sorted(
-                name
-                for name in set(work) | set(rep_work)
-                if work.get(name) != rep_work.get(name)
-            )
-            for name in drifted:
-                if name not in nondeterministic:
-                    nondeterministic.append(name)
-
-        if budget is not None:
-            budget.checkpoint(
-                "bench:%s/%s" % (machine.name, representation),
-                units=int(
-                    sum(
-                        value
-                        for name, value in rep_work.items()
-                        if name.startswith("query.")
-                        and name.endswith(".units")
-                    )
-                ),
-                progress={"repetitions": len(wall_samples)},
-            )
-
-    assert work is not None
-    for name in nondeterministic:
-        work.pop(name, None)
-
-    quality["loops"] = work.get("profile.loops", 0)
-    quality["loops_at_mii"] = work.get("profile.loops_at_mii", 0)
-    quality["ii_total"] = work.get("profile.ii_total", 0)
-    quality["mii_total"] = work.get("profile.mii_total", 0)
+    quality = {
+        key: work.get("profile." + key, 0)
+        for key in ("loops", "loops_at_mii", "ii_total", "mii_total")
+    }
     quality["mii_gap"] = quality["ii_total"] - quality["mii_total"]
-
-    phases: Dict[str, Dict[str, object]] = {}
-    for name, samples in phase_total_samples.items():
-        phases[name] = {
-            "count": phase_counts.get(name, 0),
-            "total": summarize(samples),
-        }
-        self_samples = phase_self_samples.get(name)
-        if self_samples and len(self_samples) == len(samples):
-            phases[name]["self"] = summarize(self_samples)
-
     return BenchCase(
         machine=machine.name,
         representation=representation,
         work=work,
-        wall=summarize(wall_samples),
-        phases=phases,
         quality=quality,
-        nondeterministic=nondeterministic,
     )
 
 
@@ -178,11 +106,9 @@ def run_benchmark(
     machines: Sequence[Tuple[str, object]],
     representations: Sequence[str] = DEFAULT_REPRESENTATIONS,
     loops: int = DEFAULT_LOOPS,
-    repetitions: int = DEFAULT_REPETITIONS,
     schedule_reduced: bool = False,
     budget=None,
     label: str = "",
-    quick: bool = False,
     case_filter: Optional[str] = None,
 ) -> BenchResult:
     """Run the full matrix and return the result document.
@@ -201,9 +127,7 @@ def run_benchmark(
             "machines": [name for name, _machine in machines],
             "representations": list(representations),
             "loops": loops,
-            "repetitions": repetitions,
             "schedule_reduced": schedule_reduced,
-            "quick": quick,
         },
     )
     if case_filter:
@@ -219,7 +143,6 @@ def run_benchmark(
                     machine,
                     representation,
                     loops=loops,
-                    repetitions=repetitions,
                     schedule_reduced=schedule_reduced,
                     budget=budget,
                 )
@@ -230,11 +153,7 @@ def run_benchmark(
 __all__ = [
     "DEFAULT_LOOPS",
     "DEFAULT_MACHINES",
-    "DEFAULT_REPETITIONS",
     "DEFAULT_REPRESENTATIONS",
-    "QUICK_LOOPS",
-    "QUICK_MACHINES",
-    "QUICK_REPETITIONS",
     "deterministic_work",
     "run_benchmark",
     "run_case",

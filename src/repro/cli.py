@@ -30,11 +30,12 @@ emits one with ``--certificate FILE``, and ``reduce --cache`` verifies
 warm hits via their stored certificate unless ``--paranoid`` — see
 ``docs/certificates.md``.
 
-``bench run`` records a schema-versioned, checksummed benchmark result
-(deterministic work units, robust wall-time stats, per-phase spans,
-schedule quality); ``bench compare`` gates a candidate run against a
-baseline (work units gate hard, wall time only when bootstrap intervals
-disagree) and exits 1 on regression — see ``docs/benchmarking.md``.
+``bench run`` records a schema-versioned, checksummed benchmark result:
+the deterministic work counters and schedule quality of one traced pass
+per machine × representation case.  ``bench compare`` gates a candidate
+run against a baseline exactly (any rise in work or II, any fall in
+loops at MII) and exits 1 on regression — see ``docs/benchmarking.md``.
+Wall time is measured by the untraced ``benchmarks/e2e`` harness.
 
 ``reduce`` and ``schedule`` accept ``--deadline``/``--max-units`` budgets
 (exceeded budgets exit 3) and ``--fallback`` to degrade down the verified
@@ -152,11 +153,6 @@ def _runlog_note(**fields) -> None:
 def _runlog_units(units) -> None:
     if _RECORDER is not None:
         _RECORDER.add_units(units)
-
-
-def _runlog_work(work) -> None:
-    if _RECORDER is not None:
-        _RECORDER.add_work(work)
 
 
 def _runlog_quality(**quality) -> None:
@@ -719,7 +715,6 @@ def _cmd_schedule_corpus(args: argparse.Namespace, machine) -> int:
             % (result.scheduled, result.degraded, result.failed,
                len(result.outcomes), optimal)
         )
-    _runlog_work(result.work)
     return 1 if result.failed else 0
 
 
@@ -1113,24 +1108,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_machines(args: argparse.Namespace):
-    """Resolve the ``bench run`` machine list to (name, machine) pairs."""
-    from repro.bench import runner
-
-    if args.machines:
-        names = list(args.machines)
-    elif args.quick:
-        names = list(runner.QUICK_MACHINES)
-    else:
-        names = list(runner.DEFAULT_MACHINES)
-    return [(name, _load_machine(name)) for name in names]
-
-
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     from repro.bench import render_result_text, save_result
     from repro.bench import runner
 
-    machines = _bench_machines(args)
+    machines = [
+        (name, _load_machine(name))
+        for name in args.machines or runner.DEFAULT_MACHINES
+    ]
     representations = [
         r.strip() for r in args.representations.split(",") if r.strip()
     ]
@@ -1140,21 +1125,13 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
                 "unknown representation %r (choose from %s)"
                 % (representation, ", ".join(REPRESENTATIONS))
             )
-    loops = args.loops or (
-        runner.QUICK_LOOPS if args.quick else runner.DEFAULT_LOOPS
-    )
-    repetitions = args.repetitions or (
-        runner.QUICK_REPETITIONS if args.quick else runner.DEFAULT_REPETITIONS
-    )
     result = runner.run_benchmark(
         machines,
         representations=representations,
-        loops=loops,
-        repetitions=repetitions,
+        loops=args.loops or runner.DEFAULT_LOOPS,
         schedule_reduced=args.reduced,
         budget=_make_budget(args, "bench"),
         label=args.label,
-        quick=args.quick,
         case_filter=args.filter,
     )
     _runlog_note(
@@ -1188,30 +1165,19 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
     from repro.bench import (
-        CompareConfig,
         compare_results,
         load_result,
         render_comparison_text,
     )
     from repro.resilience import artifacts
 
-    base = load_result(args.base)
-    new = load_result(args.new)
-    config = CompareConfig(
-        work_ratio=args.work_ratio,
-        quality_ratio=args.quality_ratio,
-        gate_wall=args.gate_wall,
-        min_units=args.min_units,
+    comparison = compare_results(
+        load_result(args.base), load_result(args.new)
     )
-    comparison = compare_results(base, new, config)
     if args.format == "json":
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
     else:
-        print(
-            render_comparison_text(
-                comparison, base, new, top=args.top, verbose=args.verbose
-            )
-        )
+        print(render_comparison_text(comparison, verbose=args.verbose))
     if args.output:
         artifacts.write_json(
             args.output, comparison.to_dict(), kind="bench-compare"
@@ -1317,7 +1283,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_diff(args: argparse.Namespace) -> int:
-    from repro.bench import CompareConfig, compare_metric_maps
+    from repro.bench import compare_metric_maps
     from repro.errors import RunlogError
 
     log = _runs_log(args)
@@ -1330,11 +1296,6 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
                 % (which, record.seq, record.error),
                 path=record.path,
             )
-    config = CompareConfig(
-        work_ratio=args.work_ratio,
-        quality_ratio=args.quality_ratio,
-        min_units=args.min_units,
-    )
     case_key = "runs %d..%d" % (base.seq, new.seq)
     comparison = compare_metric_maps(
         case_key,
@@ -1342,7 +1303,6 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
         {"units." + k: v for k, v in new.units().items()},
         base_quality=base.quality(),
         new_quality=new.quality(),
-        config=config,
     )
     if args.format == "json":
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
@@ -1781,10 +1741,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="benchmark observatory: run / compare / report",
         description="Record schema-versioned benchmark results"
-        " (deterministic work units, robust wall-time statistics,"
-        " per-phase spans, schedule quality), compare a candidate run"
-        " against a baseline with a noise-immune gate, and render stored"
-        " results.  See docs/benchmarking.md.",
+        " (the deterministic work counters and schedule quality of one"
+        " traced pass per case), compare a candidate run against a"
+        " baseline with an exact gate, and render stored results."
+        "  See docs/benchmarking.md.",
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
 
@@ -1794,13 +1754,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "machines",
         nargs="*",
-        help="machines to benchmark (default: example + cydra5-subset;"
-        " --quick: example only)",
-    )
-    b.add_argument(
-        "--quick",
-        action="store_true",
-        help="the CI configuration: small loop count, 3 repetitions",
+        help="machines to benchmark (default: example, cydra5-subset,"
+        " alpha21064)",
     )
     b.add_argument(
         "--representations",
@@ -1818,12 +1773,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--loops",
         type=int,
-        help="loop-suite size per case (default: 8; --quick: 4)",
-    )
-    b.add_argument(
-        "--repetitions",
-        type=int,
-        help="wall-time repetitions per case (default: 5; --quick: 3)",
+        help="loop-suite size per case (default: 64)",
     )
     b.add_argument(
         "--reduced",
@@ -1856,38 +1806,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument("base", help="baseline result file")
     b.add_argument("new", help="candidate result file")
-    b.add_argument(
-        "--work-ratio",
-        type=float,
-        default=1.01,
-        help="deterministic work counters fail beyond this ratio"
-        " (default: 1.01)",
-    )
-    b.add_argument(
-        "--quality-ratio",
-        type=float,
-        default=1.0,
-        help="schedule-quality counters fail beyond this ratio"
-        " (default: 1.0 — any II increase fails)",
-    )
-    b.add_argument(
-        "--min-units",
-        type=float,
-        default=16.0,
-        help="ignore work counters below this many units (default: 16)",
-    )
-    b.add_argument(
-        "--gate-wall",
-        action="store_true",
-        help="let wall-time regressions (disjoint bootstrap intervals)"
-        " fail the gate — only meaningful on identical hardware",
-    )
-    b.add_argument(
-        "--top",
-        type=int,
-        default=5,
-        help="phases per case in the differential profile (default: 5)",
-    )
     b.add_argument(
         "--verbose",
         action="store_true",
@@ -2194,17 +2112,13 @@ def build_parser() -> argparse.ArgumentParser:
         "diff",
         help="gate one record against another (exit 1 on regression)",
         description="Compare two registry records' work units and"
-        " schedule quality under the bench comparator's two-tier"
-        " policy: deterministic work gates hard beyond --work-ratio"
-        " above the --min-units floor, quality gates at"
-        " --quality-ratio (loops_at_mii bigger-is-better), and a"
-        " loops/mii_total mismatch marks the pair incomparable.",
+        " schedule quality under the bench comparator's exact gate:"
+        " any rise in a work currency or in ii_total, or any fall in"
+        " loops_at_mii, is a regression; a loops/mii_total mismatch"
+        " marks the pair incomparable.",
     )
     r.add_argument("base", type=int, help="baseline record seq")
     r.add_argument("new", type=int, help="candidate record seq")
-    r.add_argument("--work-ratio", type=float, default=1.01)
-    r.add_argument("--quality-ratio", type=float, default=1.0)
-    r.add_argument("--min-units", type=float, default=16.0)
     _add_runs_common(r)
     r.set_defaults(func=_cmd_runs_diff)
 

@@ -1,8 +1,8 @@
-"""The benchmark observatory: stats, result store, comparator, diffprof.
+"""The benchmark observatory: result store, runner, exact comparator.
 
-Comparator edge cases covered per the perf-gate design: zero-variance
-samples, missing metrics on one side, schema-version mismatches,
-single-repetition runs, workload mismatches, and determinism of the
+Comparator edge cases covered per the perf-gate design: one-unit rises
+on small and large counters, missing metrics on one side,
+schema-version mismatches, workload mismatches, and determinism of the
 work-unit gate.  The end-to-end run -> compare -> report round trip
 (including the injected-slowdown regression) lives in
 ``tests/test_bench_cli.py``.
@@ -15,69 +15,15 @@ import pytest
 from repro.bench import (
     BenchCase,
     BenchResult,
-    CompareConfig,
-    bootstrap_ci,
+    compare_metric_maps,
     compare_results,
-    diff_profiles,
-    intervals_overlap,
     load_result,
-    mad,
-    median,
     render_comparison_text,
-    render_diff_text,
     render_result_text,
     save_result,
-    summarize,
 )
 from repro.bench.result import RESULT_SCHEMA_NAME, RESULT_SCHEMA_VERSION
 from repro.errors import ArtifactIntegrityError, BenchFormatError
-
-
-# ----------------------------------------------------------------------
-# Robust statistics
-# ----------------------------------------------------------------------
-def test_median_odd_even():
-    assert median([3.0, 1.0, 2.0]) == 2.0
-    assert median([4.0, 1.0, 2.0, 3.0]) == 2.5
-
-
-def test_median_empty_raises():
-    with pytest.raises(ValueError):
-        median([])
-
-
-def test_mad_zero_variance():
-    assert mad([5.0, 5.0, 5.0]) == 0.0
-    assert mad([7.0]) == 0.0
-
-
-def test_bootstrap_ci_deterministic():
-    samples = [1.0, 1.2, 0.9, 1.1, 1.05]
-    assert bootstrap_ci(samples, seed=3) == bootstrap_ci(samples, seed=3)
-    low, high = bootstrap_ci(samples)
-    assert low <= median(samples) <= high
-
-
-def test_bootstrap_ci_single_sample_is_point():
-    assert bootstrap_ci([2.5]) == (2.5, 2.5)
-
-
-def test_bootstrap_ci_zero_variance_is_point():
-    assert bootstrap_ci([3.0, 3.0, 3.0, 3.0]) == (3.0, 3.0)
-
-
-def test_summarize_keeps_samples():
-    summary = summarize([2.0, 1.0, 3.0])
-    assert summary["n"] == 3
-    assert summary["median"] == 2.0
-    assert summary["samples"] == [2.0, 1.0, 3.0]
-    assert summary["ci_low"] <= summary["median"] <= summary["ci_high"]
-
-
-def test_intervals_overlap():
-    assert intervals_overlap((0.0, 2.0), (1.0, 3.0))
-    assert intervals_overlap((1.0, 1.0), (1.0, 1.0))
-    assert not intervals_overlap((0.0, 1.0), (1.5, 2.0))
 
 
 # ----------------------------------------------------------------------
@@ -87,9 +33,7 @@ def _make_case(
     machine="m",
     representation="discrete",
     work=None,
-    wall_samples=(0.010, 0.011, 0.0105),
     quality=None,
-    phases=None,
 ):
     return BenchCase(
         machine=machine,
@@ -99,8 +43,6 @@ def _make_case(
             if work is not None
             else {"query.check.units": 1000.0, "sched.ims.decisions": 64.0}
         ),
-        wall=summarize(list(wall_samples)),
-        phases=dict(phases or {}),
         quality=dict(
             quality
             if quality is not None
@@ -115,7 +57,7 @@ def _make_case(
 def _make_result(**case_kwargs):
     result = BenchResult(
         meta={"git_sha": "deadbeef"},
-        config={"loops": 4, "repetitions": 3},
+        config={"loops": 4},
     )
     result.add_case(_make_case(**case_kwargs))
     return result
@@ -176,6 +118,23 @@ def test_result_load_rejects_non_json(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Runner
+# ----------------------------------------------------------------------
+def test_run_case_work_ignores_kernel_cache_warmth():
+    from repro.bench.runner import run_case
+    from repro.machines import example_machine
+    from repro.query import clear_kernel_cache
+
+    machine = example_machine()
+    clear_kernel_cache()
+    cold = run_case(machine, "compiled", loops=4)
+    warm = run_case(machine, "compiled", loops=4)
+    assert cold.work == warm.work
+    assert "query.kernel.compile.calls" not in cold.work
+    assert cold.work["query.first_free.calls"] > 0
+
+
+# ----------------------------------------------------------------------
 # Comparator
 # ----------------------------------------------------------------------
 def test_identical_runs_compare_neutral():
@@ -212,27 +171,60 @@ def test_work_unit_decrease_is_improvement():
     )
 
 
-def test_work_unit_within_ratio_is_neutral():
+def test_work_unit_small_rise_gates():
+    # Counters reproduce exactly, so a +0.5% rise is real work.
     base = _make_result()
     new = _make_result(work={
         "query.check.units": 1005.0, "sched.ims.decisions": 64.0,
     })
-    assert compare_results(base, new).ok
+    comparison = compare_results(base, new)
+    assert not comparison.ok
+    (regression,) = comparison.regressions
+    assert regression.metric == "query.check.units"
 
 
-def test_small_counters_not_gated():
-    # One extra event on a 4-event counter is a 25% "regression" — the
-    # min_units floor keeps it advisory.
+def test_small_counters_gated():
+    # One extra event on a 4-event counter gates; one fewer improves.
     base = _make_result(work={"reduce.algorithm1.rule1": 4.0})
     new = _make_result(work={"reduce.algorithm1.rule1": 5.0})
     comparison = compare_results(base, new)
+    assert not comparison.ok
+    (regression,) = comparison.regressions
+    assert regression.metric == "reduce.algorithm1.rule1"
+    comparison = compare_results(new, base)
     assert comparison.ok
-    delta = [
-        d for d in comparison.deltas
-        if d.metric == "reduce.algorithm1.rule1"
-    ][0]
-    assert delta.classification == "neutral"
-    assert "min_units" in delta.note
+    (improvement,) = comparison.improvements
+    assert improvement.metric == "reduce.algorithm1.rule1"
+
+
+def test_compare_results_is_compare_metric_maps_per_case():
+    base = _make_result(work={
+        "query.check.units": 1000.0, "reduce.algorithm1.rule1": 4.0,
+        "profile.ii_total": 20.0,
+    })
+    new = _make_result(
+        work={"query.check.units": 990.0, "query.free.units": 8.0,
+              "profile.ii_total": 21.0},
+        quality={
+            "loops": 4, "loops_at_mii": 3,
+            "ii_total": 21, "mii_total": 20, "mii_gap": 1,
+        },
+    )
+    base_case = base.cases["m/discrete"]
+    new_case = new.cases["m/discrete"]
+    direct = compare_metric_maps(
+        "m/discrete", base_case.work, new_case.work,
+        base_case.quality, new_case.quality,
+    )
+    via_results = compare_results(base, new)
+    assert [d.to_dict() for d in via_results.deltas] == [
+        d.to_dict() for d in direct.deltas
+    ]
+    assert {d.metric for d in direct.deltas} == {
+        "quality.ii_total", "quality.loops_at_mii",
+        "query.check.units", "query.free.units",
+        "reduce.algorithm1.rule1",
+    }
 
 
 def test_missing_metric_on_one_side_not_gated():
@@ -256,54 +248,6 @@ def test_missing_metric_on_one_side_not_gated():
         d for d in comparison.deltas if d.metric == "query.assign.units"
     ][0]
     assert missing.classification == "missing-new"
-
-
-def test_zero_variance_wall_identical_is_neutral():
-    base = _make_result(wall_samples=(0.010, 0.010, 0.010))
-    new = _make_result(wall_samples=(0.010, 0.010, 0.010))
-    comparison = compare_results(base, new)
-    walls = [d for d in comparison.deltas if d.metric == "wall"]
-    assert walls[0].classification == "neutral"
-    assert comparison.ok
-
-
-def test_zero_variance_wall_difference_is_classified():
-    # Point intervals that do not touch → classified regression, but
-    # ungated under the default (CI) policy...
-    base = _make_result(wall_samples=(0.010, 0.010, 0.010))
-    new = _make_result(wall_samples=(0.020, 0.020, 0.020))
-    comparison = compare_results(base, new)
-    wall = [d for d in comparison.deltas if d.metric == "wall"][0]
-    assert wall.classification == "regression"
-    assert not wall.gated
-    assert comparison.ok
-    # ...and gated when wall gating is opted into.
-    gated = compare_results(base, new, CompareConfig(gate_wall=True))
-    assert not gated.ok
-    assert gated.regressions[0].metric == "wall"
-
-
-def test_single_repetition_wall_never_classified():
-    base = _make_result(wall_samples=(0.010,))
-    new = _make_result(wall_samples=(0.030,))
-    comparison = compare_results(
-        base, new, CompareConfig(gate_wall=True)
-    )
-    wall = [d for d in comparison.deltas if d.metric == "wall"][0]
-    assert wall.classification == "neutral"
-    assert "single-repetition" in wall.note
-    assert comparison.ok
-
-
-def test_overlapping_wall_intervals_stay_neutral():
-    base = _make_result(wall_samples=(0.010, 0.012, 0.011))
-    new = _make_result(wall_samples=(0.011, 0.013, 0.012))
-    comparison = compare_results(
-        base, new, CompareConfig(gate_wall=True)
-    )
-    wall = [d for d in comparison.deltas if d.metric == "wall"][0]
-    assert wall.classification == "neutral"
-    assert comparison.ok
 
 
 def test_quality_regression_gates():
@@ -339,15 +283,6 @@ def test_case_on_one_side_only_is_noted():
     assert len(comparison.notes) >= 2  # one per one-sided case
 
 
-def test_nondeterministic_counters_excluded_from_gate():
-    base = _make_result()
-    new = _make_result(work={
-        "query.check.units": 9999.0, "sched.ims.decisions": 64.0,
-    })
-    new.cases["m/discrete"].nondeterministic = ["query.check.units"]
-    assert compare_results(base, new).ok
-
-
 def test_comparison_document_shape():
     base = _make_result()
     new = _make_result(work={
@@ -357,83 +292,16 @@ def test_comparison_document_shape():
     assert document["schema"] == "repro-bench-compare"
     assert document["ok"] is False
     assert document["regressions"][0]["metric"] == "query.check.units"
-    assert document["policy"]["work_ratio"] == pytest.approx(1.01)
-
-
-# ----------------------------------------------------------------------
-# Differential profiling
-# ----------------------------------------------------------------------
-def _phases(reduce_self, sched_self):
-    return {
-        "reduce.generating_set": {
-            "count": 1,
-            "total": summarize([reduce_self] * 3),
-            "self": summarize([reduce_self] * 3),
-        },
-        "sched.ims.schedule": {
-            "count": 4,
-            "total": summarize([sched_self] * 3),
-            "self": summarize([sched_self] * 3),
-        },
-    }
-
-
-def test_diff_profiles_ranks_by_delta_and_attributes_counters():
-    base = _make_result(
-        work={
-            "reduce.algorithm1.rule3": 100.0,
-            "query.check.units": 1000.0,
-        },
-        phases=_phases(0.010, 0.020),
-    )
-    new = _make_result(
-        work={
-            "reduce.algorithm1.rule3": 118.0,
-            "query.check.units": 1500.0,
-        },
-        phases=_phases(0.012, 0.050),
-    )
-    diffs = diff_profiles(base, new, top=2)
-    deltas = diffs["m/discrete"]
-    # Largest |delta| first: the scheduler phase moved 30ms.
-    assert deltas[0].phase == "sched.ims.schedule"
-    assert deltas[0].delta_s == pytest.approx(0.030)
-    assert deltas[0].measure == "self"
-    # The scheduler phase is annotated with the query-work movement...
-    sched_counters = {c.name for c in deltas[0].counters}
-    assert "query.check.units" in sched_counters
-    # ...and the reduce phase with Algorithm 1's rule counter (+18%).
-    reduce_delta = [
-        d for d in deltas if d.phase == "reduce.generating_set"
-    ][0]
-    rule = [
-        c for c in reduce_delta.counters
-        if c.name == "reduce.algorithm1.rule3"
-    ][0]
-    assert rule.percent == pytest.approx(18.0)
-    assert "+18.0%" in rule.describe()
-    text = render_diff_text(diffs)
-    assert "sched.ims.schedule" in text
-    assert "reduce.algorithm1.rule3 +18.0%" in text
-
-
-def test_diff_profiles_empty_when_no_shared_phases():
-    base = _make_result(phases={})
-    new = _make_result(phases=_phases(0.01, 0.02))
-    assert diff_profiles(base, new) == {}
-    assert "no shared phases" in render_diff_text({})
 
 
 # ----------------------------------------------------------------------
 # Renderers
 # ----------------------------------------------------------------------
-def test_render_result_text_mentions_cases_and_phases():
-    result = _make_result(phases=_phases(0.01, 0.02))
-    text = render_result_text(result)
+def test_render_result_text_mentions_cases():
+    text = render_result_text(_make_result())
     assert "m/discrete" in text
     assert "sha=deadbeef" in text
-    assert "sched.ims.schedule" in text
-    assert "self ms" in text
+    assert "4/4" in text  # loops at MII
 
 
 def test_render_comparison_text_verdicts():
@@ -445,7 +313,7 @@ def test_render_comparison_text_verdicts():
     new = _make_result(work={
         "query.check.units": 1100.0, "sched.ims.decisions": 64.0,
     })
-    bad = render_comparison_text(compare_results(base, new), base, new)
+    bad = render_comparison_text(compare_results(base, new))
     assert bad.startswith("verdict: REGRESSION")
     assert "query.check.units" in bad
 
@@ -476,10 +344,14 @@ def test_pre_attribution_fixture_compares_clean(tmp_path):
     )
     base = load_result(fixture)
     assert "cydra5-subset/compiled" in base.cases
+    # The reader ignores the old per-case wall statistics.
+    assert set(base.cases["cydra5-subset/compiled"].to_dict()) == {
+        "machine", "representation", "work", "quality",
+    }
 
     new = BenchResult(
         meta={"git_sha": "feedface"},
-        config={"loops": 4, "repetitions": 3, "seed": 0},
+        config={"loops": 4, "seed": 0},
     )
     new_work = dict(base.cases["cydra5-subset/compiled"].work)
     new_work["query.attribute.units"] = 42.0  # the new currency
@@ -488,8 +360,6 @@ def test_pre_attribution_fixture_compares_clean(tmp_path):
             machine="cydra5-subset",
             representation="compiled",
             work=new_work,
-            wall=summarize([0.0101, 0.0104, 0.0108]),
-            phases={},
             quality=dict(base.cases["cydra5-subset/compiled"].quality),
         )
     )
@@ -505,7 +375,7 @@ def test_pre_attribution_fixture_compares_clean(tmp_path):
     assert all(d.kind == "work" for d in missing)
     assert not any(delta.gated for delta in missing)
     # And the rendered report stays usable.
-    text = render_comparison_text(comparison, base, new)
+    text = render_comparison_text(comparison)
     assert text.startswith("verdict: OK")
 
 
@@ -530,7 +400,7 @@ def test_pre_batch_fixture_compares_clean(tmp_path):
 
     new = BenchResult(
         meta={"git_sha": "feedface"},
-        config={"loops": 4, "repetitions": 3, "seed": 0},
+        config={"loops": 4, "seed": 0},
     )
     new_work = dict(case.work)
     new_work["query.batch.units"] = 42.0  # the batch plane's currency
@@ -539,8 +409,6 @@ def test_pre_batch_fixture_compares_clean(tmp_path):
             machine="cydra5-subset",
             representation="compiled",
             work=new_work,
-            wall=summarize([0.0101, 0.0104, 0.0108]),
-            phases={},
             quality=dict(case.quality),
         )
     )
@@ -550,8 +418,6 @@ def test_pre_batch_fixture_compares_clean(tmp_path):
             machine="cydra5-subset",
             representation="corpus-batch",
             work={"query.batch.units": 420.0},
-            wall=summarize([0.05, 0.051, 0.052]),
-            phases={},
             quality={"loops": 8.0},
         )
     )
@@ -565,7 +431,7 @@ def test_pre_batch_fixture_compares_clean(tmp_path):
     assert missing, "new counter should surface as an ungated delta"
     assert all(d.classification == MISSING_BASE for d in missing)
     assert not any(delta.gated for delta in missing)
-    text = render_comparison_text(comparison, base, new)
+    text = render_comparison_text(comparison)
     assert text.startswith("verdict: OK")
     assert "corpus-batch" in text  # skipped case is still reported
 
@@ -591,7 +457,7 @@ def test_pre_sampler_fixture_compares_clean(tmp_path):
 
     new = BenchResult(
         meta={"git_sha": "feedface"},
-        config={"loops": 4, "repetitions": 3, "seed": 0},
+        config={"loops": 4, "seed": 0},
     )
     new_work = dict(case.work)
     new_work["query.sample.units"] = 42.0  # the sampler's currency
@@ -600,8 +466,6 @@ def test_pre_sampler_fixture_compares_clean(tmp_path):
             machine="cydra5-subset",
             representation="compiled",
             work=new_work,
-            wall=summarize([0.0101, 0.0104, 0.0108]),
-            phases={},
             quality=dict(case.quality),
         )
     )
@@ -615,5 +479,5 @@ def test_pre_sampler_fixture_compares_clean(tmp_path):
     assert missing, "new counter should surface as an ungated delta"
     assert all(d.classification == MISSING_BASE for d in missing)
     assert not any(delta.gated for delta in missing)
-    text = render_comparison_text(comparison, base, new)
+    text = render_comparison_text(comparison)
     assert text.startswith("verdict: OK")

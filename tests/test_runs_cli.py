@@ -66,6 +66,25 @@ class TestRecording:
             quality["ii_total"] - quality["mii_total"]
         )
 
+    def test_corpus_record_counts_each_query_once(self, tmp_path, capsys):
+        runlog = tmp_path / "runs"
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "schedule", "cydra5-subset", "--corpus", "--loops", "16",
+            "--runlog", str(runlog), "--metrics", str(metrics),
+        ]) == 0
+        record = RunLog(str(runlog)).records()[0]
+        document = json.loads(metrics.read_text())
+        queries = document["queries"]
+        assert queries
+        assert record.units() == {
+            function: document["counters"]["query.%s.units" % function]
+            for function in queries
+        }
+        assert record.calls() == {
+            function: entry["calls"] for function, entry in queries.items()
+        }
+
     def test_env_var_enables_recording(self, tmp_path, monkeypatch,
                                        capsys):
         runlog = tmp_path / "runs"
@@ -187,11 +206,18 @@ class TestRunsDiff:
         assert "[gated]" in out
         assert "verdict: REGRESSION" in out
 
-    def test_below_min_units_floor_never_gates(self, tmp_path, capsys):
-        # A 2x blowup on a 4-unit metric is noise, not a regression.
-        _seed(tmp_path / "runs", [4.0, 8.0])
-        assert main(["runs", "diff", "1", "2",
+    def test_small_rise_gates_exit_1(self, tmp_path, capsys):
+        # Work units reproduce exactly: +1 on a 4-unit metric and +0.5%
+        # on a 1,000-unit metric are both real work.
+        _seed(tmp_path / "runs", [4.0, 5.0, 1000.0, 1005.0, 1000.0])
+        for base, new in (("1", "2"), ("3", "4")):
+            assert main(["runs", "diff", base, new,
+                         "--runlog", str(tmp_path / "runs")]) == 1
+            assert "verdict: REGRESSION" in capsys.readouterr().out
+        # A fall is an improvement and passes.
+        assert main(["runs", "diff", "4", "5",
                      "--runlog", str(tmp_path / "runs")]) == 0
+        assert "improvement" in capsys.readouterr().out
 
     def test_missing_currency_never_gates(self, tmp_path, capsys):
         log = _seed(tmp_path / "runs", [1000.0])
