@@ -15,33 +15,17 @@ Quickstart
 2
 """
 
-from repro.core import (
-    ForbiddenLatencyMatrix,
-    MachineBuilder,
-    MachineDescription,
-    RES_USES,
-    Reduction,
-    ReservationTable,
-    WORD_USES,
-    assert_equivalent,
-    matrices_equal,
-    reduce_machine,
-)
-from repro.machines.example import example_machine
+from repro._exports import export_table
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ForbiddenLatencyMatrix",
-    "MachineBuilder",
-    "MachineDescription",
-    "RES_USES",
-    "Reduction",
-    "ReservationTable",
-    "WORD_USES",
-    "assert_equivalent",
-    "example_machine",
-    "matrices_equal",
-    "reduce_machine",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "core.forbidden": ("ForbiddenLatencyMatrix",),
+    "core.machine": ("MachineBuilder", "MachineDescription"),
+    "core.reduce": ("Reduction", "reduce_machine"),
+    "core.reservation": ("ReservationTable",),
+    "core.selection": ("RES_USES", "WORD_USES"),
+    "core.verify": ("assert_equivalent", "matrices_equal"),
+    "machines.example": ("example_machine",),
+})
+__all__.append("__version__")

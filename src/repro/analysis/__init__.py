@@ -1,57 +1,22 @@
 """Analysis utilities: redundancy pruning, reports, and exporters."""
 
-from repro.analysis.explain import (
-    EXPLAIN_SCHEMA_NAME,
-    EXPLAIN_SCHEMA_VERSION,
-    build_explain_report,
-    explain_loop,
-    render_explain_html,
-    render_explain_text,
-    validate_explain_report,
-)
-from repro.analysis.export import graph_to_dot, machine_to_markdown
-from repro.analysis.gantt import has_collision, occupancy_chart
-from repro.analysis.ii_sweep import SweepPoint, ii_sweep, sweep_report
-from repro.analysis.utilization import (
-    ResourceUtilization,
-    bottlenecks,
-    utilization,
-    utilization_report,
-)
-from repro.analysis.redundancy import (
-    drop_resources,
-    manually_optimize,
-    redundant_resources,
-)
-from repro.analysis.report import (
-    describe_machine,
-    describe_reduction,
-    diff_constraints,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "EXPLAIN_SCHEMA_NAME",
-    "EXPLAIN_SCHEMA_VERSION",
-    "ResourceUtilization",
-    "SweepPoint",
-    "bottlenecks",
-    "build_explain_report",
-    "explain_loop",
-    "render_explain_html",
-    "render_explain_text",
-    "validate_explain_report",
-    "describe_machine",
-    "describe_reduction",
-    "diff_constraints",
-    "drop_resources",
-    "graph_to_dot",
-    "has_collision",
-    "machine_to_markdown",
-    "occupancy_chart",
-    "manually_optimize",
-    "ii_sweep",
-    "redundant_resources",
-    "sweep_report",
-    "utilization",
-    "utilization_report",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "explain": (
+        "EXPLAIN_SCHEMA_NAME", "EXPLAIN_SCHEMA_VERSION",
+        "build_explain_report", "explain_loop", "render_explain_html",
+        "render_explain_text", "validate_explain_report",
+    ),
+    "export": ("graph_to_dot", "machine_to_markdown"),
+    "gantt": ("has_collision", "occupancy_chart"),
+    "ii_sweep": ("SweepPoint", "ii_sweep", "sweep_report"),
+    "utilization": (
+        "ResourceUtilization", "bottlenecks", "utilization",
+        "utilization_report",
+    ),
+    "redundancy": (
+        "drop_resources", "manually_optimize", "redundant_resources",
+    ),
+    "report": ("describe_machine", "describe_reduction", "diff_constraints"),
+})

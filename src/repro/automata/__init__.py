@@ -10,31 +10,14 @@
   re-propagating states through later cycles (charged as work).
 """
 
-from repro.automata.core import (
-    ADVANCE,
-    AutomatonTooLarge,
-    PipelineAutomaton,
-)
-from repro.automata.factored import (
-    PER_RESOURCE,
-    UNIT,
-    FactoredAutomata,
-    factor_resources,
-)
-from repro.automata.minimize import is_minimal, minimize
-from repro.automata.pair import PairedAutomatonQueryModule
-from repro.automata.query import AutomatonQueryModule
+from repro._exports import export_table
 
-__all__ = [
-    "ADVANCE",
-    "AutomatonQueryModule",
-    "AutomatonTooLarge",
-    "FactoredAutomata",
-    "PER_RESOURCE",
-    "PairedAutomatonQueryModule",
-    "PipelineAutomaton",
-    "UNIT",
-    "factor_resources",
-    "is_minimal",
-    "minimize",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "core": ("ADVANCE", "AutomatonTooLarge", "PipelineAutomaton"),
+    "factored": (
+        "PER_RESOURCE", "UNIT", "FactoredAutomata", "factor_resources",
+    ),
+    "minimize": ("is_minimal", "minimize"),
+    "pair": ("PairedAutomatonQueryModule",),
+    "query": ("AutomatonQueryModule",),
+})

@@ -13,49 +13,17 @@ stack: the runner (which executes the full reduce + schedule pipeline)
 lives in :mod:`repro.bench.runner` and is imported on demand.
 """
 
-from repro.bench.compare import (
-    IMPROVEMENT,
-    MISSING_BASE,
-    MISSING_NEW,
-    NEUTRAL,
-    REGRESSION,
-    Comparison,
-    MetricDelta,
-    compare_metric_maps,
-    compare_results,
-    ensure_comparable,
-)
-from repro.bench.report import render_comparison_text, render_result_text
-from repro.bench.result import (
-    RESULT_SCHEMA_NAME,
-    RESULT_SCHEMA_VERSION,
-    BenchCase,
-    BenchResult,
-    default_meta,
-    git_sha,
-    load_result,
-    save_result,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "IMPROVEMENT",
-    "MISSING_BASE",
-    "MISSING_NEW",
-    "NEUTRAL",
-    "REGRESSION",
-    "RESULT_SCHEMA_NAME",
-    "RESULT_SCHEMA_VERSION",
-    "BenchCase",
-    "BenchResult",
-    "Comparison",
-    "MetricDelta",
-    "compare_metric_maps",
-    "compare_results",
-    "default_meta",
-    "ensure_comparable",
-    "git_sha",
-    "load_result",
-    "render_comparison_text",
-    "render_result_text",
-    "save_result",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "compare": (
+        "IMPROVEMENT", "MISSING_BASE", "MISSING_NEW", "NEUTRAL", "REGRESSION",
+        "Comparison", "MetricDelta", "compare_metric_maps", "compare_results",
+        "ensure_comparable",
+    ),
+    "report": ("render_comparison_text", "render_result_text"),
+    "result": (
+        "RESULT_SCHEMA_NAME", "RESULT_SCHEMA_VERSION", "BenchCase",
+        "BenchResult", "default_meta", "git_sha", "load_result", "save_result",
+    ),
+})

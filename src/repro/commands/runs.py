@@ -1,0 +1,287 @@
+"""``repro runs``: query and expire the persistent run registry."""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+from repro.commands.common import add_runlog_flag
+from repro.errors import ReproError
+
+
+def _open_log(args: argparse.Namespace):
+    """Open the registry named by ``--runlog`` / ``REPRO_RUNLOG``."""
+    from repro.obs.runlog import ENV_RUNLOG, RunLog
+
+    directory = args.runlog or os.environ.get(ENV_RUNLOG)
+    if not directory:
+        raise ReproError(
+            "no run registry: pass --runlog DIR or set REPRO_RUNLOG"
+        )
+    if not os.path.isdir(directory):
+        raise ReproError("run registry %r does not exist" % directory)
+    return RunLog(directory)
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    add_runlog_flag(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def group_arguments(p: argparse.ArgumentParser) -> None:
+    p.description = (
+        "Query the persistent run registry that --runlog (or"
+        " REPRO_RUNLOG) populates: list and inspect records, gate one run"
+        " against another with the bench comparator's policy, detect"
+        " work/quality regressions over the longitudinal series with a"
+        " seeded changepoint test, and expire old records."
+        "  See docs/runs.md."
+    )
+
+
+def list_records_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--tail", type=int, default=0, metavar="N",
+        help="show only the newest N records",
+    )
+    _add_common(p)
+
+
+def list_records(args: argparse.Namespace) -> int:
+    log = _open_log(args)
+    records = log.records()
+    if args.tail:
+        records = records[-args.tail:]
+    if args.format == "json":
+        print(json.dumps(
+            [
+                record.data if not record.corrupt
+                else {"seq": record.seq, "corrupt": True,
+                      "error": record.error}
+                for record in records
+            ],
+            indent=2, sort_keys=True,
+        ))
+        return 0
+    print(
+        "%6s  %-10s %-8s %4s %9s %12s  %s"
+        % ("seq", "command", "outcome", "exit", "dur s", "units", "what")
+    )
+    for record in records:
+        if record.corrupt:
+            print(
+                "%6d  CORRUPT: %s" % (record.seq, record.error)
+            )
+            continue
+        what = str(
+            record.data.get("machine", record.data.get("workload", ""))
+        )
+        workload = record.data.get("workload")
+        if workload and workload != what:
+            what = "%s %s" % (what, workload)
+        print(
+            "%6d  %-10s %-8s %4s %9.3f %12d  %s"
+            % (
+                record.seq,
+                record.command,
+                record.outcome,
+                record.data.get("exit_code", "?"),
+                float(record.data.get("duration_s", 0.0)),
+                int(sum(record.units().values())),
+                what,
+            )
+        )
+    corrupt = sum(1 for record in records if record.corrupt)
+    print(
+        "\n%d record(s)%s in %s"
+        % (
+            len(records),
+            " (%d corrupt)" % corrupt if corrupt else "",
+            log.directory,
+        )
+    )
+    return 1 if corrupt else 0
+
+
+def show_record_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("seq", type=int, help="record sequence number")
+    _add_common(p)
+
+
+def show_record(args: argparse.Namespace) -> int:
+    record = _open_log(args).get(args.seq)
+    if record.corrupt:
+        print(
+            "record %d is corrupt: %s" % (record.seq, record.error),
+            file=sys.stderr,
+        )
+        if record.data:
+            print(json.dumps(record.data, indent=2, sort_keys=True))
+        return 1
+    print(json.dumps(record.data, indent=2, sort_keys=True))
+    return 0
+
+
+def diff_records_arguments(p: argparse.ArgumentParser) -> None:
+    p.description = (
+        "Compare two registry records' work units and"
+        " schedule quality under the bench comparator's exact gate:"
+        " any rise in a work currency or in ii_total, or any fall in"
+        " loops_at_mii, is a regression; a loops/mii_total mismatch"
+        " marks the pair incomparable."
+    )
+    p.add_argument("base", type=int, help="baseline record seq")
+    p.add_argument("new", type=int, help="candidate record seq")
+    _add_common(p)
+
+
+def diff_records(args: argparse.Namespace) -> int:
+    from repro.bench.compare import compare_metric_maps
+    from repro.errors import RunlogError
+
+    log = _open_log(args)
+    base = log.get(args.base)
+    new = log.get(args.new)
+    for which, record in (("base", base), ("candidate", new)):
+        if record.corrupt:
+            raise RunlogError(
+                "%s record %d is corrupt: %s"
+                % (which, record.seq, record.error),
+                path=record.path,
+            )
+    case_key = "runs %d..%d" % (base.seq, new.seq)
+    comparison = compare_metric_maps(
+        case_key,
+        {"units." + k: v for k, v in base.units().items()},
+        {"units." + k: v for k, v in new.units().items()},
+        base_quality=base.quality(),
+        new_quality=new.quality(),
+    )
+    if args.format == "json":
+        print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
+        return 0 if comparison.ok else 1
+    print(
+        "diff %s: base seq %d (%s) vs candidate seq %d (%s)"
+        % (case_key, base.seq, base.command, new.seq, new.command)
+    )
+    for note in comparison.notes:
+        print("  note: %s" % note)
+    for delta in comparison.deltas:
+        ratio = delta.ratio
+        print(
+            "  %-28s %12s -> %-12s %-8s %-12s%s"
+            % (
+                delta.metric,
+                "-" if delta.base is None else "%g" % delta.base,
+                "-" if delta.new is None else "%g" % delta.new,
+                "x%.4f" % ratio if ratio is not None else "",
+                delta.classification,
+                " [gated]" if delta.gated else "",
+            )
+        )
+    print("verdict: %s" % ("ok" if comparison.ok else "REGRESSION"))
+    return 0 if comparison.ok else 1
+
+
+def trend_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--metric", default="units.check", metavar="NAME",
+        help="dotted metric: units.<currency>, calls.<currency>,"
+        " quality.<key>, total_units, duration_s (default: units.check)",
+    )
+    p.add_argument(
+        "--window", type=int, default=0, metavar="N",
+        help="analyze only the trailing N records (default: all)",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="permutation-test seed (default: 0)",
+    )
+    p.add_argument(
+        "--alpha", type=float, default=0.05,
+        help="significance level (default: 0.05)",
+    )
+    p.add_argument(
+        "--permutations", type=int, default=200,
+        help="permutation count (default: 200)",
+    )
+    p.add_argument(
+        "--min-ratio", type=float, default=1.02,
+        help="ignore level shifts smaller than this ratio (default: 1.02)",
+    )
+    _add_common(p)
+
+
+def trend(args: argparse.Namespace) -> int:
+    from repro.obs.runlog import detect_changepoint
+
+    log = _open_log(args)
+    points = log.series(args.metric, window=args.window)
+    if len(points) < 4:
+        print(
+            "trend %s: %d point(s) — need at least 4 to test for a"
+            " changepoint" % (args.metric, len(points))
+        )
+        return 0
+    changepoint = detect_changepoint(
+        points,
+        args.metric,
+        seed=args.seed,
+        permutations=args.permutations,
+        alpha=args.alpha,
+        min_ratio=args.min_ratio,
+        bigger_is_better=args.metric.endswith("loops_at_mii"),
+    )
+    values = [value for _seq, value in points]
+    print(
+        "trend %s: %d points (seq %d..%d), mean %.3f"
+        % (
+            args.metric, len(points), points[0][0], points[-1][0],
+            sum(values) / len(values),
+        )
+    )
+    if changepoint is None:
+        print("no significant changepoint")
+        return 0
+    print(
+        "%s at seq %d: mean %.3f -> %.3f (x%.4f), score %.3f,"
+        " p=%.4f (seeded permutation test, seed=%d)"
+        % (
+            changepoint.direction.upper(),
+            changepoint.seq,
+            changepoint.before,
+            changepoint.after,
+            changepoint.ratio if changepoint.ratio is not None else 0.0,
+            changepoint.score,
+            changepoint.p_value,
+            args.seed,
+        )
+    )
+    if args.format == "json":
+        print(json.dumps(changepoint.to_dict(), indent=2, sort_keys=True))
+    return 1 if changepoint.direction == "regression" else 0
+
+
+def gc_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--keep", type=int, required=True, metavar="N",
+        help="keep only the newest N records",
+    )
+    p.add_argument(
+        "--prune-corrupt", action="store_true",
+        help="also delete corrupt records regardless of age",
+    )
+    _add_common(p)
+
+
+def gc(args: argparse.Namespace) -> int:
+    log = _open_log(args)
+    removed = log.gc(keep=args.keep, prune_corrupt=args.prune_corrupt)
+    remaining = len(log.records())
+    print(
+        "removed %d record(s), %d remaining in %s"
+        % (len(removed), remaining, log.directory)
+    )
+    return 0

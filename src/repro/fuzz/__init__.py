@@ -15,72 +15,26 @@ Four planes (see ``docs/fuzzing.md``):
 the ``repro fuzz`` CLI.
 """
 
-from repro.fuzz.campaign import (
-    FUZZ_SCHEMA_NAME,
-    FUZZ_SCHEMA_VERSION,
-    machine_seed,
-    run_campaign,
-)
-from repro.fuzz.mdlgen import (
-    FAMILIES,
-    GeneratorProfile,
-    PROFILES,
-    STRUCTURAL_RULES,
-    generate_machine,
-    generate_workload,
-    schedulable_opcodes,
-)
-from repro.fuzz.oracle import (
-    OracleConfig,
-    OracleOutcome,
-    VERDICTS,
-    VERDICT_BUG,
-    VERDICT_HANDLED,
-    VERDICT_OK,
-    run_oracle,
-)
-from repro.fuzz.plans import (
-    FaultPlan,
-    PHASES,
-    PlanReport,
-    PlanStep,
-    compose_plan,
-    run_plan,
-)
-from repro.fuzz.shrink import (
-    ShrinkResult,
-    load_repro_bundle,
-    shrink,
-    write_repro_bundle,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "FAMILIES",
-    "FUZZ_SCHEMA_NAME",
-    "FUZZ_SCHEMA_VERSION",
-    "FaultPlan",
-    "GeneratorProfile",
-    "OracleConfig",
-    "OracleOutcome",
-    "PHASES",
-    "PROFILES",
-    "PlanReport",
-    "PlanStep",
-    "STRUCTURAL_RULES",
-    "ShrinkResult",
-    "VERDICTS",
-    "VERDICT_BUG",
-    "VERDICT_HANDLED",
-    "VERDICT_OK",
-    "compose_plan",
-    "generate_machine",
-    "generate_workload",
-    "load_repro_bundle",
-    "machine_seed",
-    "run_campaign",
-    "run_oracle",
-    "run_plan",
-    "schedulable_opcodes",
-    "shrink",
-    "write_repro_bundle",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "campaign": (
+        "FUZZ_SCHEMA_NAME", "FUZZ_SCHEMA_VERSION", "machine_seed",
+        "run_campaign",
+    ),
+    "mdlgen": (
+        "FAMILIES", "GeneratorProfile", "PROFILES", "STRUCTURAL_RULES",
+        "generate_machine", "generate_workload", "schedulable_opcodes",
+    ),
+    "oracle": (
+        "OracleConfig", "OracleOutcome", "VERDICTS", "VERDICT_BUG",
+        "VERDICT_HANDLED", "VERDICT_OK", "run_oracle",
+    ),
+    "plans": (
+        "FaultPlan", "PHASES", "PlanReport", "PlanStep", "compose_plan",
+        "run_plan",
+    ),
+    "shrink": (
+        "ShrinkResult", "load_repro_bundle", "shrink", "write_repro_bundle",
+    ),
+})

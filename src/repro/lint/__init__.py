@@ -21,49 +21,17 @@ rule-based linter with structured diagnostics:
   linter over descriptions (or source trees) with known findings.
 """
 
-from repro.lint.baseline import Baseline, write_baseline
-from repro.lint.code import (
-    CODE_REPORT_NAME,
-    CodeContext,
-    lint_code_paths,
-)
-from repro.lint.diagnostics import (
-    REPORT_SCHEMA_VERSION,
-    SEVERITIES,
-    Diagnostic,
-    LintReport,
-    Location,
-    severity_rank,
-)
-from repro.lint.registry import (
-    LintContext,
-    LintRule,
-    finding,
-    get_rules,
-    lint_machine,
-    lint_source,
-    registered_rules,
-    rule,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "Baseline",
-    "CODE_REPORT_NAME",
-    "CodeContext",
-    "Diagnostic",
-    "LintContext",
-    "lint_code_paths",
-    "LintReport",
-    "LintRule",
-    "Location",
-    "REPORT_SCHEMA_VERSION",
-    "SEVERITIES",
-    "finding",
-    "get_rules",
-    "lint_machine",
-    "lint_source",
-    "registered_rules",
-    "rule",
-    "severity_rank",
-    "write_baseline",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "baseline": ("Baseline", "write_baseline"),
+    "code": ("CODE_REPORT_NAME", "CodeContext", "lint_code_paths"),
+    "diagnostics": (
+        "REPORT_SCHEMA_VERSION", "SEVERITIES", "Diagnostic", "LintReport",
+        "Location", "severity_rank",
+    ),
+    "registry": (
+        "LintContext", "LintRule", "finding", "get_rules", "lint_machine",
+        "lint_source", "registered_rules", "rule",
+    ),
+})

@@ -680,6 +680,7 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     (
         "repro.errors",
         "repro._atomic",
+        "repro._exports",
         "repro.obs.__init__",
         "repro.obs.trace",
         "repro.obs.metrics",
@@ -690,7 +691,8 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     # 1: the reduction (paper Steps 1-3) and the description format.
     ("repro.core", "repro.mdl"),
     # 2: machines, the contention query modules, statistics and the
-    # pipeline simulator; the top-level init re-exports core.
+    # pipeline simulator; the top-level init exports core and the
+    # example machine.
     (
         "repro.__init__",
         "repro.machines",
@@ -707,7 +709,7 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     # 6: tooling over the consumers.
     ("repro.lint", "repro.fuzz", "repro.bench"),
     # 7: entry points.
-    ("repro.cli", "repro.__main__"),
+    ("repro.cli", "repro.commands", "repro.__main__"),
 )
 
 _RANKS: Dict[str, int] = {
@@ -771,6 +773,41 @@ def _imported_modules(node: ast.AST, package: str) -> List[str]:
             for alias in node.names
             if _is_module(base + "." + alias.name)
         ]
+    return _with_packages(named)
+
+
+def _exported_modules(node: ast.AST, package: str) -> List[str]:
+    """Every ``repro`` module an init's export table serves names from.
+
+    ``export_table(__name__, {"key": (names...)})`` imports
+    ``package.key`` on first use, or ``package.name`` for each name
+    under the key ``""``; the rule ranks them like imports.
+    """
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "export_table"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Dict)
+    ):
+        return []
+    named = []
+    for key, names in zip(node.args[1].keys, node.args[1].values):
+        if not isinstance(key, ast.Constant):
+            continue
+        if key.value:
+            named.append(package + "." + key.value)
+        elif isinstance(names, (ast.Tuple, ast.List)):
+            named.extend(
+                package + "." + name.value for name in names.elts
+                if isinstance(name, ast.Constant)
+            )
+    return _with_packages(named)
+
+
+def _with_packages(named: Sequence[str]) -> List[str]:
+    """``named``'s ``repro`` modules with the packages Python runs
+    first, less the top-level init."""
     modules: List[str] = []
     for name in named:
         if not name.startswith("repro."):
@@ -796,7 +833,8 @@ def _check_upward_import(ctx: CodeContext) -> Iterator[Diagnostic]:
     ``import`` or ``from`` statement naming a higher-ranked module is a
     finding wherever it stands — module level, inside a function, or
     under ``TYPE_CHECKING`` — because a lazy import hides a cycle
-    rather than removing it.
+    rather than removing it.  For the same reason each module a package
+    init's export table names counts as an import of that init.
     """
     module = _module_name(ctx.display_path)
     if ctx.tree is None or module is None:
@@ -815,10 +853,14 @@ def _check_upward_import(ctx: CodeContext) -> Iterator[Diagnostic]:
     else:
         package = module.rpartition(".")[0]
     for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            targets = _imported_modules(node, package)
+        elif ctx.basename == "__init__.py":
+            targets = _exported_modules(node, package)
+        else:
             continue
         upward = []
-        for target in _imported_modules(node, package):
+        for target in targets:
             rank = layer_rank(target)
             if rank is not None and rank > own:
                 upward.append("%s (rank %d)" % (target, rank))

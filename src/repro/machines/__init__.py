@@ -1,56 +1,20 @@
 """Machine descriptions: the paper's example, its three study machines,
 and small toy machines used by tests and documentation."""
 
-from repro.machines.alpha import alpha21064
-from repro.machines.clustered import clustered_vliw
-from repro.machines.cydra5 import SUBSET_OPERATIONS, cydra5, cydra5_subset
-from repro.machines.example import example_machine
-from repro.machines.exposed import buffered_pu
-from repro.machines.mips import mips_r3000
-from repro.machines.playdoh import PLAYDOH_LATENCIES, PLAYDOH_MIX, playdoh
-from repro.machines.toys import (
-    alternatives_machine,
-    dense_conflict_machine,
-    empty_op_machine,
-    independent_ops_machine,
-    issue_limited_machine,
-    single_op_machine,
-)
+from repro._exports import export_table
 
-#: The paper's three study machines, keyed by short name.
-STUDY_MACHINES = {
-    "cydra5": cydra5,
-    "cydra5-subset": cydra5_subset,
-    "alpha21064": alpha21064,
-    "mips-r3000": mips_r3000,
-}
-
-#: Modern machine families grown out of the fuzzing corpus (ROADMAP
-#: item 4): exposed-datapath and clustered-VLIW shapes beyond the
-#: paper's three study machines.
-CORPUS_MACHINES = {
-    "buffered-pu": buffered_pu,
-    "clustered-vliw": clustered_vliw,
-}
-
-__all__ = [
-    "CORPUS_MACHINES",
-    "PLAYDOH_LATENCIES",
-    "PLAYDOH_MIX",
-    "STUDY_MACHINES",
-    "SUBSET_OPERATIONS",
-    "alpha21064",
-    "alternatives_machine",
-    "buffered_pu",
-    "clustered_vliw",
-    "cydra5",
-    "cydra5_subset",
-    "dense_conflict_machine",
-    "empty_op_machine",
-    "example_machine",
-    "independent_ops_machine",
-    "issue_limited_machine",
-    "mips_r3000",
-    "playdoh",
-    "single_op_machine",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "alpha": ("alpha21064",),
+    "builtin": ("CORPUS_MACHINES", "STUDY_MACHINES"),
+    "clustered": ("clustered_vliw",),
+    "cydra5": ("SUBSET_OPERATIONS", "cydra5", "cydra5_subset"),
+    "example": ("example_machine",),
+    "exposed": ("buffered_pu",),
+    "mips": ("mips_r3000",),
+    "playdoh": ("PLAYDOH_LATENCIES", "PLAYDOH_MIX", "playdoh"),
+    "toys": (
+        "alternatives_machine", "dense_conflict_machine", "empty_op_machine",
+        "independent_ops_machine", "issue_limited_machine",
+        "single_op_machine",
+    ),
+})

@@ -1,25 +1,10 @@
 """Textual machine description language (parser and writer)."""
 
-from repro.mdl.format import (
-    RawMachine,
-    RawOperation,
-    RawUsage,
-    dump_file,
-    dumps,
-    load_file,
-    loads,
-    parse,
-    parse_file,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "RawMachine",
-    "RawOperation",
-    "RawUsage",
-    "dump_file",
-    "dumps",
-    "load_file",
-    "loads",
-    "parse",
-    "parse_file",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "format": (
+        "RawMachine", "RawOperation", "RawUsage", "dump_file", "dumps",
+        "load_file", "loads", "parse", "parse_file",
+    ),
+})

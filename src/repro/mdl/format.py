@@ -44,6 +44,7 @@ semantic validation.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -448,6 +449,16 @@ def dumps(machine: MachineDescription) -> str:
         for op in sorted(latencies):
             lines.append("latency %s %d" % (op, latencies[op]))
     return "\n".join(lines) + "\n"
+
+
+def machine_digest(machine: MachineDescription) -> str:
+    """SHA-256 of the canonical MDL serialization of a description.
+
+    The same recipe the reduction cache keys on: canonical MDL text, so
+    structurally identical descriptions share a digest regardless of how
+    they were built.
+    """
+    return hashlib.sha256(dumps(machine).encode("utf-8")).hexdigest()
 
 
 def load_file(path: str) -> MachineDescription:

@@ -19,84 +19,29 @@ negative cycles (dangling block-boundary requirements), and modulo
 reservation tables for software pipelining.
 """
 
-from repro.query.alternatives import (
-    FIRST_FIT,
-    LEAST_USED,
-    POLICIES,
-    ROUND_ROBIN,
-    order_variants,
-)
-from repro.query.base import (
-    BLAME_RESERVED,
-    BLAME_SELF,
-    Blame,
-    ContentionQueryModule,
-    ScheduledToken,
-)
-from repro.query.bitvector import BitvectorQueryModule
-from repro.query.compiled import (
-    CompiledKernel,
-    CompiledQueryModule,
-    clear_kernel_cache,
-    compiled_kernel,
-)
-from repro.query.discrete import DiscreteQueryModule
-from repro.query.predicated import (
-    TRUE,
-    PredicatedDiscreteQueryModule,
-    PredicateSpace,
-)
-from repro.query.modulo import (
-    BITVECTOR,
-    COMPILED,
-    DISCRETE,
-    REPRESENTATIONS,
-    make_query_module,
-)
-from repro.query.work import (
-    ASSIGN,
-    ASSIGN_FREE,
-    ATTRIBUTE,
-    CHECK,
-    CHECK_RANGE,
-    COMPILE,
-    FREE,
-    FUNCTIONS,
-    WorkCounters,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "ASSIGN",
-    "ATTRIBUTE",
-    "BLAME_RESERVED",
-    "BLAME_SELF",
-    "Blame",
-    "FIRST_FIT",
-    "LEAST_USED",
-    "POLICIES",
-    "ROUND_ROBIN",
-    "order_variants",
-    "ASSIGN_FREE",
-    "BITVECTOR",
-    "BitvectorQueryModule",
-    "CHECK",
-    "CHECK_RANGE",
-    "COMPILE",
-    "COMPILED",
-    "CompiledKernel",
-    "CompiledQueryModule",
-    "ContentionQueryModule",
-    "DISCRETE",
-    "DiscreteQueryModule",
-    "clear_kernel_cache",
-    "compiled_kernel",
-    "FREE",
-    "FUNCTIONS",
-    "REPRESENTATIONS",
-    "PredicateSpace",
-    "PredicatedDiscreteQueryModule",
-    "ScheduledToken",
-    "TRUE",
-    "WorkCounters",
-    "make_query_module",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "alternatives": (
+        "FIRST_FIT", "LEAST_USED", "POLICIES", "ROUND_ROBIN", "order_variants",
+    ),
+    "base": (
+        "BLAME_RESERVED", "BLAME_SELF", "Blame", "ContentionQueryModule",
+        "ScheduledToken",
+    ),
+    "bitvector": ("BitvectorQueryModule",),
+    "compiled": (
+        "CompiledKernel", "CompiledQueryModule", "clear_kernel_cache",
+        "compiled_kernel",
+    ),
+    "discrete": ("DiscreteQueryModule",),
+    "predicated": ("TRUE", "PredicatedDiscreteQueryModule", "PredicateSpace"),
+    "modulo": (
+        "BITVECTOR", "COMPILED", "DISCRETE", "REPRESENTATIONS",
+        "make_query_module",
+    ),
+    "work": (
+        "ASSIGN", "ASSIGN_FREE", "ATTRIBUTE", "CHECK", "CHECK_RANGE",
+        "COMPILE", "FREE", "FUNCTIONS", "WorkCounters",
+    ),
+})

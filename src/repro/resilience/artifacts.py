@@ -24,12 +24,12 @@ import json
 import os
 from typing import Dict, Optional, Tuple
 
-from repro import mdl
 from repro._atomic import atomic_write_text
 from repro.core.certificate import Certificate, matrix_digest_value
 from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.core.machine import MachineDescription
 from repro.errors import ArtifactIntegrityError, CertificateError
+from repro.mdl import format as mdl
 from repro.obs import trace as obs
 
 ARTIFACT_SCHEMA_NAME = "repro-artifact"

@@ -36,7 +36,6 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro import mdl
 from repro.core.certificate import (
     Certificate,
     certificate_from_machines,
@@ -52,6 +51,7 @@ from repro.errors import (
     CertificateError,
     EquivalenceError,
 )
+from repro.mdl import format as mdl
 from repro.obs import trace as obs
 from repro.resilience.artifacts import (
     load_certificate,

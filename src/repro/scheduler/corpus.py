@@ -36,9 +36,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.certificate import machine_digest
 from repro.core.machine import MachineDescription
 from repro.errors import BudgetExceeded, ScheduleError
+from repro.mdl.format import machine_digest
 from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.modulo import DISCRETE, make_query_module

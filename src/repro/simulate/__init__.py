@@ -1,9 +1,7 @@
 """Cycle-accurate issue simulation of schedules against a machine."""
 
-from repro.simulate.pipeline import (
-    ConflictEvent,
-    SimulationReport,
-    simulate,
-)
+from repro._exports import export_table
 
-__all__ = ["ConflictEvent", "SimulationReport", "simulate"]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "pipeline": ("ConflictEvent", "SimulationReport", "simulate"),
+})

@@ -15,26 +15,13 @@ The paper packs as many cycle-vectors per machine word as fit, so
 packs 2 cycles per 32-bit word and 4 per 64-bit word.
 """
 
-from repro.stats.metrics import (
-    MachineStats,
-    average_usages_per_op,
-    average_word_usages,
-    cycles_per_word,
-    describe,
-    operation_frequencies,
-    reserved_bits_per_cycle,
-    word_usage_count,
-)
-from repro.stats.tables import render_reduction_table
+from repro._exports import export_table
 
-__all__ = [
-    "MachineStats",
-    "average_usages_per_op",
-    "average_word_usages",
-    "cycles_per_word",
-    "describe",
-    "operation_frequencies",
-    "render_reduction_table",
-    "reserved_bits_per_cycle",
-    "word_usage_count",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "metrics": (
+        "MachineStats", "average_usages_per_op", "average_word_usages",
+        "cycles_per_word", "describe", "operation_frequencies",
+        "reserved_bits_per_cycle", "word_usage_count",
+    ),
+    "tables": ("render_reduction_table",),
+})

@@ -1,40 +1,16 @@
 """Workloads: the synthetic 1327-loop benchmark and named kernels."""
 
-from repro.workloads.blockgen import DEFAULT_MIX, block_suite, generate_block
-from repro.workloads.kernels import KERNELS, all_kernels
-from repro.workloads.translate import (
-    CYDRA_TO_ALPHA,
-    CYDRA_TO_MIPS,
-    CYDRA_TO_PLAYDOH,
-    PORTS,
-    port_graph,
-    translate_graph,
-)
-from repro.workloads.loopgen import (
-    MAX_OPS,
-    MIN_OPS,
-    RESULT_LATENCY,
-    generate_loop,
-    graph_signature,
-    loop_suite,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "CYDRA_TO_PLAYDOH",
-    "DEFAULT_MIX",
-    "KERNELS",
-    "block_suite",
-    "generate_block",
-    "MAX_OPS",
-    "MIN_OPS",
-    "RESULT_LATENCY",
-    "all_kernels",
-    "generate_loop",
-    "graph_signature",
-    "loop_suite",
-    "CYDRA_TO_ALPHA",
-    "CYDRA_TO_MIPS",
-    "PORTS",
-    "port_graph",
-    "translate_graph",
-]
+__getattr__, __dir__, __all__ = export_table(__name__, {
+    "blockgen": ("DEFAULT_MIX", "block_suite", "generate_block"),
+    "kernels": ("KERNELS", "all_kernels"),
+    "translate": (
+        "CYDRA_TO_ALPHA", "CYDRA_TO_MIPS", "CYDRA_TO_PLAYDOH", "PORTS",
+        "port_graph", "translate_graph",
+    ),
+    "loopgen": (
+        "MAX_OPS", "MIN_OPS", "RESULT_LATENCY", "generate_loop",
+        "graph_signature", "loop_suite",
+    ),
+})

@@ -168,12 +168,14 @@ class TestExitCodes:
         assert "budget exceeded" in capsys.readouterr().err
 
     def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch):
-        import repro.cli as cli_module
+        # ``repro reduce`` imports the reduction when it runs, from its
+        # defining module.
+        import repro.core.reduce as reduce_module
 
         def interrupt(*_args, **_kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli_module, "reduce_machine", interrupt)
+        monkeypatch.setattr(reduce_module, "reduce_machine", interrupt)
         assert main(["reduce", "example"]) == 130
         err = capsys.readouterr().err
         assert "interrupted" in err
@@ -257,3 +259,100 @@ class TestArtifactOutput:
         ) == 0
         out = capsys.readouterr().out
         assert "rung" in out and "ims" in out
+
+
+class TestCommandTable:
+    """``repro.cli.COMMANDS`` is the one list of commands; handlers are
+    imported on dispatch, so an import they defer must still resolve."""
+
+    def test_every_handler_and_argument_builder_resolves(self):
+        import argparse
+
+        from repro.cli import COMMANDS, GROUPS, _function, build_parser
+
+        for command in COMMANDS:
+            if command.name not in GROUPS:
+                assert callable(_function(command)), command.name
+            assert callable(_function(command, "_arguments")), command.name
+            assert isinstance(
+                build_parser(command.name), argparse.ArgumentParser
+            )
+
+    def test_group_help_has_its_description(self, capsys):
+        """A group describes itself the way a leaf does, from a string
+        its parser set-up assigns (a docstring would vanish under
+        ``python -OO``)."""
+        import pytest
+
+        for group, text in (
+            ("bench", "Record schema-versioned"),
+            ("runs", "Query the persistent"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                main([group, "--help"])
+            assert info.value.code == 0
+            assert text in capsys.readouterr().out
+
+    def test_deferred_imports_resolve(self):
+        """Every import inside a CLI function names a real module and
+        real attributes; otherwise it would fail only when its command
+        runs."""
+        import ast
+        import glob
+        import importlib
+        import os
+
+        import repro
+
+        package = os.path.dirname(os.path.abspath(repro.__file__))
+        paths = [os.path.join(package, "cli.py")] + sorted(
+            glob.glob(os.path.join(package, "commands", "*.py"))
+        )
+        checked = 0
+        for path in paths:
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Import):
+                        for alias in node.names:
+                            importlib.import_module(alias.name)
+                            checked += 1
+                    elif isinstance(node, ast.ImportFrom):
+                        module = importlib.import_module(node.module)
+                        for alias in node.names:
+                            name = "%s.%s" % (node.module, alias.name)
+                            assert hasattr(module, alias.name) or (
+                                importlib.import_module(name)
+                            ), "%s: %s" % (path, name)
+                            checked += 1
+        assert checked > 50
+
+    def test_recorded_commands(self):
+        from repro.cli import COMMANDS
+
+        assert {c.name for c in COMMANDS if c.recorded} == {
+            "reduce", "certify", "profile", "bench run", "schedule",
+            "explain", "chaos", "fuzz",
+        }
+
+    def test_named_command(self):
+        from repro.cli import _named_command
+
+        assert _named_command(["bench", "run", "-o", "x.json"]) == "bench run"
+        assert _named_command(["bench", "--help"]) == "bench"
+        assert _named_command(["reduce", "cydra5"]) == "reduce"
+        assert _named_command(["runs", "gc", "--keep", "1"]) == "runs gc"
+        assert _named_command(["--help"]) is None
+        assert _named_command(["nope"]) is None
+        assert _named_command([]) is None
+
+    def test_unknown_command_exits_2(self, capsys):
+        import pytest
+
+        with pytest.raises(SystemExit) as info:
+            main(["nope"])
+        assert info.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err

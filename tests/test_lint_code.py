@@ -639,6 +639,50 @@ class TestUpwardImport:
             name="repro/scheduler/snippet.py",
         ) == []
 
+    def test_export_table_entry_above_the_init_flagged(self, tmp_path):
+        diags = self._findings(
+            tmp_path,
+            """
+            from repro._exports import export_table
+
+            __getattr__, __dir__, __all__ = export_table(__name__, {
+                "core.reduce": ("reduce_machine",),
+                "scheduler.modulo": ("IterativeModuloScheduler",),
+            })
+            """,
+            name="repro/__init__.py",
+        )
+        assert len(diags) == 1 and diags[0].location.line == 4
+        assert diags[0].message == (
+            "repro (rank 2) imports repro.scheduler (rank 3), "
+            "repro.scheduler.modulo (rank 3); imports must point down the "
+            "layer table"
+        )
+
+    def test_export_table_submodule_entry_flagged(self, tmp_path):
+        [diag] = self._findings(
+            tmp_path,
+            """
+            from repro._exports import export_table
+
+            __getattr__, __dir__, __all__ = export_table(__name__, {
+                "trace": ("Tracer",),
+                "": ("export",),
+            })
+            """,
+            name="repro/obs/__init__.py",
+        )
+        assert "repro.obs.export (rank 5)" in diag.message
+        assert "repro.obs.trace" not in diag.message
+
+    def test_export_table_outside_an_init_is_not_an_import(self, tmp_path):
+        assert self._findings(
+            tmp_path,
+            """
+            table = export_table(__name__, {"scheduler.modulo": ("x",)})
+            """,
+        ) == []
+
     def test_layer_rank_resolves_longest_key_and_inits(self):
         assert layer_rank("repro.obs") == 0
         assert layer_rank("repro.obs.ledger") == 0
@@ -648,4 +692,6 @@ class TestUpwardImport:
         assert layer_rank("repro.core.certificate") == 1
         assert layer_rank("repro") == 2
         assert layer_rank("repro.cli") == 7
+        assert layer_rank("repro.commands.machine") == 7
+        assert layer_rank("repro._exports") == 0
         assert layer_rank("repro.plugins") is None

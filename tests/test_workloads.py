@@ -1,5 +1,6 @@
 """Tests for the loop generator and the named kernels."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -91,6 +92,23 @@ class TestSuiteStatistics:
         assert [g.num_operations for g in a] == [
             g.num_operations for g in b
         ]
+
+    def test_full_suite_digest_is_pinned(self):
+        """The 1327-loop seed-0 suite, byte for byte: names, opcodes and
+        edges in insertion order.  A generator speed-up must leave it
+        alone; a recalibration (ROADMAP item 4) re-pins it on purpose,
+        together with every table the suite feeds."""
+        digest = hashlib.sha256()
+        for graph in loop_suite(1327, seed=0):
+            digest.update(repr((
+                graph.name,
+                [(op.name, op.opcode) for op in graph.operations()],
+                [(e.src, e.dst, e.latency, e.distance)
+                 for e in graph.edges()],
+            )).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "83bb64c8910c00d6c59ab4df5270264d4189f82d684f61aa9aa2392cc7a34bf0"
+        )
 
 
 class TestSuiteMemo:
