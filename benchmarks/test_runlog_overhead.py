@@ -22,7 +22,7 @@ from conftest import RESULTS_DIR
 
 from repro.cli import main
 from repro.machines import cydra5_subset
-from repro.obs.runlog import RunLog, RunRecorder
+from repro.obs.runlog import ENV_RUNLOG_CLOCK, RunLog, RunRecorder
 from repro.obs.sampler import StackSampler
 from repro.scheduler import IterativeModuloScheduler
 from repro.workloads import KERNELS
@@ -120,14 +120,22 @@ def test_runlog_and_sampler_overhead(tmp_path, record):
     )
 
 
-def test_headline_runs_trajectory(tmp_path, record, capsys):
-    """Seed the bench trajectory from a runlog-driven run."""
-    runlog = tmp_path / "runs"
-    output = str(tmp_path / "bench.json")
+def test_headline_runs_trajectory(tmp_path, monkeypatch, record, capsys):
+    """Seed the bench trajectory from a runlog-driven run.
+
+    The run works in ``tmp_path`` with relative paths and a pinned
+    registry clock, so the recorded ``argv_digest``, timestamps and
+    record checksum, and with them ``BENCH_runs_trajectory.json``, are
+    the same on every run.
+    """
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(ENV_RUNLOG_CLOCK, "1000")
+    runlog = "runs"
+    output = "bench.json"
     assert main([
         "bench", "run",
         "--output", output,
-        "--runlog", str(runlog),
+        "--runlog", runlog,
     ]) == 0
     capsys.readouterr()  # the rendered result table
 
@@ -140,7 +148,7 @@ def test_headline_runs_trajectory(tmp_path, record, capsys):
     assert result.cases
 
     # The same invocation landed in the registry with the summed work.
-    records = RunLog(str(runlog)).records()
+    records = RunLog(runlog).records()
     assert len(records) == 1
     bench_record = records[0]
     assert bench_record.command == "bench run"

@@ -44,7 +44,6 @@ semantic validation.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -458,6 +457,8 @@ def machine_digest(machine: MachineDescription) -> str:
     structurally identical descriptions share a digest regardless of how
     they were built.
     """
+    import hashlib
+
     return hashlib.sha256(dumps(machine).encode("utf-8")).hexdigest()
 
 

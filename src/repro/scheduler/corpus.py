@@ -34,11 +34,11 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineDescription
 from repro.errors import BudgetExceeded, ScheduleError
-from repro.mdl.format import machine_digest
 from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.modulo import DISCRETE, make_query_module
@@ -108,13 +108,29 @@ class LoopOutcome:
 class CorpusResult:
     """A whole suite's outcomes plus merged work accounting."""
 
-    machine_name: str
-    digest: str
+    #: The description every loop was scheduled against.
+    machine: MachineDescription = field(repr=False)
     representation: str
     #: Processes that scheduled the suite; 1 for a serial run.
     processes: int
     outcomes: List[LoopOutcome] = field(default_factory=list)
     work: WorkCounters = field(default_factory=WorkCounters)
+
+    @property
+    def machine_name(self) -> str:
+        return self.machine.name
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the machine's canonical MDL text.
+
+        Computed on first read: a corpus run never reads it, and
+        serializing and hashing the machine would load the MDL writer
+        and OpenSSL into every run.
+        """
+        from repro.mdl.format import machine_digest
+
+        return machine_digest(self.machine)
 
     @property
     def scheduled(self) -> int:
@@ -196,8 +212,7 @@ class CorpusScheduler:
         """
         processes = self._processes(len(graphs), budget)
         result = CorpusResult(
-            machine_name=self.machine.name,
-            digest=machine_digest(self.machine),
+            machine=self.machine,
             representation=self.representation,
             processes=processes,
         )

@@ -11,22 +11,34 @@ distance``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ScheduleError
 from repro.obs import ledger as obs_ledger
+
+# Operations and edges are slotted frozen values: a suite of 1327 loops
+# holds tens of thousands of them, and graphs share equal ones.  Python
+# 3.9 has no ``dataclass(slots=True)``, and a slot cannot carry a class
+# default, so ``Dependence`` spells out its ``__init__``.  ``__reduce__``
+# rebuilds through the constructor: the default slot pickling restores
+# state with ``setattr``, which a frozen class refuses.
 
 
 @dataclass(frozen=True)
 class Operation:
     """A scheduled entity: a named instance of a machine opcode."""
 
+    __slots__ = ("name", "opcode")
+
     name: str
     opcode: str
 
+    def __reduce__(self):
+        return self.__class__, (self.name, self.opcode)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Dependence:
     """A dependence edge ``src -> dst``.
 
@@ -35,15 +47,46 @@ class Dependence:
     positive only for loop-carried dependences.
     """
 
+    __slots__ = ("src", "dst", "latency", "distance", "kind")
+
     src: str
     dst: str
     latency: int
-    distance: int = 0
-    kind: str = "flow"
+    distance: int
+    kind: str
+
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        latency: int,
+        distance: int = 0,
+        kind: str = "flow",
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "src", src)
+        setattr_(self, "dst", dst)
+        setattr_(self, "latency", latency)
+        setattr_(self, "distance", distance)
+        setattr_(self, "kind", kind)
+
+    def __reduce__(self):
+        return self.__class__, (
+            self.src, self.dst, self.latency, self.distance, self.kind,
+        )
+
+
+_Adjacency = Tuple[Dict[str, List[Dependence]], Dict[str, List[Dependence]]]
 
 
 class DependenceGraph:
-    """A mutable dependence graph with loop-carried distances.
+    """A dependence graph with loop-carried distances.
+
+    The graph stores its operation table and its edge list, nothing
+    else.  Operations and edges are immutable values, so graphs may
+    share them (:func:`~repro.workloads.loopgen.loop_suite` does).
+    Successor and predecessor lists are built on the first call that
+    needs them and dropped by the next add.
 
     Examples
     --------
@@ -60,24 +103,34 @@ class DependenceGraph:
         self.name = name
         self._operations: Dict[str, Operation] = {}
         self._edges: List[Dependence] = []
-        self._succs: Dict[str, List[Dependence]] = {}
-        self._preds: Dict[str, List[Dependence]] = {}
+        self._adjacency: Optional[_Adjacency] = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @classmethod
+    def from_parts(
+        cls,
+        name: str,
+        operations: Iterable[Operation],
+        dependences: Iterable[Dependence],
+    ) -> "DependenceGraph":
+        """A graph of the given operations and edges, in order.
+
+        The objects are stored, not copied, so graphs built from one
+        pool share them.  Checks and errors are those of
+        :meth:`add_operation` and :meth:`add_dependence`.
+        """
+        graph = cls(name)
+        for op in operations:
+            graph._insert_operation(op)
+        for edge in dependences:
+            graph._insert_dependence(edge)
+        return graph
+
     def add_operation(self, name: str, opcode: str) -> Operation:
         """Add a node; raises on duplicate names."""
-        if name in self._operations:
-            raise ScheduleError(
-                "duplicate operation %r" % name,
-                ledger_tail=obs_ledger.active_tail(),
-            )
-        op = Operation(name, opcode)
-        self._operations[name] = op
-        self._succs[name] = []
-        self._preds[name] = []
-        return op
+        return self._insert_operation(Operation(name, opcode))
 
     def add_dependence(
         self,
@@ -88,21 +141,34 @@ class DependenceGraph:
         kind: str = "flow",
     ) -> Dependence:
         """Add an edge; endpoints must already exist."""
-        for endpoint in (src, dst):
+        return self._insert_dependence(
+            Dependence(src, dst, latency, distance, kind)
+        )
+
+    def _insert_operation(self, op: Operation) -> Operation:
+        if op.name in self._operations:
+            raise ScheduleError(
+                "duplicate operation %r" % op.name,
+                ledger_tail=obs_ledger.active_tail(),
+            )
+        self._operations[op.name] = op
+        self._adjacency = None
+        return op
+
+    def _insert_dependence(self, edge: Dependence) -> Dependence:
+        for endpoint in (edge.src, edge.dst):
             if endpoint not in self._operations:
                 raise ScheduleError(
                     "unknown operation %r" % endpoint,
                     ledger_tail=obs_ledger.active_tail(),
                 )
-        if distance < 0:
+        if edge.distance < 0:
             raise ScheduleError(
                 "dependence distance must be >= 0",
                 ledger_tail=obs_ledger.active_tail(),
             )
-        edge = Dependence(src, dst, latency, distance, kind)
         self._edges.append(edge)
-        self._succs[src].append(edge)
-        self._preds[dst].append(edge)
+        self._adjacency = None
         return edge
 
     # ------------------------------------------------------------------
@@ -134,11 +200,27 @@ class DependenceGraph:
 
     def successors(self, name: str) -> List[Dependence]:
         """Outgoing edges of ``name``."""
-        return list(self._succs[name])
+        return list(self._adjacent()[0][name])
 
     def predecessors(self, name: str) -> List[Dependence]:
         """Incoming edges of ``name``."""
-        return list(self._preds[name])
+        return list(self._adjacent()[1][name])
+
+    def _adjacent(self) -> _Adjacency:
+        """``(successors, predecessors)`` of every operation, built from
+        the edge list on first use."""
+        if self._adjacency is None:
+            succs: Dict[str, List[Dependence]] = {
+                name: [] for name in self._operations
+            }
+            preds: Dict[str, List[Dependence]] = {
+                name: [] for name in self._operations
+            }
+            for edge in self._edges:
+                succs[edge.src].append(edge)
+                preds[edge.dst].append(edge)
+            self._adjacency = (succs, preds)
+        return self._adjacency
 
     def opcodes(self) -> List[str]:
         """Opcode of every operation (with multiplicity)."""
@@ -153,21 +235,29 @@ class DependenceGraph:
         return self.topological_order() is not None
 
     def topological_order(self) -> Optional[List[str]]:
-        """Topological order over distance-0 edges, or None on a cycle."""
-        indegree = {name: 0 for name in self._operations}
+        """Topological order over distance-0 edges, or None on a cycle.
+
+        Every IMS loop runs this as MII's acyclicity test, so it works
+        from the edge list and keeps no adjacency.
+        """
+        indegree = dict.fromkeys(self._operations, 0)
+        targets: Dict[str, List[str]] = {}
         for edge in self._edges:
             if edge.distance == 0:
                 indegree[edge.dst] += 1
+                if edge.src in targets:
+                    targets[edge.src].append(edge.dst)
+                else:
+                    targets[edge.src] = [edge.dst]
         ready = [name for name, deg in indegree.items() if deg == 0]
         order: List[str] = []
         while ready:
             name = ready.pop()
             order.append(name)
-            for edge in self._succs[name]:
-                if edge.distance == 0:
-                    indegree[edge.dst] -= 1
-                    if indegree[edge.dst] == 0:
-                        ready.append(edge.dst)
+            for dst in targets.get(name, ()):
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    ready.append(dst)
         if len(order) != len(self._operations):
             return None
         return order
@@ -181,8 +271,9 @@ class DependenceGraph:
             )
         if not self.is_acyclic():
             raise ScheduleError(
-                "graph %r has a zero-distance dependence cycle" % self.name
-            , ledger_tail=obs_ledger.active_tail())
+                "graph %r has a zero-distance dependence cycle" % self.name,
+                ledger_tail=obs_ledger.active_tail(),
+            )
 
     def critical_path_length(self) -> int:
         """Longest latency path over distance-0 edges (acyclic height)."""
@@ -192,10 +283,11 @@ class DependenceGraph:
                 "graph %r is cyclic at distance 0" % self.name,
                 ledger_tail=obs_ledger.active_tail(),
             )
+        preds = self._adjacent()[1]
         finish: Dict[str, int] = {}
         for name in order:
             start = 0
-            for edge in self._preds[name]:
+            for edge in preds[name]:
                 if edge.distance == 0:
                     start = max(start, finish.get(edge.src, 0) + edge.latency)
             finish[name] = start
@@ -229,8 +321,9 @@ class DependenceGraph:
             if slack < 0:
                 raise ScheduleError(
                     "dependence %s->%s violated by %d cycles"
-                    % (edge.src, edge.dst, -slack)
-                , ledger_tail=obs_ledger.active_tail())
+                    % (edge.src, edge.dst, -slack),
+                    ledger_tail=obs_ledger.active_tail(),
+                )
 
     def __repr__(self) -> str:
         return "DependenceGraph(%r, %d ops, %d edges)" % (

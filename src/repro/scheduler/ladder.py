@@ -26,14 +26,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineDescription
-from repro.core.selection import RES_USES, WORD_USES
 from repro.errors import BudgetExceeded, ScheduleError
 from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.work import WorkCounters
 from repro.resilience.budget import Budget
 from repro.scheduler.ddg import DependenceGraph
-from repro.scheduler.list_scheduler import OperationDrivenScheduler
 from repro.scheduler.mii import min_ii
 from repro.scheduler.modulo import (
     IterativeModuloScheduler,
@@ -65,6 +63,14 @@ class AttemptRecord:
     @property
     def failed(self) -> bool:
         return self.error_type is not None
+
+
+def _paper_objectives() -> Sequence[Tuple[str, int]]:
+    """The paper's two objectives, read from the selection module only
+    when a policy is made, so a policy-less run does not load it."""
+    from repro.core.selection import RES_USES, WORD_USES
+
+    return ((RES_USES, 1), (WORD_USES, 4))
 
 
 @dataclass
@@ -110,9 +116,8 @@ class FallbackPolicy:
 
     deadline_s: Optional[float] = None
     max_units: Optional[int] = None
-    objectives: Sequence[Tuple[str, int]] = (
-        (RES_USES, 1),
-        (WORD_USES, 4),
+    objectives: Sequence[Tuple[str, int]] = field(
+        default_factory=_paper_objectives
     )
     backoff_s: float = 0.0
     backoff_factor: float = 2.0
@@ -241,6 +246,8 @@ def _flat_schedule(
     slots never wrap, so the acyclic schedule's freedom from contention
     carries over to the MRT verbatim.
     """
+    from repro.scheduler.list_scheduler import OperationDrivenScheduler
+
     block = OperationDrivenScheduler(
         machine, query_factory=query_factory
     ).schedule(graph)

@@ -18,12 +18,11 @@ reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.scheduler.ddg import DependenceGraph
+from repro.scheduler.ddg import Dependence, DependenceGraph, Operation
 
 #: Result latency of each producer opcode (base names; alternatives share
 #: their base's latency).  Loads carry the Cydra's long memory latency.
@@ -78,29 +77,57 @@ def generate_loop(seed: int, name: Optional[str] = None) -> DependenceGraph:
     closes the iteration control recurrence.  With ~35% probability one
     value chain is turned into a loop-carried recurrence.
     """
+    return _generate_loop(seed, name, {}, {})
+
+
+def _generate_loop(
+    seed: int,
+    name: Optional[str],
+    operations: Dict[Tuple[str, int], Operation],
+    dependences: Dict[Tuple[str, str, int, int], Dependence],
+) -> DependenceGraph:
+    """:func:`generate_loop`, taking each node from ``operations`` (keyed
+    by opcode and index) and each edge from ``dependences`` (keyed by
+    endpoints, latency and distance), and adding the ones missing there.
+    Graphs built from the same two tables share equal nodes and edges.
+    """
     rng = random.Random(0x5EED ^ seed)
-    graph = DependenceGraph(name or ("loop%04d" % seed))
     size = _draw_size(rng)
+    nodes: List[Operation] = []
+    edges: List[Dependence] = []
+
+    def fresh(opcode: str) -> Operation:
+        key = (opcode, len(nodes))
+        node = operations.get(key)
+        if node is None:
+            node = operations[key] = Operation("%s_%d" % key, opcode)
+        nodes.append(node)
+        return node
+
+    def depend(
+        src: Operation, dst: Operation, latency: int, distance: int = 0
+    ) -> None:
+        key = (src.name, dst.name, latency, distance)
+        edge = dependences.get(key)
+        if edge is None:
+            edge = dependences[key] = Dependence(*key)
+        edges.append(edge)
 
     if size <= 4:
         # Tiny loops: a short compute chain closed by the loop control op.
         previous = None
-        for index in range(size - 1):
-            opcode = _weighted_choice(rng, _COMPUTE_MIX[:4])
-            node = "%s_%d" % (opcode, index)
-            graph.add_operation(node, opcode)
+        for _ in range(size - 1):
+            node = fresh(_weighted_choice(rng, _COMPUTE_MIX[:4]))
             if previous is not None:
-                graph.add_dependence(
-                    previous, node,
-                    RESULT_LATENCY[graph.operation(previous).opcode],
-                )
+                depend(previous, node, RESULT_LATENCY[previous.opcode])
             previous = node
-        brtop = "brtop_%d" % (size - 1)
-        graph.add_operation(brtop, "brtop")
-        graph.add_dependence(brtop, brtop, RESULT_LATENCY["brtop"], distance=1)
+        brtop = fresh("brtop")
+        depend(brtop, brtop, RESULT_LATENCY["brtop"], distance=1)
         if previous is not None:
-            graph.add_dependence(previous, brtop, 1)
-        return graph
+            depend(previous, brtop, 1)
+        return DependenceGraph.from_parts(
+            name or ("loop%04d" % seed), nodes, edges
+        )
 
     # Partition the body: memory traffic scales with size.
     n_loads = max(1, int(round(size * rng.uniform(0.15, 0.3))))
@@ -108,33 +135,21 @@ def generate_loop(seed: int, name: Optional[str] = None) -> DependenceGraph:
     n_addr = max(1, (n_loads + n_stores + 1) // 2)
     n_compute = max(1, size - n_loads - n_stores - n_addr - 1)
 
-    counter = [0]
-
-    def fresh(opcode: str) -> str:
-        node = "%s_%d" % (opcode, counter[0])
-        counter[0] += 1
-        graph.add_operation(node, opcode)
-        return node
-
     addr_nodes = [fresh("addr_gen") for _ in range(n_addr)]
     load_nodes = []
-    for i in range(n_loads):
+    for _ in range(n_loads):
         node = fresh("load_s")
-        graph.add_dependence(
-            rng.choice(addr_nodes), node, RESULT_LATENCY["addr_gen"]
-        )
+        depend(rng.choice(addr_nodes), node, RESULT_LATENCY["addr_gen"])
         load_nodes.append(node)
 
     # Expression DAG: every compute op consumes 1-2 earlier values.
     values = list(load_nodes)
     compute_nodes = []
     for _ in range(n_compute):
-        opcode = _weighted_choice(rng, _COMPUTE_MIX)
-        node = fresh(opcode)
+        node = fresh(_weighted_choice(rng, _COMPUTE_MIX))
         for _input in range(rng.choice((1, 2, 2))):
             producer = rng.choice(values)
-            latency = RESULT_LATENCY[graph.operation(producer).opcode]
-            graph.add_dependence(producer, node, latency)
+            depend(producer, node, RESULT_LATENCY[producer.opcode])
         values.append(node)
         compute_nodes.append(node)
 
@@ -142,19 +157,15 @@ def generate_loop(seed: int, name: Optional[str] = None) -> DependenceGraph:
     for _ in range(n_stores):
         node = fresh("store_s")
         producer = rng.choice(values)
-        graph.add_dependence(
-            producer, node, RESULT_LATENCY[graph.operation(producer).opcode]
-        )
-        graph.add_dependence(
-            rng.choice(addr_nodes), node, RESULT_LATENCY["addr_gen"]
-        )
+        depend(producer, node, RESULT_LATENCY[producer.opcode])
+        depend(rng.choice(addr_nodes), node, RESULT_LATENCY["addr_gen"])
         store_nodes.append(node)
 
     # Loop control: brtop closes the iteration counter recurrence.
     brtop = fresh("brtop")
-    graph.add_dependence(brtop, brtop, RESULT_LATENCY["brtop"], distance=1)
+    depend(brtop, brtop, RESULT_LATENCY["brtop"], distance=1)
     anchor = rng.choice(store_nodes + compute_nodes[-1:] or load_nodes)
-    graph.add_dependence(anchor, brtop, 1)
+    depend(anchor, brtop, 1)
 
     # Optional data recurrence: an accumulator chain of FP adds, or a
     # first-order linear recurrence through a multiply-add.
@@ -163,30 +174,34 @@ def generate_loop(seed: int, name: Optional[str] = None) -> DependenceGraph:
         tail = rng.choice(compute_nodes)
         # Orient the pair so head (transitively) feeds tail before closing
         # the cycle with a loop-carried back edge tail -> head.
-        if head != tail and _reaches(graph, tail, head):
+        if head != tail and _reaches(edges, tail.name, head.name):
             head, tail = tail, head
-        if head != tail and not _reaches(graph, head, tail):
-            graph.add_dependence(
-                head, tail, RESULT_LATENCY[graph.operation(head).opcode]
-            )
+        if head != tail and not _reaches(edges, head.name, tail.name):
+            depend(head, tail, RESULT_LATENCY[head.opcode])
         distance = rng.choice((1, 1, 1, 2))
-        latency = RESULT_LATENCY[graph.operation(tail).opcode]
-        graph.add_dependence(tail, head, latency, distance=distance)
-    return graph
+        depend(tail, head, RESULT_LATENCY[tail.opcode], distance=distance)
+    return DependenceGraph.from_parts(
+        name or ("loop%04d" % seed), nodes, edges
+    )
 
 
-def _reaches(graph: DependenceGraph, src: str, dst: str) -> bool:
-    """True when ``dst`` is reachable from ``src`` over distance-0 edges."""
+def _reaches(edges: Sequence[Dependence], src: str, dst: str) -> bool:
+    """True when ``dst`` is reachable from ``src`` over the distance-0
+    edges of ``edges``."""
+    targets: Dict[str, List[str]] = {}
+    for edge in edges:
+        if edge.distance == 0:
+            targets.setdefault(edge.src, []).append(edge.dst)
     stack = [src]
     seen = {src}
     while stack:
         node = stack.pop()
         if node == dst:
             return True
-        for edge in graph.successors(node):
-            if edge.distance == 0 and edge.dst not in seen:
-                seen.add(edge.dst)
-                stack.append(edge.dst)
+        for target in targets.get(node, ()):
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
     return False
 
 
@@ -206,7 +221,8 @@ def loop_suite(count: int = 1327, seed: int = 0) -> List[DependenceGraph]:
     Pure and memoized: repeat calls with the same ``(count, seed)``
     return the *same graph objects* in a fresh list (callers may reorder
     or slice freely; graphs themselves are treated as immutable by every
-    scheduler).  Cross-process determinism is guaranteed by the seeded
+    scheduler).  The suite's graphs share each distinct node and edge
+    object.  Cross-process determinism is guaranteed by the seeded
     RNG, not the memo — see ``tests/test_workloads.py``.
     """
     key = (count, seed)
@@ -214,8 +230,13 @@ def loop_suite(count: int = 1327, seed: int = 0) -> List[DependenceGraph]:
     if suite is None:
         if len(_SUITE_MEMO) >= _SUITE_MEMO_MAX:
             _SUITE_MEMO.clear()
+        operations: Dict[Tuple[str, int], Operation] = {}
+        dependences: Dict[Tuple[str, str, int, int], Dependence] = {}
         suite = [
-            generate_loop(seed * 100003 + index) for index in range(count)
+            _generate_loop(
+                seed * 100003 + index, None, operations, dependences
+            )
+            for index in range(count)
         ]
         _SUITE_MEMO[key] = suite
     return list(suite)
@@ -237,4 +258,6 @@ def graph_signature(graph: DependenceGraph) -> str:
         for edge in graph.edges()
     )
     payload = repr((graph.name, ops, edges))
+    import hashlib
+
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

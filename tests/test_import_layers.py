@@ -244,10 +244,45 @@ def test_cli_corpus_loads_no_certificate_checker():
     )) == []
 
 
+def test_cli_reduce_loads_only_the_named_machine():
+    """A built-in name resolves to its own module: reducing Cydra 5
+    compiles none of the other machine descriptions."""
+    loaded = _loaded(
+        "import io, contextlib\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['reduce', 'cydra5']) == 0\n"
+    )
+    assert _within(loaded, ("repro.machines",)) == [
+        "repro.machines", "repro.machines.builtin", "repro.machines.cydra5",
+    ]
+
+
+def test_cli_corpus_without_policy_loads_no_fallback_rung():
+    """The fallback ladder loads the selection objectives and the list
+    scheduler only when a policy or its flat rung needs them."""
+    loaded = _loaded(
+        "import io, contextlib\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['schedule', 'cydra5-subset', '--corpus',"
+        " '--loops', '4']) == 0\n"
+    )
+    assert "repro.scheduler.ladder" in loaded
+    assert _within(loaded, (
+        "repro.core.selection", "repro.core.elementary",
+        "repro.scheduler.list_scheduler", "repro.mdl",
+    )) == []
+
+
 #: Runs one ``benchmarks/e2e`` workload's set-up and quick pass, and
-#: prints the ``repro`` modules the pass imports first.
+#: prints the ``repro`` modules the pass imports first, which of
+#: ``hashlib``/``_hashlib`` are loaded at the end, and whether
+#: ``random`` alone loaded one.
 E2E_PASS_PROBE = """
 import json, sys
+import random
+by_random = "hashlib" in sys.modules or "_hashlib" in sys.modules
 sys.path.insert(0, sys.argv[2])
 import child
 config = json.loads(sys.argv[1])
@@ -255,24 +290,18 @@ inputs = child.setup(config)
 before = set(sys.modules)
 items, finish = child.run_pass(config, inputs, None)
 finish()
-print(json.dumps(sorted(
-    n for n in set(sys.modules) - before
-    if n == "repro" or n.startswith("repro.")
-)))
+print(json.dumps({
+    "first": sorted(
+        n for n in set(sys.modules) - before
+        if n == "repro" or n.startswith("repro.")
+    ),
+    "hashlib": [n for n in ("hashlib", "_hashlib") if n in sys.modules],
+    "random": by_random,
+}))
 """
 
 
-@pytest.mark.parametrize("workload, representation", [
-    ("reduce-cydra5", "discrete"),
-    ("reduce-zoo", "discrete"),
-    ("ims-suite", "discrete"),
-    ("ims-suite", "bitvector"),
-    ("ims-suite", "compiled"),
-    ("corpus-suite", "discrete"),
-])
-def test_e2e_pass_imports_no_repro_module(workload, representation):
-    """An import deferred into code a timed pass runs would be timed:
-    each workload's set-up must load everything its pass uses."""
+def _e2e_pass(workload, representation):
     config = {
         "workload": workload, "seed": 0, "quick": True,
         "rep": representation, "mode": "pass", "traced": False,
@@ -286,4 +315,28 @@ def test_e2e_pass_imports_no_repro_module(workload, representation):
         capture_output=True, text=True, env=_env(), timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
-    assert json.loads(completed.stdout.strip().splitlines()[-1]) == []
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", ["ims-suite", "corpus-suite"])
+def test_suite_setup_and_pass_load_no_hashlib(workload):
+    """Nothing a suite run does hashes: the corpus digest is computed on
+    first read, and loading OpenSSL costs megabytes of resident set."""
+    found = _e2e_pass(workload, "discrete")
+    if found["random"]:
+        pytest.skip("this interpreter's random module loads hashlib")
+    assert found["hashlib"] == []
+
+
+@pytest.mark.parametrize("workload, representation", [
+    ("reduce-cydra5", "discrete"),
+    ("reduce-zoo", "discrete"),
+    ("ims-suite", "discrete"),
+    ("ims-suite", "bitvector"),
+    ("ims-suite", "compiled"),
+    ("corpus-suite", "discrete"),
+])
+def test_e2e_pass_imports_no_repro_module(workload, representation):
+    """An import deferred into code a timed pass runs would be timed:
+    each workload's set-up must load everything its pass uses."""
+    assert _e2e_pass(workload, representation)["first"] == []

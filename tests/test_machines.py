@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ForbiddenLatencyMatrix, reduce_machine
 from repro.machines import STUDY_MACHINES
+from repro.machines.builtin import BUILTIN_MACHINES
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +127,15 @@ class TestReductions:
         reduced = subset_reduction.reduced
         factor = original.total_usages / reduced.total_usages
         assert factor >= 1.5
+
+
+class TestBuiltinTable:
+    """Each built-in name resolves to its own module's factory on
+    demand (``tests/test_import_layers.py`` checks what that loads)."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MACHINES))
+    def test_name_builds_its_modules_machine(self, name):
+        import repro.machines
+
+        factory = BUILTIN_MACHINES[name]
+        assert factory() == getattr(repro.machines, factory.__name__)()

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -164,6 +165,49 @@ class TestSuiteMemo:
         assert output == [
             graph_signature(g) for g in loop_suite(16, seed=4)
         ]
+
+
+class TestSuiteSharing:
+    """A suite builds each distinct node and edge once and every graph
+    refers to the shared objects."""
+
+    @pytest.fixture
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(loopgen, "_SUITE_MEMO", {})
+
+    def test_full_suite_holds_622_operations_and_7089_edges(self, fresh_memo):
+        suite = loop_suite(1327, seed=0)
+        ops = [op for graph in suite for op in graph.operations()]
+        edges = [edge for graph in suite for edge in graph.edges()]
+        assert (len(ops), len(edges)) == (19302, 25009)
+        assert len({id(op) for op in ops}) == len(set(ops)) == 622
+        assert len({id(edge) for edge in edges}) == len(set(edges)) == 7089
+
+    def test_full_suite_live_size_at_most_3_mb(self, fresh_memo):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            suite = loop_suite(1327, seed=0)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(suite) == 1327
+        assert live <= 3 * 1024 * 1024, live
+
+    def test_suite_graphs_equal_standalone_graphs(self, fresh_memo):
+        suite = loop_suite(60, seed=2)
+        for index, graph in enumerate(suite):
+            alone = generate_loop(2 * 100003 + index)
+            assert graph.name == alone.name
+            assert graph.operations() == alone.operations()
+            assert list(graph.edges()) == list(alone.edges())
+
+    def test_standalone_graphs_share_nothing(self):
+        a, b = generate_loop(7), generate_loop(7)
+        assert a.operations() == b.operations()
+        assert not any(
+            x is y for x, y in zip(a.operations(), b.operations())
+        )
 
 
 class TestKernels:
