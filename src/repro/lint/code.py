@@ -531,8 +531,8 @@ _RNG_CONSTRUCTORS = frozenset({"Random"})
 def _check_unseeded_random(ctx: CodeContext) -> Iterator[Diagnostic]:
     """Every random draw must come from an explicitly seeded stream.
 
-    The whole repo — fuzz generator, chaos harness, workload suites,
-    backoff jitter — promises bit-for-bit reproducibility from a seed.
+    The whole repo — fuzz generator, fault plans, workload suites —
+    promises bit-for-bit reproducibility from a seed.
     Three constructions silently break that promise: calling a draw
     method on the ``random`` *module* (the hidden global ``Random``
     seeded from OS entropy at import), constructing ``Random()`` with

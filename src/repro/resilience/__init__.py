@@ -1,4 +1,4 @@
-"""Resilience layer: budgets, the reduction ladder, artifacts, and chaos.
+"""Resilience layer: budgets, the reduction ladder, artifacts, the cache.
 
 The paper's thesis is that a reduced machine description is only
 trustworthy because it is *checked*; this package extends that stance to
@@ -15,9 +15,10 @@ runtime failure modes:
   store with semantic (forbidden-matrix digest) self-verification;
 * :mod:`~repro.resilience.reduction_cache` — digest-keyed reduction
   memo + disk cache whose hits are re-verified on load and whose
-  corruption falls back to a fresh reduction;
-* :mod:`~repro.resilience.chaos` — deterministic fault injection proving
-  the above actually hold (``repro chaos <machine> --seed N``).
+  corruption falls back to a fresh reduction.
+
+The fault injector proving the above actually hold is
+:mod:`repro.fuzz.plans` (``repro chaos <machine> --seed N``).
 
 This init imports nothing, so importing the budget leaf never loads the
 rest; import each name from the module that defines it.  See

@@ -250,9 +250,10 @@ def load_certificate(path: str) -> Certificate:
 def verify_artifact(path: str) -> Dict[str, object]:
     """Verify an artifact in place and return its header.
 
-    Convenience wrapper used by the chaos harness and by operators
-    auditing an artifact directory (``ArtifactIntegrityError`` on any
-    corruption, including a missing sidecar).
+    Convenience wrapper used by ``repro chaos`` and ``repro fuzz`` to
+    read their reports straight back, and by operators auditing an
+    artifact directory (``ArtifactIntegrityError`` on any corruption,
+    including a missing sidecar).
     """
     _text, header = read_artifact(path)
     return header

@@ -12,7 +12,8 @@ and scheduling phases; reduction loops approximate a unit as one resource
 match per elementary pair.
 
 The clock is injectable (``clock=time.monotonic`` by default), which is
-how the chaos harness simulates phase delays deterministically.
+how the fault plans of :mod:`repro.fuzz.plans` simulate phase delays
+deterministically.
 """
 
 from __future__ import annotations

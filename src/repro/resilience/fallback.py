@@ -2,14 +2,14 @@
 
 The paper replaces an error-prone manual reduction with a *checked*
 automatic one; this module extends the same promise to runtime failures.
-A request never fails opaquely and never silently serves an unchecked
-description — it degrades down an explicit ladder, and every rung's output
-is either re-verified with :func:`~repro.core.verify.assert_equivalent`
-or carries an explicit ``unverified`` marker.
+A request never fails opaquely and never serves an unchecked
+description — it degrades down an explicit ladder, and every rung's
+output is re-verified with :func:`~repro.core.verify.assert_equivalent`
+before it is served.
 
 Reduction ladder (:func:`reduce_with_fallback`)::
 
-    reduced              reduce_machine per objective, retry with backoff
+    reduced              reduce_machine per objective, then retry
       └─ partially-selected   every usage of the pruned generating set
            └─ original        the input description (identity, exact)
 
@@ -22,7 +22,7 @@ both ladders read live in :mod:`repro.scheduler.ladder`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.certificate import (
     Certificate,
@@ -34,7 +34,7 @@ from repro.core.generating import build_generating_set
 from repro.core.machine import MachineDescription
 from repro.core.pruning import prune_covered_resources
 from repro.core.reduce import Reduction, machine_from_selection, reduce_machine
-from repro.core.selection import SelectionResult
+from repro.core.selection import RES_USES, WORD_USES, SelectionResult
 from repro.core.verify import assert_equivalent
 from repro.errors import BudgetExceeded, ReductionError
 from repro.obs import trace as obs
@@ -45,23 +45,24 @@ RUNG_REDUCED = "reduced"
 RUNG_PARTIAL = "partially-selected"
 RUNG_ORIGINAL = "original"
 
-UNVERIFIED_POLICY = "verification disabled by policy"
+#: The reduced rung's retries: the paper's two objectives, as
+#: ``(objective, word_cycles)`` pairs tried in order before degrading.
+OBJECTIVES = ((RES_USES, 1), (WORD_USES, 4))
 
 
 @dataclass
 class ReduceOutcome:
     """What the reduction ladder served, and how it got there.
 
-    Every verified rung carries its preservation certificate, so a
-    degraded outcome is just as auditable as a full reduction; the
-    certificate is ``None`` only when the policy disabled verification
-    or the identity rung's budget ran out before one could be issued.
+    The served description is always equivalent to the input: it passed
+    ``assert_equivalent``, or it is the input itself.  Every rung
+    carries its preservation certificate, so a degraded outcome is just
+    as auditable as a full reduction; the certificate is ``None`` only
+    when the budget ran out before one could be issued.
     """
 
     machine: MachineDescription
     rung: str
-    verified: bool
-    unverified_reason: Optional[str]
     attempts: List[AttemptRecord] = field(default_factory=list)
     reduction: Optional[Reduction] = None
     certificate: Optional[Certificate] = None
@@ -70,39 +71,14 @@ class ReduceOutcome:
     def degraded(self) -> bool:
         return self.rung != RUNG_REDUCED
 
-    @property
-    def marker(self) -> str:
-        """``"verified"`` or an explicit ``"unverified(<reason>)"``."""
-        if self.verified:
-            return "verified"
-        return "unverified(%s)" % (self.unverified_reason or "unknown")
-
-
-def _ladder_verify(
-    original: MachineDescription,
-    served: MachineDescription,
-    policy: FallbackPolicy,
-) -> Tuple[bool, Optional[str]]:
-    """The ladder's own verification of a served description.
-
-    Raises :class:`~repro.errors.EquivalenceError` (letting the caller
-    degrade) when verification runs and fails; returns the
-    verified/marker pair otherwise.
-    """
-    if not policy.verify:
-        return False, UNVERIFIED_POLICY
-    assert_equivalent(original, served)
-    return True, None
-
 
 def _rung_certificate(
     original: MachineDescription,
     served: MachineDescription,
     reduction: Optional[Reduction],
-    verified: bool,
     policy: FallbackPolicy,
 ) -> Optional["Certificate"]:
-    """Issue the certificate a verified rung carries.
+    """Issue the certificate a served rung carries.
 
     Reuses the reduction's matrix when the served description is the
     reduction's own output; otherwise issues from scratch under a fresh
@@ -110,8 +86,6 @@ def _rung_certificate(
     outcome verified but certificate-less — degradation stays possible
     even when proving artifacts is what became too expensive.
     """
-    if not verified:
-        return None
     try:
         if reduction is not None and served is reduction.reduced:
             return issue_certificate(reduction)
@@ -131,9 +105,8 @@ def reduce_with_fallback(
 
     Never raises for budget or reduction failures: the worst case serves
     the original description (rung ``"original"``), which is exact by
-    identity.  The served description is *always* verified against the
-    original (or explicitly marked unverified when the policy disables
-    verification) — see :class:`ReduceOutcome`.
+    identity.  Every other served description is verified against the
+    original before it is served.
     """
     policy = policy or FallbackPolicy()
     attempts: List[AttemptRecord] = []
@@ -143,11 +116,10 @@ def reduce_with_fallback(
         machine=machine.name,
     ) as ladder_span:
         # Rung 1: full reduction, retrying across selection objectives.
-        for index, (objective, word_cycles) in enumerate(policy.objectives):
+        for index, (objective, word_cycles) in enumerate(OBJECTIVES):
             detail = "objective=%s word_cycles=%d" % (objective, word_cycles)
             if index:
                 obs.count("resilience.retry")
-                policy.backoff(index)
             budget = policy.make_budget("reduce:%s" % objective)
             try:
                 reduction = reduce_machine(
@@ -159,18 +131,16 @@ def reduce_with_fallback(
                 served = reduction.reduced
                 if policy.mutate_reduced is not None:
                     served = policy.mutate_reduced(served)
-                verified, reason = _ladder_verify(machine, served, policy)
+                assert_equivalent(machine, served)
                 attempts.append(AttemptRecord(RUNG_REDUCED, detail))
                 ladder_span.set(rung=RUNG_REDUCED, attempts=len(attempts))
                 return ReduceOutcome(
                     machine=served,
                     rung=RUNG_REDUCED,
-                    verified=verified,
-                    unverified_reason=reason,
                     attempts=attempts,
                     reduction=reduction,
                     certificate=_rung_certificate(
-                        machine, served, reduction, verified, policy
+                        machine, served, reduction, policy
                     ),
                 )
             except (BudgetExceeded, ReductionError) as exc:
@@ -214,7 +184,7 @@ def reduce_with_fallback(
             served = machine_from_selection(
                 machine, selection, name=machine.name + "-partial"
             )
-            verified, reason = _ladder_verify(machine, served, policy)
+            assert_equivalent(machine, served)
             attempts.append(
                 AttemptRecord(
                     RUNG_PARTIAL,
@@ -226,12 +196,8 @@ def reduce_with_fallback(
             return ReduceOutcome(
                 machine=served,
                 rung=RUNG_PARTIAL,
-                verified=verified,
-                unverified_reason=reason,
                 attempts=attempts,
-                certificate=_rung_certificate(
-                    machine, served, None, verified, policy
-                ),
+                certificate=_rung_certificate(machine, served, None, policy),
             )
         except (BudgetExceeded, ReductionError) as exc:
             attempts.append(
@@ -252,20 +218,16 @@ def reduce_with_fallback(
         return ReduceOutcome(
             machine=machine,
             rung=RUNG_ORIGINAL,
-            verified=True,
-            unverified_reason=None,
             attempts=attempts,
-            certificate=_rung_certificate(
-                machine, machine, None, policy.verify, policy
-            ),
+            certificate=_rung_certificate(machine, machine, None, policy),
         )
 
 
 __all__ = [
+    "OBJECTIVES",
     "ReduceOutcome",
     "RUNG_ORIGINAL",
     "RUNG_PARTIAL",
     "RUNG_REDUCED",
-    "UNVERIFIED_POLICY",
     "reduce_with_fallback",
 ]

@@ -18,15 +18,13 @@ loaded reduced description is then proven equivalent to the requesting
 machine by validating its stored **certificate** with
 :func:`repro.core.certificate.check_certificate` — soundness plus
 coverage of the Theorem-1 witness pairs, at a fraction of the work of
-re-deriving both forbidden matrices.  ``paranoid=True`` restores the
-old behaviour and re-runs the full
-:func:`repro.core.verify.assert_equivalent` matrix comparison instead.
-Entries written before certificates existed (no ``.cert.json``) are
-verified the old way and *healed*: a certificate is issued and stored so
-the next hit takes the cheap path.  Any failure (truncation, bit flips,
-stale entries from a different machine colliding on a path, version
-skew) falls back to a fresh reduction and rewrites the entry, so a
-corrupt cache can cost time but never correctness.
+re-deriving both forbidden matrices.  ``paranoid=True`` additionally
+re-runs the full :func:`repro.core.verify.assert_equivalent` matrix
+comparison.  Any failure (truncation, bit flips, a missing certificate,
+stale entries from a different machine colliding on a path, MDL this
+version cannot parse) falls back to a fresh reduction and rewrites the
+entry and its certificate, so a corrupt cache can cost time but never
+correctness.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.certificate import (
     Certificate,
-    certificate_from_machines,
     check_certificate,
     issue_certificate,
 )
@@ -50,6 +47,7 @@ from repro.errors import (
     ArtifactIntegrityError,
     CertificateError,
     EquivalenceError,
+    ParseError,
 )
 from repro.mdl import format as mdl
 from repro.obs import trace as obs
@@ -139,13 +137,13 @@ class CachedReduction:
         disk hits, which only persist the reduced description.
     certificate:
         The preservation certificate binding ``original`` to
-        ``reduced`` (``None`` only for pre-certificate memo entries).
+        ``reduced``.
     verification:
         How this result was proven: ``"certificate"`` (disk hit checked
-        via its stored certificate), ``"equivalence"`` (full matrix
-        comparison — paranoid mode or a legacy entry), ``"fresh"`` (the
-        reduction itself verified), or ``"memo"`` (verified earlier in
-        this process).
+        via its stored certificate), ``"equivalence"`` (paranoid disk
+        hit: full matrix comparison as well), ``"fresh"`` (the reduction
+        itself verified), or ``"memo"`` (verified earlier in this
+        process).
     verify_units:
         Work units the certificate check spent (0 when no certificate
         check ran) — the measurable saving over ``assert_equivalent``.
@@ -168,11 +166,11 @@ def _verify_disk_hit(
     cert_path: str,
     paranoid: bool,
     budget=None,
-) -> Tuple[MachineDescription, Optional[Certificate], str, int]:
+) -> Tuple[MachineDescription, Certificate, str, int]:
     """Load and prove one disk entry; raises on any verification failure.
 
-    Returns ``(loaded, certificate, verification, units)``.  In the
-    certificate path the expensive matrix recomputations are skipped
+    Returns ``(loaded, certificate, verification, units)``.  Without
+    ``paranoid`` the expensive matrix recomputations are skipped
     entirely: the byte checksum plus the structural soundness/coverage
     proof replace both ``load_machine``'s matrix-digest re-derivation
     and ``assert_equivalent``.  A :class:`~repro.errors.BudgetExceeded`
@@ -181,28 +179,15 @@ def _verify_disk_hit(
     triggering the fresh-reduction fallback, so a hit is never served
     with its verification half-done.
     """
-    if paranoid:
-        loaded = load_machine(path)
-        assert_equivalent(machine, loaded)
-        certificate: Optional[Certificate] = None
-        if os.path.exists(cert_path):
-            certificate = load_certificate(cert_path)
-            check_certificate(
-                certificate, machine, loaded, recompute_matrix=True,
-                budget=budget,
-            )
-        return loaded, certificate, VERIFIED_EQUIVALENCE, 0
-    if not os.path.exists(cert_path):
-        # Legacy entry from before certificates: verify the old way and
-        # heal by issuing + storing the missing certificate.
-        loaded = load_machine(path)
-        assert_equivalent(machine, loaded)
-        certificate = certificate_from_machines(machine, loaded, budget=budget)
-        write_certificate(cert_path, certificate)
-        obs.count("cache.reduction.certificate_healed")
-        return loaded, certificate, VERIFIED_EQUIVALENCE, 0
-    loaded = load_machine(path, verify_matrix=False)
+    loaded = load_machine(path, verify_matrix=paranoid)
     certificate = load_certificate(cert_path)
+    if paranoid:
+        assert_equivalent(machine, loaded)
+        check_certificate(
+            certificate, machine, loaded, recompute_matrix=True,
+            budget=budget,
+        )
+        return loaded, certificate, VERIFIED_EQUIVALENCE, 0
     check = check_certificate(
         certificate, machine, loaded, recompute_matrix=False, budget=budget
     )
@@ -225,15 +210,15 @@ def cached_reduce(
     Lookup order is memo, then disk (when ``cache_dir`` is given), then
     a fresh :func:`~repro.core.reduce.reduce_machine`.  Fresh results
     are written back to both tiers together with their preservation
-    certificate; disk entries that fail checksum, certificate, or
-    equivalence verification are *replaced* by the fresh result.  Never
-    raises on cache corruption — only on a failed fresh reduction
-    itself.
+    certificate; disk entries that fail to parse or fail checksum,
+    certificate, or equivalence verification, or that lack their
+    certificate, are *replaced* by the fresh result.  Never raises on
+    cache corruption — only on a failed fresh reduction itself.
 
     ``paranoid=True`` re-proves disk hits with the full
-    :func:`~repro.core.verify.assert_equivalent` matrix comparison (and
-    additionally validates the stored certificate in full mode when one
-    exists) instead of the cheaper certificate check.
+    :func:`~repro.core.verify.assert_equivalent` matrix comparison and
+    validates the stored certificate in full mode, instead of the
+    cheaper certificate check alone.
 
     ``budget`` threads :class:`~repro.core.budget.Budget` checkpoints
     through warm-hit certificate verification and the fresh reduction.
@@ -270,6 +255,7 @@ def cached_reduce(
                 )
         except (
             ArtifactIntegrityError, CertificateError, EquivalenceError,
+            ParseError,
         ) as exc:
             obs.count("cache.reduction.rejected")
             obs.event(

@@ -20,7 +20,6 @@ two users, so the scheduler never imports the resilience layer above it.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -65,12 +64,9 @@ class AttemptRecord:
         return self.error_type is not None
 
 
-def _paper_objectives() -> Sequence[Tuple[str, int]]:
-    """The paper's two objectives, read from the selection module only
-    when a policy is made, so a policy-less run does not load it."""
-    from repro.core.selection import RES_USES, WORD_USES
-
-    return ((RES_USES, 1), (WORD_USES, 4))
+#: The scheduling retry ladder: ``(budget_ratio, max_ii_slack)`` pairs
+#: for successive IMS attempts.
+IMS_ESCALATION: Sequence[Tuple[int, int]] = ((6, 16), (12, 32), (24, 64))
 
 
 @dataclass
@@ -83,30 +79,7 @@ class FallbackPolicy:
         Per-attempt budget (each rung/retry gets a fresh
         :class:`~repro.resilience.budget.Budget`); both ``None`` disables
         budgeting entirely.
-    objectives:
-        The reduction retry ladder: ``(objective, word_cycles)`` pairs
-        tried in order before degrading (paper objectives: ``res-uses``
-        then ``k-cycle-word uses``).
-    backoff_s / backoff_factor / backoff_max_s:
-        Bounded exponential backoff between retries: retry *i* sleeps
-        ``min(backoff_s * backoff_factor**(i-1), backoff_max_s)``
-        before jitter.  ``backoff_s = 0`` disables sleeping — the
-        default, since in-process retries rarely benefit from it.
-    backoff_jitter / backoff_seed:
-        Deterministic seeded jitter: each delay is scaled by a factor
-        drawn uniformly from ``[1 - jitter, 1 + jitter]`` out of a
-        ``random.Random`` keyed by ``(backoff_seed, retry_index)`` —
-        string-seeded, so the full delay sequence is reproducible
-        across processes regardless of hash randomization.  The
-        jittered delay is re-clamped to ``backoff_max_s``.
-    ims_escalation:
-        The scheduling retry ladder: ``(budget_ratio, max_ii_slack)``
-        pairs for successive IMS attempts.
-    verify:
-        When False, serve ladder outputs without the final equivalence
-        check but *always* mark them unverified — the marker is the
-        contract, never silently skipped verification.
-    clock / sleep:
+    clock:
         Injectable for deterministic tests and chaos fault injection.
     mutate_reduced:
         Chaos hook: applied to each reduced description before the final
@@ -116,22 +89,7 @@ class FallbackPolicy:
 
     deadline_s: Optional[float] = None
     max_units: Optional[int] = None
-    objectives: Sequence[Tuple[str, int]] = field(
-        default_factory=_paper_objectives
-    )
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 60.0
-    backoff_jitter: float = 0.1
-    backoff_seed: int = 0
-    ims_escalation: Sequence[Tuple[int, int]] = (
-        (6, 16),
-        (12, 32),
-        (24, 64),
-    )
-    verify: bool = True
     clock: Callable[[], float] = time.monotonic
-    sleep: Callable[[float], None] = time.sleep
     mutate_reduced: Optional[
         Callable[[MachineDescription], MachineDescription]
     ] = None
@@ -147,31 +105,6 @@ class FallbackPolicy:
             label=label,
         )
 
-    def backoff_delay(self, retry_index: int) -> float:
-        """Delay in seconds before retry number ``retry_index`` (1-based).
-
-        Pure and deterministic: bounded exponential growth, then seeded
-        jitter, then the bound again.  Exposed separately from
-        :meth:`backoff` so tests (and capacity planning) can inspect the
-        exact delay sequence without sleeping.
-        """
-        if self.backoff_s <= 0:
-            return 0.0
-        delay = self.backoff_s * self.backoff_factor ** (retry_index - 1)
-        delay = min(delay, self.backoff_max_s)
-        if self.backoff_jitter > 0:
-            rng = random.Random(
-                "backoff:%d:%d" % (self.backoff_seed, retry_index)
-            )
-            delay *= 1.0 + self.backoff_jitter * (2.0 * rng.random() - 1.0)
-        return min(delay, self.backoff_max_s)
-
-    def backoff(self, retry_index: int) -> None:
-        """Sleep before retry number ``retry_index`` (1-based)."""
-        delay = self.backoff_delay(retry_index)
-        if delay > 0:
-            self.sleep(delay)
-
 
 @dataclass
 class ScheduleOutcome:
@@ -185,7 +118,6 @@ class ScheduleOutcome:
     graph: DependenceGraph
     machine: MachineDescription
     rung: str
-    verified: bool
     ii: int
     mii: int
     times: Dict[str, int]
@@ -280,7 +212,7 @@ def schedule_with_fallback(
     """Modulo-schedule ``graph``, degrading verifiably on failure/timeout.
 
     Retries IMS with escalating decision budgets and II ceilings
-    (``policy.ims_escalation``), then degrades to a flat, non-pipelined
+    (:data:`IMS_ESCALATION`), then degrades to a flat, non-pipelined
     schedule from the list scheduler.  Every rung's output passes the
     dependence verifier and a ground-truth MRT contention check before
     being served; a failure of the last rung raises a clean
@@ -301,15 +233,12 @@ def schedule_with_fallback(
         "resilience.schedule_ladder", obs.CAT_RESILIENCE,
         loop=graph.name, machine=machine.name,
     ) as ladder_span:
-        for index, (budget_ratio, ii_slack) in enumerate(
-            policy.ims_escalation
-        ):
+        for index, (budget_ratio, ii_slack) in enumerate(IMS_ESCALATION):
             detail = "budget_ratio=%d max_ii_slack=%d" % (
                 budget_ratio, ii_slack,
             )
             if index:
                 obs.count("resilience.retry")
-                policy.backoff(index)
             budget = policy.make_budget("ims[%d]" % index)
             try:
                 scheduler = IterativeModuloScheduler(
@@ -330,7 +259,6 @@ def schedule_with_fallback(
                     graph=graph,
                     machine=machine,
                     rung=RUNG_IMS,
-                    verified=True,
                     ii=result.ii,
                     mii=result.mii,
                     times=result.times,
@@ -365,7 +293,6 @@ def schedule_with_fallback(
             graph=graph,
             machine=machine,
             rung=RUNG_LIST,
-            verified=True,
             ii=ii,
             mii=mii,
             times=times,
@@ -378,6 +305,7 @@ def schedule_with_fallback(
 __all__ = [
     "AttemptRecord",
     "FallbackPolicy",
+    "IMS_ESCALATION",
     "RUNG_IMS",
     "RUNG_LIST",
     "ScheduleOutcome",

@@ -261,23 +261,11 @@ class TestFallbackIntegration:
 
         machine = example_machine()
         outcome = reduce_with_fallback(machine)
-        assert outcome.verified
         assert outcome.certificate is not None
         check_certificate(
             outcome.certificate, machine, outcome.machine,
             recompute_matrix=False,
         )
-
-    def test_unverified_policy_has_no_certificate(self):
-        from repro.resilience.fallback import reduce_with_fallback
-        from repro.scheduler.ladder import FallbackPolicy
-
-        machine = example_machine()
-        outcome = reduce_with_fallback(
-            machine, policy=FallbackPolicy(verify=False)
-        )
-        assert not outcome.verified
-        assert outcome.certificate is None
 
 
 class TestBudgetedCheck:

@@ -218,14 +218,7 @@ class TestChaosCommand:
              "--workdir", str(tmp_path)]
         ) == 0
         out = capsys.readouterr().out
-        assert "result: OK (6/6 faults handled)" in out
-
-    def test_chaos_fault_subset(self, capsys, tmp_path):
-        assert main(
-            ["chaos", "example", "--faults", "truncate-write",
-             "--workdir", str(tmp_path)]
-        ) == 0
-        assert "1/1 faults handled" in capsys.readouterr().out
+        assert "result: OK (9/9 steps handled)" in out
 
     def test_chaos_report_artifact(self, capsys, tmp_path):
         import json
@@ -237,6 +230,7 @@ class TestChaosCommand:
         ) == 0
         document = json.loads(out_file.read_text())
         assert document["schema"] == "repro-chaos-report"
+        assert document["version"] == 2
         assert document["ok"] is True
         # The report itself is a checksummed artifact.
         assert (tmp_path / "report.json.sum.json").exists()

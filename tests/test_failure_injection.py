@@ -150,20 +150,16 @@ class TestSchedulerGuards:
 
 
 class TestFallbackLadderUnderFaults:
-    """Every chaos fault class, driven through the fallback ladder: the
-    ladder must name the rung that served and the served description must
-    pass assert_equivalent (or carry an explicit unverified marker)."""
+    """Every chaos fault, driven through the fallback ladder: the ladder
+    must name the rung that served and the served description must pass
+    assert_equivalent."""
 
     def _assert_served_safely(self, machine, outcome):
-        if outcome.verified:
-            assert_equivalent(machine, outcome.machine)
-        else:
-            assert outcome.unverified_reason
-            assert outcome.marker.startswith("unverified(")
+        assert_equivalent(machine, outcome.machine)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_drop_usage_fault(self, seed):
-        from repro.resilience.chaos import _rng, corrupt_drop_usage
+        from repro.fuzz.plans import _rng, corrupt_drop_usage
         from repro.resilience.fallback import reduce_with_fallback
         from repro.scheduler.ladder import FallbackPolicy
 
@@ -178,7 +174,7 @@ class TestFallbackLadderUnderFaults:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_shift_usage_fault(self, seed):
-        from repro.resilience.chaos import _rng, corrupt_shift_usage
+        from repro.fuzz.plans import _rng, corrupt_shift_usage
         from repro.resilience.fallback import reduce_with_fallback
         from repro.scheduler.ladder import FallbackPolicy
 
@@ -196,7 +192,7 @@ class TestFallbackLadderUnderFaults:
         self._assert_served_safely(machine, outcome)
 
     def test_phase_delay_fault(self):
-        from repro.resilience.chaos import DelayedClock
+        from repro.fuzz.plans import DelayedClock
         from repro.resilience.fallback import reduce_with_fallback
         from repro.scheduler.ladder import FallbackPolicy
 
@@ -213,8 +209,8 @@ class TestFallbackLadderUnderFaults:
 
     def test_truncate_write_fault(self, tmp_path):
         from repro.errors import ArtifactIntegrityError
+        from repro.fuzz.plans import _rng, truncate_file
         from repro.resilience import artifacts
-        from repro.resilience.chaos import _rng, truncate_file
 
         machine = example_machine()
         path = str(tmp_path / "m.mdl")
@@ -225,8 +221,8 @@ class TestFallbackLadderUnderFaults:
 
     def test_flip_checksum_fault(self, tmp_path):
         from repro.errors import ArtifactIntegrityError
+        from repro.fuzz.plans import _rng, flip_checksum
         from repro.resilience import artifacts
-        from repro.resilience.chaos import _rng, flip_checksum
 
         machine = example_machine()
         path = str(tmp_path / "m.mdl")
@@ -250,7 +246,8 @@ class TestBudgetExceededProgression:
 
     def test_progression_properties(self):
         try:
-            from hypothesis import given, settings, strategies as st
+            from hypothesis import given, settings
+            from hypothesis import strategies as st
         except ImportError:  # pragma: no cover
             pytest.skip("hypothesis unavailable")
 

@@ -81,21 +81,24 @@ class TestChaosExitCodes:
         assert "sha256" in capsys.readouterr().err
 
     def test_unhandled_fault_exits_one(self, tmp_path, capsys, monkeypatch):
-        # Force one injector to report an unhandled fault: the CLI must
-        # translate report.ok=False into exit code 1.
-        from repro.resilience import chaos
+        # A ladder that serves a corrupt description on the reduced rung
+        # must leave its steps unhandled, whatever the ladder reports:
+        # the CLI translates report.ok=False into exit code 1.
+        import random
 
-        original = chaos.inject_corruption
+        from repro.core import reduce_machine
+        from repro.fuzz import plans
+        from repro.resilience.fallback import RUNG_REDUCED, ReduceOutcome
 
-        def sabotage(machine, seed, fault, **kwargs):
-            outcome = original(machine, seed, fault, **kwargs)
-            outcome.handled = False
-            return outcome
+        def corrupt_ladder(machine, policy=None):
+            served = plans.corrupt_drop_usage(
+                reduce_machine(machine).reduced, random.Random(0)
+            )
+            return ReduceOutcome(machine=served, rung=RUNG_REDUCED)
 
-        monkeypatch.setattr(chaos, "inject_corruption", sabotage)
+        monkeypatch.setattr(plans, "reduce_with_fallback", corrupt_ladder)
         code = main(
-            ["chaos", "example", "--seed", "0",
-             "--faults", "drop-usage",
-             "--workdir", str(tmp_path)]
+            ["chaos", "example", "--seed", "0", "--workdir", str(tmp_path)]
         )
         assert code == 1
+        assert "result: FAILED" in capsys.readouterr().out

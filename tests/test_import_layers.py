@@ -259,8 +259,8 @@ def test_cli_reduce_loads_only_the_named_machine():
 
 
 def test_cli_corpus_without_policy_loads_no_fallback_rung():
-    """The fallback ladder loads the selection objectives and the list
-    scheduler only when a policy or its flat rung needs them."""
+    """The scheduling ladder loads the list scheduler only when its flat
+    rung runs, and the selection objectives never."""
     loaded = _loaded(
         "import io, contextlib\n"
         "from repro.cli import main\n"

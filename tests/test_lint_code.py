@@ -688,7 +688,7 @@ class TestUpwardImport:
         assert layer_rank("repro.obs.ledger") == 0
         assert layer_rank("repro.obs.export") == 5
         assert layer_rank("repro.resilience") == 0
-        assert layer_rank("repro.resilience.chaos") == 5
+        assert layer_rank("repro.resilience.fallback") == 5
         assert layer_rank("repro.core.certificate") == 1
         assert layer_rank("repro") == 2
         assert layer_rank("repro.cli") == 7

@@ -149,23 +149,20 @@ class TestSchedulerEmission:
 
 
 class TestFallbackTails:
-    def test_failed_rung_carries_ledger_tail(self):
-        from repro.scheduler.ladder import (
-            FallbackPolicy,
-            schedule_with_fallback,
-        )
+    def test_failed_rung_carries_ledger_tail(self, monkeypatch):
+        from repro.scheduler import ladder
 
+        monkeypatch.setattr(ladder, "IMS_ESCALATION", ((1, 0), (6, 16)))
         machine = _machine()
         graph = KERNELS["tridiagonal"]()
-        policy = FallbackPolicy(ims_escalation=((1, 0), (6, 16)))
         with obs_ledger.recording():
-            outcome = schedule_with_fallback(machine, graph, policy)
+            outcome = ladder.schedule_with_fallback(machine, graph)
         failed = [a for a in outcome.attempts if a.failed]
         assert failed
         assert any(a.ledger_tail for a in failed)
         assert outcome.escalation_ledger
         # Without a ledger the same ladder still works, tails just absent.
-        outcome2 = schedule_with_fallback(machine, graph, policy)
+        outcome2 = ladder.schedule_with_fallback(machine, graph)
         assert outcome2.escalation_ledger == []
 
 

@@ -7,15 +7,33 @@ import random
 import pytest
 
 from repro.core import matrices_equal
+from repro.fuzz.plans import (
+    PHASE_CACHE_WARM,
+    PHASE_FAULTS,
+    FaultPlan,
+    PlanStep,
+    run_plan,
+)
 from repro.machines import cydra5_subset, example_machine
+from repro.obs import trace as obs
 from repro.resilience.artifacts import sidecar_path
-from repro.resilience.chaos import FAULT_CORRUPT_CACHE, FAULTS, run_chaos
 from repro.resilience.reduction_cache import (
     cache_entry_path,
     cached_reduce,
     clear_reduction_memo,
     reduction_digest,
 )
+
+
+def _cache_plan(seed):
+    """Every fault the warm reduction-cache phase can inject."""
+    return FaultPlan(
+        seed=seed,
+        steps=tuple(
+            PlanStep(PHASE_CACHE_WARM, fault)
+            for fault in PHASE_FAULTS[PHASE_CACHE_WARM]
+        ),
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -123,30 +141,48 @@ class TestCorruptionFallback:
         assert matrices_equal(machine, served.reduced)
 
     def test_chaos_fault_class_covers_cache(self, tmp_path):
-        assert FAULT_CORRUPT_CACHE in FAULTS
-        report = run_chaos(
-            example_machine(),
-            seed=3,
-            faults=[FAULT_CORRUPT_CACHE],
-            workdir=str(tmp_path),
+        report = run_plan(
+            example_machine(), _cache_plan(3), str(tmp_path)
         )
         assert report.ok
-        outcome = report.outcomes[0]
-        assert outcome.fault == FAULT_CORRUPT_CACHE
-        assert "fresh" in outcome.detail and "disk" in outcome.detail
+        assert len(report.outcomes) == len(PHASE_FAULTS[PHASE_CACHE_WARM])
+        for outcome in report.outcomes:
+            assert outcome.step.phase == PHASE_CACHE_WARM
+            assert "fresh" in outcome.detail and "disk" in outcome.detail
 
     def test_chaos_fault_is_seed_deterministic(self, tmp_path):
-        first = run_chaos(
-            example_machine(), seed=5,
-            faults=[FAULT_CORRUPT_CACHE],
-            workdir=str(tmp_path / "a"),
+        first = run_plan(
+            example_machine(), _cache_plan(5), str(tmp_path / "a")
         )
-        second = run_chaos(
-            example_machine(), seed=5,
-            faults=[FAULT_CORRUPT_CACHE],
-            workdir=str(tmp_path / "b"),
+        second = run_plan(
+            example_machine(), _cache_plan(5), str(tmp_path / "b")
         )
         assert first.to_dict()["outcomes"] == second.to_dict()["outcomes"]
+
+    def test_unparseable_entry_is_rejected(self, tmp_path):
+        """An entry whose bytes match its sidecar but whose MDL text this
+        version cannot parse (version skew) is a rejected entry: a fresh
+        reduction is served and both files are rewritten."""
+        from repro.resilience.artifacts import load_machine, write_artifact
+        from repro.resilience.reduction_cache import certificate_entry_path
+
+        machine = example_machine()
+        primed = cached_reduce(machine, cache_dir=str(tmp_path))
+        write_artifact(primed.path, "machine takes two names\n", kind="mdl")
+        clear_reduction_memo()
+        with obs.tracing() as tracer:
+            served = cached_reduce(machine, cache_dir=str(tmp_path))
+        assert served.source == "fresh"
+        assert served.reduced == primed.reduced
+        assert tracer.metrics.counters["cache.reduction.rejected"] == 1
+        assert load_machine(primed.path) == primed.reduced
+        assert os.path.exists(
+            certificate_entry_path(str(tmp_path), primed.digest)
+        )
+        clear_reduction_memo()
+        healed = cached_reduce(machine, cache_dir=str(tmp_path))
+        assert healed.source == "disk"
+        assert healed.verification == "certificate"
 
     def test_corrupt_certificate_falls_back_and_rewrites(self, tmp_path):
         from repro.resilience.reduction_cache import certificate_entry_path
@@ -236,9 +272,9 @@ class TestCertificateVerification:
         os.remove(sidecar_path(cert_path))
         clear_reduction_memo()
         served = cached_reduce(machine, cache_dir=str(tmp_path))
-        # Verified the old way, and the missing certificate reissued.
-        assert served.source == "disk"
-        assert served.verification == "equivalence"
+        # A missing certificate rejects the entry: a fresh reduction is
+        # served, and the entry and its certificate are rewritten.
+        assert served.source == "fresh"
         assert os.path.exists(cert_path)
         clear_reduction_memo()
         healed = cached_reduce(machine, cache_dir=str(tmp_path))

@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from repro.core import assert_equivalent, matrices_equal, reduce_machine
 from repro._atomic import atomic_write_text
+from repro.core import assert_equivalent, matrices_equal, reduce_machine
 from repro.errors import (
     ArtifactIntegrityError,
     BudgetExceeded,
@@ -19,10 +19,11 @@ from repro.resilience.fallback import (
     RUNG_ORIGINAL,
     RUNG_PARTIAL,
     RUNG_REDUCED,
-    UNVERIFIED_POLICY,
     reduce_with_fallback,
 )
+from repro.scheduler import ladder
 from repro.scheduler.ladder import (
+    IMS_ESCALATION,
     RUNG_IMS,
     RUNG_LIST,
     FallbackPolicy,
@@ -215,9 +216,9 @@ class TestReduceLadder:
     def test_healthy_machine_serves_reduced(self):
         outcome = reduce_with_fallback(example_machine())
         assert outcome.rung == RUNG_REDUCED
-        assert outcome.verified and not outcome.degraded
-        assert outcome.marker == "verified"
+        assert not outcome.degraded
         assert outcome.reduction is not None
+        assert outcome.certificate is not None
 
     def test_served_machine_always_verified(self):
         machine = example_machine()
@@ -237,7 +238,6 @@ class TestReduceLadder:
             machine, FallbackPolicy(mutate_reduced=corrupt)
         )
         assert outcome.rung == RUNG_PARTIAL
-        assert outcome.verified
         assert_equivalent(machine, outcome.machine)
         # Every reduced-rung attempt failed and was recorded.
         failed = [a for a in outcome.attempts if a.failed]
@@ -250,20 +250,11 @@ class TestReduceLadder:
             machine, FallbackPolicy(max_units=0)
         )
         assert outcome.rung == RUNG_ORIGINAL
-        assert outcome.verified  # identity: exact by construction
-        assert outcome.machine is machine
+        assert outcome.machine is machine  # identity: exact by construction
         assert all(
             a.error_type == "BudgetExceeded"
             for a in outcome.attempts if a.failed
         )
-
-    def test_unverified_marker_is_explicit(self):
-        outcome = reduce_with_fallback(
-            example_machine(), FallbackPolicy(verify=False)
-        )
-        assert not outcome.verified
-        assert outcome.unverified_reason == UNVERIFIED_POLICY
-        assert outcome.marker == "unverified(%s)" % UNVERIFIED_POLICY
 
     def test_retry_uses_second_objective(self):
         """When only the first objective's attempt fails, the retry with
@@ -284,71 +275,8 @@ class TestReduceLadder:
             machine, FallbackPolicy(mutate_reduced=corrupt_first_only)
         )
         assert outcome.rung == RUNG_REDUCED
-        assert outcome.verified
         assert len(calls) == 2
         assert outcome.attempts[0].failed and not outcome.attempts[1].failed
-
-    def test_backoff_called_between_retries(self):
-        sleeps = []
-        policy = FallbackPolicy(
-            max_units=0,
-            backoff_s=0.5,
-            backoff_factor=2.0,
-            sleep=sleeps.append,
-        )
-        reduce_with_fallback(example_machine(), policy)
-        # one retry between the two objectives, jittered deterministically
-        assert sleeps == [policy.backoff_delay(1)]
-        assert 0.45 <= sleeps[0] <= 0.55
-
-
-class TestBackoffDelay:
-    def test_exact_exponential_without_jitter(self):
-        policy = FallbackPolicy(
-            backoff_s=0.5, backoff_factor=2.0, backoff_jitter=0.0
-        )
-        delays = [policy.backoff_delay(i) for i in range(1, 5)]
-        assert delays == [0.5, 1.0, 2.0, 4.0]
-
-    def test_growth_is_capped(self):
-        policy = FallbackPolicy(
-            backoff_s=1.0, backoff_factor=10.0, backoff_max_s=5.0,
-            backoff_jitter=0.0,
-        )
-        assert policy.backoff_delay(1) == 1.0
-        assert policy.backoff_delay(2) == 5.0
-        assert policy.backoff_delay(50) == 5.0
-
-    def test_jitter_stays_in_band_and_under_cap(self):
-        policy = FallbackPolicy(
-            backoff_s=1.0, backoff_factor=2.0, backoff_max_s=4.0,
-            backoff_jitter=0.25,
-        )
-        for index in range(1, 20):
-            delay = policy.backoff_delay(index)
-            base = min(1.0 * 2.0 ** (index - 1), 4.0)
-            assert base * 0.75 <= delay <= min(base * 1.25, 4.0)
-            assert delay <= 4.0  # jitter never busts the bound
-
-    def test_sequence_deterministic_across_instances(self):
-        first = FallbackPolicy(backoff_s=0.5, backoff_seed=7)
-        second = FallbackPolicy(backoff_s=0.5, backoff_seed=7)
-        sequence = [first.backoff_delay(i) for i in range(1, 8)]
-        assert sequence == [second.backoff_delay(i) for i in range(1, 8)]
-
-    def test_seed_changes_jitter(self):
-        a = FallbackPolicy(backoff_s=0.5, backoff_seed=0)
-        b = FallbackPolicy(backoff_s=0.5, backoff_seed=1)
-        assert [a.backoff_delay(i) for i in range(1, 5)] != [
-            b.backoff_delay(i) for i in range(1, 5)
-        ]
-
-    def test_disabled_backoff_never_sleeps(self):
-        sleeps = []
-        policy = FallbackPolicy(backoff_s=0.0, sleep=sleeps.append)
-        assert policy.backoff_delay(1) == 0.0
-        policy.backoff(1)
-        assert sleeps == []
 
 
 class TestScheduleLadder:
@@ -357,7 +285,6 @@ class TestScheduleLadder:
             cydra5_subset(), KERNELS["daxpy"]()
         )
         assert outcome.rung == RUNG_IMS
-        assert outcome.verified
         assert outcome.ii == outcome.mii
         assert outcome.result is not None
 
@@ -368,12 +295,12 @@ class TestScheduleLadder:
             machine, graph, FallbackPolicy(max_units=0)
         )
         assert outcome.rung == RUNG_LIST
-        assert outcome.degraded and outcome.verified
+        assert outcome.degraded
         assert outcome.ii >= outcome.mii
         # The flat schedule still satisfies every dependence and the MRT.
         graph.verify_schedule(outcome.times, ii=outcome.ii)
         failed = [a for a in outcome.attempts if a.failed]
-        assert len(failed) == len(FallbackPolicy().ims_escalation)
+        assert len(failed) == len(IMS_ESCALATION)
         assert all(a.error_type == "BudgetExceeded" for a in failed)
 
     def test_flat_schedule_covers_recurrences(self):
@@ -385,21 +312,16 @@ class TestScheduleLadder:
         assert outcome.rung == RUNG_LIST
         graph.verify_schedule(outcome.times, ii=outcome.ii)
 
-    def test_escalation_ladder_is_tried_in_order(self):
-        sleeps = []
-        policy = FallbackPolicy(
-            max_units=0, backoff_s=1.0, sleep=sleeps.append,
-            ims_escalation=((6, 16), (12, 32)),
-        )
+    def test_escalation_ladder_is_tried_in_order(self, monkeypatch):
+        monkeypatch.setattr(ladder, "IMS_ESCALATION", ((6, 16), (12, 32)))
         outcome = schedule_with_fallback(
-            cydra5_subset(), KERNELS["daxpy"](), policy
+            cydra5_subset(), KERNELS["daxpy"](), FallbackPolicy(max_units=0)
         )
         failed = [a for a in outcome.attempts if a.failed]
         assert [a.detail for a in failed] == [
             "budget_ratio=6 max_ii_slack=16",
             "budget_ratio=12 max_ii_slack=32",
         ]
-        assert sleeps == [policy.backoff_delay(1)]
 
     def test_impossible_graph_raises_clean_schedule_error(self):
         from repro.scheduler.ddg import DependenceGraph
