@@ -15,6 +15,7 @@ from conftest import BENCH_LOOPS
 from repro.machines import cydra5_subset
 from repro.obs.export import metrics_document, render_text
 from repro.obs.profile import profile_machine
+from repro.obs.trace import Tracer
 
 #: Loops to profile; a slice of the benchmark suite keeps the checked-in
 #: snapshot quick to regenerate while exercising every phase.
@@ -25,11 +26,12 @@ PROFILE_LOOPS = int(os.environ.get("REPRO_PROFILE_LOOPS", "0")) or min(
 
 def test_profile_snapshot(benchmark, record):
     machine = cydra5_subset()
+    tracer = Tracer()
 
-    tracer = benchmark.pedantic(
+    benchmark.pedantic(
         profile_machine,
         args=(machine,),
-        kwargs={"loops": PROFILE_LOOPS},
+        kwargs={"loops": PROFILE_LOOPS, "tracer": tracer},
         rounds=1,
         iterations=1,
     )

@@ -7,12 +7,18 @@ Two jobs:
   appended to a registry, and the same run with the sampler constructed
   but never started.  Both observability costs must stay under the
   repo's <5% disabled-overhead guard (the same margin
-  ``tests/test_obs_overhead.py`` enforces structurally).
+  ``tests/test_obs_overhead.py`` enforces structurally).  The recorded
+  run feeds each schedule's ``WorkCounters`` to
+  :meth:`~repro.obs.runlog.RunRecorder.add_work` and its II and MII to
+  ``merge_quality``: the path a recorded CLI command takes, with no
+  tracer.
 
 * **Trajectory seeding** — run the default bench matrix through the
   CLI with ``--runlog`` live, check that its result round-trips through
   the artifact store (+ ``.sum.json`` checksum sidecar), and record the
-  registry's own view of the run under ``benchmarks/results/``.
+  registry's own view of the run under ``benchmarks/results/``: the
+  summed work counters (units and calls, by currency) and quality of
+  every schedule the matrix ran.
 """
 
 import os

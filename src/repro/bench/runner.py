@@ -18,7 +18,9 @@ pass times the observed query subclasses, not the shipped ones.
 A :class:`~repro.resilience.budget.Budget` can bound the whole run: the
 runner checkpoints after every case, charging the case's query work
 units in the shared WorkCounters currency, so ``--deadline`` /
-``--max-units`` behave exactly as they do for ``repro reduce``.
+``--max-units`` behave exactly as they do for ``repro reduce``.  The
+runner also returns those counters, summed over the cases, for the run
+registry.
 
 This module pulls in the scheduler stack, so (like ``repro.obs.profile``)
 it is intentionally not imported from ``repro.bench.__init__``.
@@ -32,6 +34,7 @@ from repro.bench.result import BenchCase, BenchResult, default_meta
 from repro.obs.profile import profile_machine
 from repro.obs.trace import Tracer
 from repro.query.modulo import REPRESENTATIONS
+from repro.query.work import WorkCounters
 
 #: The default matrix: the paper's worked example and two real-size
 #: study machines, under every representation.
@@ -67,39 +70,35 @@ def run_case(
     loops: int,
     schedule_reduced: bool = False,
     budget=None,
-) -> BenchCase:
-    """Run one ``machine/representation`` cell of the matrix."""
+) -> Tuple[BenchCase, WorkCounters]:
+    """Run one ``machine/representation`` cell of the matrix: its case
+    and the summed work counters of its schedules."""
     tracer = Tracer()
-    profile_machine(
+    counters = profile_machine(
         machine,
         loops=loops,
         representation=representation,
         schedule_reduced=schedule_reduced,
         tracer=tracer,
     )
-    work = deterministic_work(tracer)
     if budget is not None:
         budget.checkpoint(
             "bench:%s/%s" % (machine.name, representation),
-            units=int(
-                sum(
-                    value
-                    for name, value in work.items()
-                    if name.startswith("query.") and name.endswith(".units")
-                )
-            ),
+            units=counters.total_units,
         )
+    work = deterministic_work(tracer)
     quality = {
         key: work.get("profile." + key, 0)
         for key in ("loops", "loops_at_mii", "ii_total", "mii_total")
     }
     quality["mii_gap"] = quality["ii_total"] - quality["mii_total"]
-    return BenchCase(
+    case = BenchCase(
         machine=machine.name,
         representation=representation,
         work=work,
         quality=quality,
     )
+    return case, counters
 
 
 def run_benchmark(
@@ -110,8 +109,9 @@ def run_benchmark(
     budget=None,
     label: str = "",
     case_filter: Optional[str] = None,
-) -> BenchResult:
-    """Run the full matrix and return the result document.
+) -> Tuple[BenchResult, WorkCounters]:
+    """Run the full matrix: the result document, and the summed work
+    counters of every schedule it ran.
 
     ``machines`` is a sequence of ``(name, MachineDescription)`` pairs —
     the caller resolves built-in names or MDL files (the CLI reuses its
@@ -132,22 +132,23 @@ def run_benchmark(
     )
     if case_filter:
         result.config["filter"] = case_filter
+    total = WorkCounters()
     for name, machine in machines:
         for representation in representations:
             if case_filter and case_filter not in (
                 "%s/%s" % (name, representation)
             ):
                 continue
-            result.add_case(
-                run_case(
-                    machine,
-                    representation,
-                    loops=loops,
-                    schedule_reduced=schedule_reduced,
-                    budget=budget,
-                )
+            case, counters = run_case(
+                machine,
+                representation,
+                loops=loops,
+                schedule_reduced=schedule_reduced,
+                budget=budget,
             )
-    return result
+            result.add_case(case)
+            total.merge(counters)
+    return result, total
 
 
 __all__ = [

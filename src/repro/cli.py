@@ -35,8 +35,11 @@ run — see ``docs/explain.md``.
 Every command :data:`COMMANDS` marks ``recorded`` accepts ``--runlog
 DIR`` (or the ``REPRO_RUNLOG`` environment variable) to append one
 checksummed ``repro-runlog-record`` v1 document per invocation to the
-persistent run registry; ``repro runs`` queries it — see
-``docs/runs.md``.
+persistent run registry.  The record holds what the command's own
+results hold (the work counters of the schedules it ran, schedule
+quality), so recording starts no tracer.  ``repro runs`` queries the
+registry, and ``runs diff`` and ``runs trend`` gate records with the
+bench comparator — see ``docs/runs.md``.
 
 ``fuzz`` generates seeded, lintable machine descriptions and pushes each
 through reduce → certify → schedule, cross-checking the three query
@@ -148,8 +151,8 @@ COMMANDS = (
     ),
     Command(
         "runs trend", "runs:trend",
-        "seeded changepoint detection over a metric series (exit 1 on"
-        " regression)",
+        "gate each repeated invocation's oldest run against its newest"
+        " (exit 1 on regression)",
     ),
     Command("runs gc", "runs:gc", "expire old registry records"),
 )

@@ -13,7 +13,7 @@ from repro.commands.common import (
     load_machine,
     make_budget,
     observing,
-    runlog_note,
+    record_run,
 )
 from repro.errors import ReproError
 
@@ -241,7 +241,7 @@ def chaos(args: argparse.Namespace) -> int:
     from repro.resilience import artifacts
 
     machine = load_machine(args.machine)
-    runlog_note(machine=machine.name, seed=args.seed)
+    record_run(machine=machine.name, seed=args.seed)
     with observing(args) as tracer:
         if tracer is not None:
             tracer.meta.update(
@@ -266,7 +266,7 @@ def chaos(args: argparse.Namespace) -> int:
                 "wrote %s (sha256 %s)" % (args.out, header["sha256"]),
                 file=sys.stderr,
             )
-    runlog_note(
+    record_run(
         faults=len(report.outcomes),
         unhandled=sum(1 for r in report.outcomes if not r.handled),
     )
@@ -343,7 +343,7 @@ def fuzz(args: argparse.Namespace) -> int:
             plans_every=args.plans_every,
         )
         counts = report["counts"]
-        runlog_note(
+        record_run(
             workload="fuzz[%d]" % args.runs,
             seed=args.seed,
             fuzz_profile=args.profile,

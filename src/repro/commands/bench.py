@@ -10,9 +10,7 @@ from repro.commands.common import (
     add_runlog_flag,
     load_machine,
     make_budget,
-    runlog_note,
-    runlog_quality,
-    runlog_units,
+    record_run,
 )
 from repro.errors import ReproError
 
@@ -96,7 +94,7 @@ def run(args: argparse.Namespace) -> int:
                 "unknown representation %r (choose from %s)"
                 % (representation, ", ".join(REPRESENTATIONS))
             )
-    result = runner.run_benchmark(
+    result, work = runner.run_benchmark(
         machines,
         representations=representations,
         loops=args.loops or runner.DEFAULT_LOOPS,
@@ -105,24 +103,14 @@ def run(args: argparse.Namespace) -> int:
         label=args.label,
         case_filter=args.filter,
     )
-    runlog_note(
+    record_run(
+        work,
         machine=",".join(name for name, _ in machines),
         workload="bench[%d cases]" % len(result.cases),
         representation=args.representations,
     )
     for case in result.cases.values():
-        units = {}
-        for key, value in case.work.items():
-            # Case work keys are "query.<currency>.units"; the registry
-            # stores bare currency names.
-            if key.startswith("query.") and key.endswith(".units"):
-                units[key[len("query."):-len(".units")]] = value
-        runlog_units(units)
-        runlog_quality(**{
-            key: case.quality[key]
-            for key in ("loops", "loops_at_mii", "ii_total", "mii_total")
-            if key in case.quality
-        })
+        record_run(quality=case.quality)
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:

@@ -2,9 +2,9 @@
 observability and budget flags, and the run recorder's plumbing.
 
 One recorder is active per recorded invocation (``repro.cli.main`` sets
-:data:`RECORDER`); command bodies contribute what they know through the
-``runlog_*`` helpers, each a no-op when the runlog is off so the disabled
-path stays a single global read.
+:data:`RECORDER`); command bodies hand it what their own results hold
+through :func:`record_run`, a no-op when the runlog is off so the
+disabled path stays a single global read.
 """
 
 from __future__ import annotations
@@ -49,50 +49,27 @@ def load_machine(ref: str, raw: bool = False):
     )
 
 
-def runlog_note(**fields) -> None:
-    if RECORDER is not None:
-        RECORDER.note(**fields)
+def record_run(work=None, loops=(), quality=None, **fields) -> None:
+    """Give the active run recorder what a command's results hold.
 
-
-def runlog_units(units) -> None:
-    if RECORDER is not None:
-        RECORDER.add_units(units)
-
-
-def runlog_quality(**quality) -> None:
-    if RECORDER is not None:
-        RECORDER.merge_quality(quality)
-
-
-def runlog_harvest(tracer) -> None:
-    """Copy a tracer's query work and profile quality into the recorder.
-
-    The shared registry keys (``query.<fn>.units`` counters, per-function
-    timers, ``profile.*`` quality counters) are the same ones the metrics
-    JSON reads, so a runlog record and a ``--metrics`` export of the same
-    run always agree.
+    ``fields`` are envelope fields (machine, workload, rung, ...);
+    ``work`` is the :class:`~repro.query.work.WorkCounters` of the
+    schedules the command ran; ``loops`` is the ``(ii, mii)`` of each
+    loop it scheduled; ``quality`` adds totals of the same keys
+    (``loops``, ``loops_at_mii``, ``ii_total``, ``mii_total``).
     """
-    if RECORDER is None or tracer is None:
+    if RECORDER is None:
         return
-    from repro.query.work import FUNCTIONS
-
-    units = {}
-    for function in FUNCTIONS:
-        name = "query." + function
-        value = tracer.metrics.get_counter(name + ".units")
-        if value:
-            units[function] = value
-        timer = tracer.metrics.timers.get(name)
-        if timer is not None and timer.count:
-            RECORDER.calls[function] = (
-                RECORDER.calls.get(function, 0) + timer.count
-            )
-    RECORDER.add_units(units)
-    quality = {}
-    for key in ("loops", "loops_at_mii", "ii_total", "mii_total"):
-        value = tracer.metrics.get_counter("profile." + key)
-        if value:
-            quality[key] = value
+    RECORDER.note(**fields)
+    if work is not None:
+        RECORDER.add_work(work)
+    for ii, mii in loops:
+        RECORDER.merge_quality({
+            "loops": 1,
+            "loops_at_mii": int(ii == mii),
+            "ii_total": ii,
+            "mii_total": mii,
+        })
     if quality:
         RECORDER.merge_quality(quality)
 
@@ -102,14 +79,11 @@ def observing(args: argparse.Namespace):
     """Activate tracing for a command when ``--trace``/``--metrics`` ask.
 
     Yields the tracer (or ``None`` when observability is off) and writes
-    the requested export files after the command body finishes.  An
-    active run recorder also forces tracing on — the registry record
-    needs the work-counter snapshot — but with the runlog off the
-    untraced zero-overhead path is untouched.
+    the requested export files after the command body finishes.
     """
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
-    if not trace_path and not metrics_path and RECORDER is None:
+    if not trace_path and not metrics_path:
         yield None
         return
     from repro.obs.export import write_chrome_trace, write_metrics
@@ -124,7 +98,6 @@ def observing(args: argparse.Namespace):
                 yield tracer
         else:
             yield tracer
-    runlog_harvest(tracer)
     if metrics_path:
         write_export(write_metrics, tracer, metrics_path, "metrics")
         if metrics_path != "-":

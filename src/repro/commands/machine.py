@@ -13,8 +13,7 @@ from repro.commands.common import (
     load_machine,
     make_budget,
     observing,
-    runlog_note,
-    runlog_units,
+    record_run,
 )
 from repro.errors import ReproError
 
@@ -60,7 +59,7 @@ def reduce(args: argparse.Namespace) -> int:
     from repro.core.reduce import reduce_machine
 
     machine = load_machine(args.machine)
-    runlog_note(machine=machine.name, rung="full")
+    record_run(machine=machine.name, rung="full")
     with observing(args) as tracer:
         if tracer is not None:
             tracer.meta.update(
@@ -76,7 +75,7 @@ def reduce(args: argparse.Namespace) -> int:
                 deadline_s=args.deadline, max_units=args.max_units
             )
             outcome = reduce_with_fallback(machine, policy)
-            runlog_note(rung=outcome.rung)
+            record_run(rung=outcome.rung)
             print(
                 "fallback ladder served rung %r (verified) after %d"
                 " attempt(s)" % (outcome.rung, len(outcome.attempts))
@@ -101,7 +100,7 @@ def reduce(args: argparse.Namespace) -> int:
                 cache_dir=args.cache,
                 paranoid=args.paranoid,
             )
-            runlog_note(rung="cache:%s" % cached.source)
+            record_run(rung="cache:%s" % cached.source)
             if cached.reduction is not None:
                 print(cached.reduction.summary())
             detail = "verified via %s" % cached.verification
@@ -222,6 +221,8 @@ def certify_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def certify(args: argparse.Namespace) -> int:
+    from collections import Counter
+
     from repro.core.certificate import (
         certificate_from_machines,
         check_certificate,
@@ -233,11 +234,12 @@ def certify(args: argparse.Namespace) -> int:
         EquivalenceError,
         render_mismatches,
     )
+    from repro.query.work import CHECK, WorkCounters
     from repro.resilience import artifacts
 
     original = load_machine(args.original)
     reduced = load_machine(args.reduced)
-    runlog_note(
+    record_run(
         machine=original.name, workload="certify:%s" % reduced.name
     )
     document = {
@@ -289,7 +291,7 @@ def certify(args: argparse.Namespace) -> int:
 
     # Certificate-check work is denominated in the ``check`` currency
     # (usage-touch units, same as the paper's Table 6 rows).
-    runlog_units({"check": check.units})
+    record_run(WorkCounters(units=Counter({CHECK: check.units})))
     document.update(
         ok=True,
         mode="paranoid" if args.paranoid else check.mode,

@@ -34,10 +34,9 @@ def group_arguments(p: argparse.ArgumentParser) -> None:
     p.description = (
         "Query the persistent run registry that --runlog (or"
         " REPRO_RUNLOG) populates: list and inspect records, gate one run"
-        " against another with the bench comparator's policy, detect"
-        " work/quality regressions over the longitudinal series with a"
-        " seeded changepoint test, and expire old records."
-        "  See docs/runs.md."
+        " against another with the bench comparator's exact policy, gate"
+        " the oldest against the newest run of each repeated invocation,"
+        " and expire old records.  See docs/runs.md."
     )
 
 
@@ -137,8 +136,42 @@ def diff_records_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p)
 
 
-def diff_records(args: argparse.Namespace) -> int:
+def _compare(base, new, case_key: str):
+    """The bench comparator's exact gate on two records' work and
+    quality, which ``diff`` and ``trend`` share."""
     from repro.bench.compare import compare_metric_maps
+
+    return compare_metric_maps(
+        case_key,
+        {"units." + k: v for k, v in base.units().items()},
+        {"units." + k: v for k, v in new.units().items()},
+        base_quality=base.quality(),
+        new_quality=new.quality(),
+    )
+
+
+def _print_deltas(comparison, moved=None) -> None:
+    moved = moved or {}
+    for note in comparison.notes:
+        print("  note: %s" % note)
+    for delta in comparison.deltas:
+        ratio = delta.ratio
+        print(
+            "  %-28s %12s -> %-12s %-8s %-12s%s%s"
+            % (
+                delta.metric,
+                "-" if delta.base is None else "%g" % delta.base,
+                "-" if delta.new is None else "%g" % delta.new,
+                "x%.4f" % ratio if ratio is not None else "",
+                delta.classification,
+                " [gated]" if delta.gated else "",
+                " first moved at seq %d" % moved[delta.metric]
+                if delta.metric in moved else "",
+            )
+        )
+
+
+def diff_records(args: argparse.Namespace) -> int:
     from repro.errors import RunlogError
 
     log = _open_log(args)
@@ -152,13 +185,7 @@ def diff_records(args: argparse.Namespace) -> int:
                 path=record.path,
             )
     case_key = "runs %d..%d" % (base.seq, new.seq)
-    comparison = compare_metric_maps(
-        case_key,
-        {"units." + k: v for k, v in base.units().items()},
-        {"units." + k: v for k, v in new.units().items()},
-        base_quality=base.quality(),
-        new_quality=new.quality(),
-    )
+    comparison = _compare(base, new, case_key)
     if args.format == "json":
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
         return 0 if comparison.ok else 1
@@ -166,102 +193,97 @@ def diff_records(args: argparse.Namespace) -> int:
         "diff %s: base seq %d (%s) vs candidate seq %d (%s)"
         % (case_key, base.seq, base.command, new.seq, new.command)
     )
-    for note in comparison.notes:
-        print("  note: %s" % note)
-    for delta in comparison.deltas:
-        ratio = delta.ratio
-        print(
-            "  %-28s %12s -> %-12s %-8s %-12s%s"
-            % (
-                delta.metric,
-                "-" if delta.base is None else "%g" % delta.base,
-                "-" if delta.new is None else "%g" % delta.new,
-                "x%.4f" % ratio if ratio is not None else "",
-                delta.classification,
-                " [gated]" if delta.gated else "",
-            )
-        )
+    _print_deltas(comparison)
     print("verdict: %s" % ("ok" if comparison.ok else "REGRESSION"))
     return 0 if comparison.ok else 1
 
 
 def trend_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--metric", default="units.check", metavar="NAME",
-        help="dotted metric: units.<currency>, calls.<currency>,"
-        " quality.<key>, total_units, duration_s (default: units.check)",
+    p.description = (
+        "Group the registry's records by invocation (argv_digest) and,"
+        " for each invocation run more than once, gate its oldest record"
+        " against its newest under the same exact comparison as 'runs"
+        " diff', naming the seq at which each moved metric first"
+        " changed.  Exits 1 on a gated regression."
     )
     p.add_argument(
         "--window", type=int, default=0, metavar="N",
-        help="analyze only the trailing N records (default: all)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=0,
-        help="permutation-test seed (default: 0)",
-    )
-    p.add_argument(
-        "--alpha", type=float, default=0.05,
-        help="significance level (default: 0.05)",
-    )
-    p.add_argument(
-        "--permutations", type=int, default=200,
-        help="permutation count (default: 200)",
-    )
-    p.add_argument(
-        "--min-ratio", type=float, default=1.02,
-        help="ignore level shifts smaller than this ratio (default: 1.02)",
+        help="compare only each invocation's newest N records"
+        " (default: all)",
     )
     _add_common(p)
 
 
-def trend(args: argparse.Namespace) -> int:
-    from repro.obs.runlog import detect_changepoint
+def _first_moved(records, metric: str) -> int:
+    """The seq of the first record whose ``metric`` differs from the
+    first record's."""
+    kind, _, key = metric.partition(".")
 
+    def value(record):
+        values = record.units() if kind == "units" else record.quality()
+        return values.get(key)
+
+    base = value(records[0])
+    return next(r.seq for r in records[1:] if value(r) != base)
+
+
+def trend(args: argparse.Namespace) -> int:
+    from repro.bench.compare import NEUTRAL
+
+    if args.window < 0:
+        raise ReproError("--window must be >= 0, got %d" % args.window)
     log = _open_log(args)
-    points = log.series(args.metric, window=args.window)
-    if len(points) < 4:
-        print(
-            "trend %s: %d point(s) — need at least 4 to test for a"
-            " changepoint" % (args.metric, len(points))
+    invocations = {}
+    for record in log.records(include_corrupt=False):
+        invocations.setdefault(
+            record.data.get("argv_digest"), []
+        ).append(record)
+    repeated = []
+    for digest, records in invocations.items():
+        records = records[-args.window:] if args.window else records
+        if len(records) < 2:
+            continue
+        comparison = _compare(
+            records[0], records[-1], "%s %s" % (records[0].command, digest)
         )
-        return 0
-    changepoint = detect_changepoint(
-        points,
-        args.metric,
-        seed=args.seed,
-        permutations=args.permutations,
-        alpha=args.alpha,
-        min_ratio=args.min_ratio,
-        bigger_is_better=args.metric.endswith("loops_at_mii"),
-    )
-    values = [value for _seq, value in points]
-    print(
-        "trend %s: %d points (seq %d..%d), mean %.3f"
-        % (
-            args.metric, len(points), points[0][0], points[-1][0],
-            sum(values) / len(values),
-        )
-    )
-    if changepoint is None:
-        print("no significant changepoint")
-        return 0
-    print(
-        "%s at seq %d: mean %.3f -> %.3f (x%.4f), score %.3f,"
-        " p=%.4f (seeded permutation test, seed=%d)"
-        % (
-            changepoint.direction.upper(),
-            changepoint.seq,
-            changepoint.before,
-            changepoint.after,
-            changepoint.ratio if changepoint.ratio is not None else 0.0,
-            changepoint.score,
-            changepoint.p_value,
-            args.seed,
-        )
-    )
+        moved = {
+            delta.metric: _first_moved(records, delta.metric)
+            for delta in comparison.deltas
+            if delta.gated and delta.classification != NEUTRAL
+        }
+        repeated.append((digest, records, comparison, moved))
+    ok = all(comparison.ok for _d, _r, comparison, _m in repeated)
     if args.format == "json":
-        print(json.dumps(changepoint.to_dict(), indent=2, sort_keys=True))
-    return 1 if changepoint.direction == "regression" else 0
+        print(json.dumps({
+            "ok": ok,
+            "invocations": [
+                {
+                    "argv_digest": digest,
+                    "command": records[0].command,
+                    "seqs": [record.seq for record in records],
+                    "first_moved": moved,
+                    "comparison": comparison.to_dict(),
+                }
+                for digest, records, comparison, moved in repeated
+            ],
+        }, indent=2, sort_keys=True))
+        return 0 if ok else 1
+    print(
+        "trend: %d invocation(s), %d run more than once"
+        % (len(invocations), len(repeated))
+    )
+    for digest, records, comparison, moved in repeated:
+        print(
+            "%s %s: seq %d vs seq %d (%d records): %s"
+            % (
+                records[0].command, digest, records[0].seq,
+                records[-1].seq, len(records),
+                "ok" if comparison.ok else "REGRESSION",
+            )
+        )
+        _print_deltas(comparison, moved)
+    print("verdict: %s" % ("ok" if ok else "REGRESSION"))
+    return 0 if ok else 1
 
 
 def gc_arguments(p: argparse.ArgumentParser) -> None:

@@ -13,9 +13,7 @@ from repro.commands.common import (
     load_machine,
     make_budget,
     observing,
-    runlog_harvest,
-    runlog_note,
-    runlog_quality,
+    record_run,
     write_export,
 )
 from repro.errors import ReproError
@@ -54,7 +52,7 @@ def _schedule_corpus(args: argparse.Namespace, machine) -> int:
         policy=policy,
         processes=args.processes,
     )
-    runlog_note(
+    record_run(
         machine=machine.name,
         workload=args.kernel or ("suite[%d]" % args.loops),
         representation=scheduler.representation,
@@ -68,6 +66,10 @@ def _schedule_corpus(args: argparse.Namespace, machine) -> int:
                 kernel=args.kernel or ("suite[%d]" % args.loops),
             )
         result = scheduler.schedule_suite(graphs, budget=budget)
+        record_run(
+            result.work,
+            ((o.ii, o.mii) for o in result.outcomes if not o.failed),
+        )
         print(
             "%-22s %4s %4s %4s %-6s"
             % ("loop", "ops", "MII", "II", "rung")
@@ -82,12 +84,6 @@ def _schedule_corpus(args: argparse.Namespace, machine) -> int:
                 )
                 continue
             optimal += outcome.ii == outcome.mii
-            runlog_quality(
-                loops=1,
-                loops_at_mii=int(outcome.ii == outcome.mii),
-                ii_total=outcome.ii,
-                mii_total=outcome.mii,
-            )
             print(
                 "%-22s %4d %4d %4d %-6s"
                 % (outcome.name, outcome.ops, outcome.mii,
@@ -168,7 +164,7 @@ def schedule(args: argparse.Namespace) -> int:
     )
     graphs = _graphs(args)
     optimal = 0
-    runlog_note(
+    record_run(
         machine=machine.name,
         workload=args.kernel or ("suite[%d]" % args.loops),
         representation=args.representation,
@@ -205,12 +201,7 @@ def schedule(args: argparse.Namespace) -> int:
                 )
                 optimal += outcome.ii == outcome.mii
                 rungs.add(outcome.rung)
-                runlog_quality(
-                    loops=1,
-                    loops_at_mii=int(outcome.ii == outcome.mii),
-                    ii_total=outcome.ii,
-                    mii_total=outcome.mii,
-                )
+                record_run(outcome.work, [(outcome.ii, outcome.mii)])
                 print(
                     "%-22s %4d %4d %4d %-6s"
                     % (
@@ -221,7 +212,7 @@ def schedule(args: argparse.Namespace) -> int:
                         outcome.rung,
                     )
                 )
-            runlog_note(rung=",".join(sorted(rungs)) or "full")
+            record_run(rung=",".join(sorted(rungs)) or "full")
         else:
             print(
                 "%-22s %4s %4s %4s %8s"
@@ -232,12 +223,7 @@ def schedule(args: argparse.Namespace) -> int:
                     graph, budget=make_budget(args, "schedule:" + graph.name)
                 )
                 optimal += result.optimal
-                runlog_quality(
-                    loops=1,
-                    loops_at_mii=int(result.optimal),
-                    ii_total=result.ii,
-                    mii_total=result.mii,
-                )
+                record_run(result.work, [(result.ii, result.mii)])
                 print(
                     "%-22s %4d %4d %4d %8.2f"
                     % (
@@ -304,7 +290,7 @@ def explain(args: argparse.Namespace) -> int:
     # a registered opcode map (playdoh, alpha, mips) so every study
     # machine can be explained.
     graphs = [port_graph(graph, machine) for graph in _graphs(args)]
-    runlog_note(
+    record_run(
         machine=machine.name,
         workload=args.kernel or ("suite[%d]" % args.loops),
         representation=args.representation,
@@ -349,7 +335,13 @@ def explain(args: argparse.Namespace) -> int:
                 print("wrote %s" % args.out, file=sys.stderr)
             else:
                 print(text)
-    runlog_note(failed=report["summary"]["failed"])
+    record_run(
+        loops=(
+            (entry["ii"], entry["mii"]["mii"])
+            for entry in report["loops"] if entry["succeeded"]
+        ),
+        failed=report["summary"]["failed"],
+    )
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
@@ -531,7 +523,7 @@ def profile(args: argparse.Namespace) -> int:
     from repro.obs.trace import Tracer
 
     machine = load_machine(args.machine)
-    runlog_note(
+    record_run(
         machine=machine.name,
         workload=args.kernel or ("suite[%d]" % args.loops),
         representation=args.representation,
@@ -547,7 +539,7 @@ def profile(args: argparse.Namespace) -> int:
 
         sampler = StackSampler(interval_s=args.sample_interval).start()
     try:
-        profile_machine(
+        work = profile_machine(
             machine,
             kernel=args.kernel,
             loops=args.loops,
@@ -561,7 +553,10 @@ def profile(args: argparse.Namespace) -> int:
     finally:
         if sampler is not None:
             sampler.stop()
-    runlog_harvest(tracer)
+    record_run(work, quality={
+        key: tracer.metrics.get_counter("profile." + key)
+        for key in ("loops", "loops_at_mii", "ii_total", "mii_total")
+    })
     if sampler is not None:
         print(
             "sampler: %d stacks captured at %.1fms intervals"

@@ -240,8 +240,9 @@ class RunlogError(ReproError):
     """A run-registry record or directory is unusable.
 
     Raised when a ``repro-runlog-record`` document carries the wrong
-    schema name or version, when a referenced record does not exist, or
-    when a trend/diff query names a metric the registry does not track.
+    schema name or version, when a referenced record does not exist or
+    is corrupt, or on a bad registry setting (a clock pin that is not a
+    number, a negative ``gc`` keep).
     Per-record *corruption* (checksum mismatch, torn JSON) is reported
     structurally by :meth:`repro.obs.runlog.RunLog.records` instead of
     raised, so one damaged record never takes down the whole registry.

@@ -21,13 +21,13 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional
 
-from repro.errors import BudgetExceeded, ReproError
+from repro.errors import ReproError
 from repro.fuzz.mdlgen import PROFILES, generate_machine
 from repro.fuzz.oracle import (
-    OracleConfig,
     VERDICT_BUG,
     VERDICT_HANDLED,
     VERDICT_OK,
+    OracleConfig,
     run_oracle,
 )
 from repro.fuzz.plans import compose_plan, run_plan
@@ -123,17 +123,7 @@ def run_campaign(
             bugs.append(bug_entry)
         if plans_every > 0 and run % plans_every == plans_every - 1:
             plan = compose_plan(mseed, length=plan_length)
-            try:
-                plan_report = run_plan(machine, plan)
-            except BudgetExceeded as exc:
-                plans.append({
-                    "machine": machine.name,
-                    "plan": plan.to_dict(),
-                    "ok": True,
-                    "budget_exceeded": str(exc),
-                    "outcomes": [],
-                })
-                continue
+            plan_report = run_plan(machine, plan)
             document = plan_report.to_dict()
             document["run"] = run
             plans.append(document)

@@ -630,8 +630,8 @@ def _check_unregistered_currency(ctx: CodeContext) -> Iterator[Diagnostic]:
     The work-unit registry is the shared vocabulary of the metrics JSON,
     the bench comparator, and the runlog: a charge under an unregistered
     name is invisible to ``query_summary`` (which iterates the
-    registry), never gates a bench comparison, and silently vanishes
-    from every trend series.  Charges through a string
+    registry), never gates a bench comparison, and reaches run records
+    under a name no other export knows.  Charges through a string
     literal are checked against the registry values; ALL_CAPS name
     constants are checked against the registry's constant names (local
     variables and other expressions are unresolvable and skipped).

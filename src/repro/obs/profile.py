@@ -2,8 +2,9 @@
 
 Runs the paper's full workflow — forbidden-matrix construction,
 Algorithm 1, selection, then Iterative Modulo Scheduling of one kernel or
-a generated loop suite — with a tracer active, and returns the tracer so
-callers can render any of the exports.  It sits above the scheduler
+a generated loop suite — under the caller's tracer, from which callers
+render any of the exports, and returns the summed work counters of the
+schedules it ran.  It sits above the scheduler
 (``docs/architecture.md``, "Layers"); the tracer it drives,
 :mod:`repro.obs.trace`, is a leaf the layers below import.
 """
@@ -15,6 +16,7 @@ from typing import List, Optional
 from repro.core.reduce import reduce_machine
 from repro.errors import MachineDescriptionError
 from repro.obs.trace import CAT_PROFILE, Tracer, tracing
+from repro.query.work import WorkCounters
 from repro.resilience.reduction_cache import cached_reduce
 from repro.scheduler.ddg import chain
 from repro.scheduler.modulo import IterativeModuloScheduler
@@ -62,23 +64,23 @@ def workload_for(machine, kernel: Optional[str], loops: int) -> List:
 
 def profile_machine(
     machine,
+    tracer: Tracer,
     kernel: Optional[str] = None,
     loops: int = 8,
     representation: str = "discrete",
     word_cycles: int = 1,
     objective: str = "res-uses",
     schedule_reduced: bool = False,
-    tracer: Optional[Tracer] = None,
-    trace_queries: bool = False,
-    max_records: int = 200_000,
     reduction_cache: Optional[str] = None,
-) -> Tracer:
+) -> WorkCounters:
     """Profile the reduction + scheduling pipeline on ``machine``.
 
     Parameters
     ----------
     machine:
         Machine description to profile.
+    tracer:
+        The tracer the pipeline runs under.
     kernel / loops:
         Schedule the named kernel, or (when ``kernel`` is ``None``) the
         first ``loops`` loops of the generated suite.
@@ -89,16 +91,15 @@ def profile_machine(
     schedule_reduced:
         Schedule on the reduced description instead of the original —
         the paper's headline configuration.
-    tracer / trace_queries / max_records:
-        Tracing knobs; a fresh tracer is built when none is given.
     reduction_cache:
         Optional digest-keyed reduction-cache directory (see
         :mod:`repro.resilience.reduction_cache`).  Cache hits skip the
         reduce phase's work, so the benchmark observatory never passes
         this — its work counters must not depend on cache warmth.
+
+    Returns the summed :class:`~repro.query.work.WorkCounters` of the
+    schedules it ran.
     """
-    if tracer is None:
-        tracer = Tracer(max_records=max_records, trace_queries=trace_queries)
     tracer.meta.update(
         machine=machine.name,
         kernel=kernel or ("suite[%d]" % loops),
@@ -141,7 +142,10 @@ def profile_machine(
     # II shows up here, not in the work units).
     tracer.count("profile.ii_total", sum(r.ii for r in results))
     tracer.count("profile.mii_total", sum(r.mii for r in results))
-    return tracer
+    work = WorkCounters()
+    for result in results:
+        work.merge(result.work)
+    return work
 
 
 __all__ = ["profile_machine", "workload_for"]

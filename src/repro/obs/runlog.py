@@ -4,11 +4,13 @@ Every CLI invocation run with ``--runlog DIR`` (or ``REPRO_RUNLOG`` in
 the environment) appends one schema-versioned, checksummed record to the
 registry: what ran (command, argument digest, machine/workload
 identity), how it ended (outcome, exit code, fallback rung served,
-budget consumption), and what it measured (a
-:class:`~repro.query.work.WorkCounters` snapshot by currency plus
-schedule quality).  Where a ``BENCH_*.json`` file is one deliberate
-snapshot, the runlog is the *longitudinal* record — the series the
-``repro runs trend`` changepoint detector reads.
+budget consumption), and what it measured: the summed
+:class:`~repro.query.work.WorkCounters` of the schedules the command
+ran, by currency, plus schedule quality.  The command's own results
+supply both, so recording starts no tracer.  Where a ``BENCH_*.json``
+file is one deliberate snapshot, the runlog is the *longitudinal*
+record: ``repro runs trend`` gates the oldest against the newest record
+of each repeated invocation.
 
 Crash safety follows the artifact store's discipline, one granularity
 down: each record is its *own* file, written atomically via
@@ -31,8 +33,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from random import Random
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._atomic import atomic_write_text
 from repro.errors import RunlogError
@@ -126,47 +127,17 @@ class RunRecord:
         quality = self.data.get("quality") or {}
         return dict(quality) if isinstance(quality, dict) else {}
 
-    def metric(self, name: str) -> Optional[float]:
-        """Resolve a dotted metric name against this record.
-
-        ``units.<currency>`` / ``calls.<currency>`` read the work
-        snapshot, ``quality.<key>`` the schedule quality, and the bare
-        names ``duration_s`` / ``exit_code`` / ``total_units`` the
-        record envelope.
-        """
-        prefix, _, rest = name.partition(".")
-        if prefix == "units" and rest:
-            value = self.units().get(rest)
-        elif prefix == "calls" and rest:
-            value = self.calls().get(rest)
-        elif prefix == "quality" and rest:
-            value = self.quality().get(rest)
-        elif name == "total_units":
-            value = sum(self.units().values()) or None
-            if not self.units():
-                value = None
-        elif name in ("duration_s", "exit_code"):
-            value = self.data.get(name)
-        else:
-            raise RunlogError(
-                "unknown runlog metric %r (use units.<currency>,"
-                " calls.<currency>, quality.<key>, total_units,"
-                " duration_s, or exit_code)" % name
-            )
-        if value is None:
-            return None
-        return float(value)
-
 
 class RunRecorder:
     """Accumulates one invocation's observations into a record.
 
     The CLI creates one recorder per command when the runlog is enabled;
-    command bodies contribute what they know (machine, workload, work
-    counters, quality, rung) via :meth:`note` / :meth:`add_work` /
-    :meth:`merge_quality`, and ``main()`` finalizes with the outcome and
-    appends.  All merges are additive and order-independent so a command
-    can contribute per-loop results incrementally.
+    command bodies contribute what their results hold (machine, workload,
+    work counters, quality, rung) through
+    :func:`repro.commands.common.record_run`, and ``main()`` finalizes
+    with the outcome and appends.  All merges are additive and
+    order-independent so a command can contribute per-loop results
+    incrementally.
     """
 
     def __init__(
@@ -194,10 +165,6 @@ class RunRecorder:
             self.units[currency] = self.units.get(currency, 0) + value
         for currency, value in work.calls.items():
             self.calls[currency] = self.calls.get(currency, 0) + value
-
-    def add_units(self, units: Dict[str, float]) -> None:
-        for currency, value in units.items():
-            self.units[currency] = self.units.get(currency, 0) + value
 
     def merge_quality(self, quality: Dict[str, float]) -> None:
         for key, value in quality.items():
@@ -342,21 +309,6 @@ class RunLog:
             path=self.directory,
         )
 
-    def series(
-        self, metric: str, window: int = 0
-    ) -> List[Tuple[int, float]]:
-        """``(seq, value)`` pairs for a dotted metric, oldest first.
-
-        Records that do not track the metric are skipped; ``window``
-        keeps only the trailing N points.
-        """
-        points = []
-        for record in self.records(include_corrupt=False):
-            value = record.metric(metric)
-            if value is not None:
-                points.append((record.seq, value))
-        return points[-window:] if window else points
-
     # -- retention -----------------------------------------------------
     def gc(
         self, keep: int, prune_corrupt: bool = False
@@ -380,138 +332,15 @@ class RunLog:
         return removed
 
 
-# ----------------------------------------------------------------------
-# Trend detection: seeded single-changepoint test over a metric series
-# ----------------------------------------------------------------------
-@dataclass
-class Changepoint:
-    """One detected level shift in a metric series."""
-
-    metric: str
-    #: Registry sequence number of the first record *after* the shift.
-    seq: int
-    #: Index of that record within the analyzed window.
-    index: int
-    before: float
-    after: float
-    score: float
-    p_value: float
-    direction: str  # "regression" | "improvement"
-
-    @property
-    def ratio(self) -> Optional[float]:
-        if not self.before:
-            return None
-        return self.after / self.before
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "metric": self.metric,
-            "seq": self.seq,
-            "index": self.index,
-            "before": self.before,
-            "after": self.after,
-            "ratio": self.ratio,
-            "score": self.score,
-            "p_value": self.p_value,
-            "direction": self.direction,
-        }
-
-
-def _split_stat(values: List[float], k: int) -> float:
-    """CUSUM-style statistic for a split before index ``k``."""
-    n = len(values)
-    before = values[:k]
-    after = values[k:]
-    mean_before = sum(before) / len(before)
-    mean_after = sum(after) / len(after)
-    weight = (len(before) * len(after) / n) ** 0.5
-    return abs(mean_after - mean_before) * weight
-
-
-def _best_split(values: List[float]) -> Tuple[int, float]:
-    best_k, best_stat = 1, -1.0
-    for k in range(1, len(values)):
-        stat = _split_stat(values, k)
-        if stat > best_stat:
-            best_k, best_stat = k, stat
-    return best_k, best_stat
-
-
-def detect_changepoint(
-    points: Iterable[Tuple[int, float]],
-    metric: str,
-    seed: int = 0,
-    permutations: int = 200,
-    alpha: float = 0.05,
-    min_ratio: float = 1.02,
-    bigger_is_better: bool = False,
-) -> Optional[Changepoint]:
-    """Detect the most likely level shift in a metric series, or ``None``.
-
-    The statistic is the classic single-changepoint CUSUM (the maximal
-    weighted mean difference over every split); significance comes from
-    a *seeded* permutation test — the observed statistic is compared to
-    the same statistic over ``permutations`` shuffles drawn from
-    ``random.Random("trend:<seed>")``, so the verdict is deterministic
-    per seed and needs no distributional assumptions.  Shifts whose
-    level ratio stays inside ``min_ratio`` are ignored (a 0.1-unit drift
-    on a million-unit series is not a changepoint worth waking anyone
-    for).  Direction follows the bench comparator's polarity: for most
-    metrics bigger is a regression; pass ``bigger_is_better`` for
-    ``quality.loops_at_mii``-style metrics.
-    """
-    points = list(points)
-    if len(points) < 4:
-        return None
-    values = [value for _seq, value in points]
-    split, observed = _best_split(values)
-    if observed <= 0.0:
-        return None
-    before = values[:split]
-    after = values[split:]
-    mean_before = sum(before) / len(before)
-    mean_after = sum(after) / len(after)
-    low, high = sorted((abs(mean_before), abs(mean_after)))
-    if high <= low * min_ratio:
-        return None
-    rng = Random("trend:%d:%s" % (seed, metric))
-    shuffled = list(values)
-    exceed = 0
-    for _ in range(permutations):
-        rng.shuffle(shuffled)
-        _k, stat = _best_split(shuffled)
-        if stat >= observed:
-            exceed += 1
-    p_value = (exceed + 1) / (permutations + 1)
-    if p_value > alpha:
-        return None
-    worse = mean_after > mean_before
-    if bigger_is_better:
-        worse = not worse
-    return Changepoint(
-        metric=metric,
-        seq=points[split][0],
-        index=split,
-        before=mean_before,
-        after=mean_after,
-        score=observed,
-        p_value=p_value,
-        direction="regression" if worse else "improvement",
-    )
-
-
 __all__ = [
     "ENV_RUNLOG",
     "ENV_RUNLOG_CLOCK",
     "RUNLOG_SCHEMA_NAME",
     "RUNLOG_SCHEMA_VERSION",
-    "Changepoint",
     "RunLog",
     "RunRecord",
     "RunRecorder",
     "args_digest",
     "default_clock",
-    "detect_changepoint",
     "record_digest",
 ]

@@ -127,9 +127,10 @@ def test_run_case_work_ignores_kernel_cache_warmth():
 
     machine = example_machine()
     clear_kernel_cache()
-    cold = run_case(machine, "compiled", loops=4)
-    warm = run_case(machine, "compiled", loops=4)
+    cold, cold_counters = run_case(machine, "compiled", loops=4)
+    warm, warm_counters = run_case(machine, "compiled", loops=4)
     assert cold.work == warm.work
+    assert cold_counters == warm_counters
     assert "query.kernel.compile.calls" not in cold.work
     assert cold.work["query.first_free.calls"] > 0
 

@@ -166,10 +166,11 @@ class TestFlamegraphNoSpans:
         frame, so the no-span export must be zero bytes, not "\\n".
         """
         from repro.obs import profile as obs_profile
+        from repro.query.work import WorkCounters
 
         monkeypatch.setattr(
             obs_profile, "profile_machine",
-            lambda machine, tracer=None, **kwargs: tracer,
+            lambda machine, tracer=None, **kwargs: WorkCounters(),
         )
         out = tmp_path / "flame.txt"
         rc = main(

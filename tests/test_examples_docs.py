@@ -4,7 +4,9 @@ Each ``examples/*.py`` script runs in its own interpreter and must exit
 0.  Every ``from repro... import ...`` (or ``import repro...``)
 statement inside a ``python`` block of ``README.md`` or ``docs/*.md``
 must name modules and attributes that exist, so a moved name cannot
-leave a stale import path in the documentation.
+leave a stale import path in the documentation.  Each case is named by
+its document and statement, not its line, so a prose edit above a
+python block renames no test.
 """
 
 import ast
@@ -32,7 +34,8 @@ _PROMPT = re.compile(r"^(>>> |\.\.\. )")
 
 
 def _doc_imports():
-    """``(doc:line, statement)`` for every repro import in a python block."""
+    """``(doc, line, statement)`` for every repro import in a python
+    block."""
     found = []
     for path in DOCS:
         with open(path, encoding="utf-8") as handle:
@@ -53,7 +56,7 @@ def _doc_imports():
                     statement += " " + lines[index]
                     index += 1
                 found.append((
-                    "%s:%d" % (os.path.relpath(path, ROOT), first_line + start),
+                    os.path.relpath(path, ROOT), first_line + start,
                     statement,
                 ))
     return found
@@ -87,9 +90,10 @@ def test_example_runs(path, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "where, statement", DOC_IMPORTS, ids=[w for w, _ in DOC_IMPORTS]
+    "doc, line, statement", DOC_IMPORTS,
+    ids=["%s %s" % (doc, statement) for doc, _, statement in DOC_IMPORTS],
 )
-def test_doc_import_resolves(where, statement):
+def test_doc_import_resolves(doc, line, statement):
     node = ast.parse(statement).body[0]
     if isinstance(node, ast.Import):
         for alias in node.names:
@@ -99,4 +103,4 @@ def test_doc_import_resolves(where, statement):
         alias.name for alias in node.names
         if not _resolves(node.module, alias.name)
     ]
-    assert missing == [], "%s: %s" % (where, statement)
+    assert missing == [], "%s:%d: %s" % (doc, line, statement)

@@ -365,10 +365,10 @@ class TestProfilePipeline:
     def test_profile_kernel(self):
         from repro.obs.profile import profile_machine
 
-        tracer = profile_machine(
-            cydra5_subset(), kernel="daxpy", trace_queries=True
-        )
+        tracer = obs.Tracer(trace_queries=True)
+        work = profile_machine(cydra5_subset(), kernel="daxpy", tracer=tracer)
         assert obs.current() is None  # deactivated on return
+        assert work.units["check"] > 0
         assert tracer.meta["kernel"] == "daxpy"
         names = {record.name for record in tracer.spans}
         assert {"reduce", "schedule", "ims.schedule"} <= names
@@ -383,14 +383,17 @@ class TestProfilePipeline:
         assert all(
             op in machine for graph in graphs for op in graph.opcodes()
         )
-        tracer = profile_machine(machine, loops=2)
+        tracer = obs.Tracer()
+        profile_machine(machine, loops=2, tracer=tracer)
         assert tracer.metrics.counters["profile.loops"] == 2
 
     def test_profile_reduced_schedules_on_reduced_machine(self):
         from repro.obs.profile import profile_machine
 
-        tracer = profile_machine(
-            cydra5_subset(), kernel="daxpy", schedule_reduced=True
+        tracer = obs.Tracer()
+        profile_machine(
+            cydra5_subset(), kernel="daxpy", schedule_reduced=True,
+            tracer=tracer,
         )
         assert tracer.meta["scheduled_on"] == "reduced"
         assert tracer.metrics.counters["profile.loops_at_mii"] == 1

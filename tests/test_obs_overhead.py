@@ -20,9 +20,9 @@ from repro.machines import cydra5_subset
 from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query import make_query_module
+from repro.query.discrete import DiscreteQueryModule
 from repro.query.modulo import observed_class
 from repro.query.work import FUNCTIONS
-from repro.query.discrete import DiscreteQueryModule
 from repro.scheduler import IterativeModuloScheduler
 from repro.workloads import KERNELS
 
@@ -188,7 +188,7 @@ class TestDisabledOverhead:
             self, tmp_path, monkeypatch, capsys):
         """With no ``--runlog`` and no ``REPRO_RUNLOG``, a CLI run must
         not create any registry file *and* must keep the untraced
-        bytecode path (the recorder is what forces a tracer on)."""
+        bytecode path."""
         from repro.cli import main
 
         monkeypatch.delenv("REPRO_RUNLOG", raising=False)

@@ -1,7 +1,8 @@
-"""The persistent run registry: records, checksums, retention, trend."""
+"""The persistent run registry: records, checksums, retention."""
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -11,13 +12,12 @@ from repro.obs.runlog import (
     RUNLOG_SCHEMA_NAME,
     RUNLOG_SCHEMA_VERSION,
     RunLog,
-    RunRecord,
     RunRecorder,
     args_digest,
     default_clock,
-    detect_changepoint,
     record_digest,
 )
+from repro.query.work import WorkCounters
 
 
 class FakeClock:
@@ -63,12 +63,16 @@ class TestRunRecorder:
 
     def test_units_and_calls_merge_additively(self):
         recorder = _recorder()
-        recorder.add_units({"check": 10.0, "assign": 2.0})
-        recorder.add_units({"check": 5.0})
-        recorder.calls["check"] = 3
+        recorder.add_work(WorkCounters(
+            calls=Counter(check=2, assign=1),
+            units=Counter(check=10, assign=2),
+        ))
+        recorder.add_work(WorkCounters(
+            calls=Counter(check=1), units=Counter(check=5)
+        ))
         record = recorder.finalize("ok", 0)
-        assert record["work"]["units"] == {"assign": 2.0, "check": 15.0}
-        assert record["work"]["calls"] == {"check": 3}
+        assert record["work"]["units"] == {"assign": 2, "check": 15}
+        assert record["work"]["calls"] == {"assign": 1, "check": 3}
 
     def test_quality_merge_derives_mii_gap(self):
         recorder = _recorder()
@@ -226,108 +230,3 @@ class TestRunLog:
     def test_gc_negative_keep_raises(self, tmp_path):
         with pytest.raises(RunlogError):
             RunLog(str(tmp_path)).gc(keep=-1)
-
-
-class TestMetricResolution:
-    def _record(self):
-        recorder = _recorder()
-        recorder.add_units({"check": 120.0})
-        recorder.calls["check"] = 4
-        recorder.merge_quality({"ii_total": 7, "mii_total": 6})
-        data = recorder.finalize("ok", 0)
-        data["seq"] = 1
-        return RunRecord(seq=1, path="r.json", data=data)
-
-    def test_units_calls_quality_and_envelope(self):
-        record = self._record()
-        assert record.metric("units.check") == 120.0
-        assert record.metric("calls.check") == 4.0
-        assert record.metric("quality.ii_total") == 7.0
-        assert record.metric("quality.mii_gap") == 1.0
-        assert record.metric("total_units") == 120.0
-        assert record.metric("exit_code") == 0.0
-        assert record.metric("duration_s") is not None
-
-    def test_untracked_metric_is_none(self):
-        assert self._record().metric("units.compile") is None
-
-    def test_unknown_metric_raises(self):
-        with pytest.raises(RunlogError):
-            self._record().metric("nonsense")
-
-    def test_series_skips_untracked_and_windows(self, tmp_path):
-        log = RunLog(str(tmp_path))
-        for index in range(4):
-            recorder = _recorder()
-            if index != 1:  # record 2 never charged CHECK
-                recorder.add_units({"check": 100.0 + index})
-            log.append(recorder.finalize("ok", 0))
-        series = log.series("units.check")
-        assert series == [(1, 100.0), (3, 102.0), (4, 103.0)]
-        assert log.series("units.check", window=2) == [(3, 102.0),
-                                                       (4, 103.0)]
-
-
-class TestDetectChangepoint:
-    def _series(self, before, after, base=1):
-        points = [(base + i, v) for i, v in enumerate(before + after)]
-        return points
-
-    def test_step_regression_is_flagged_at_the_right_seq(self):
-        points = self._series([100.0] * 6, [140.0] * 6)
-        cp = detect_changepoint(points, "units.check", seed=0)
-        assert cp is not None
-        assert cp.seq == 7  # first record after the shift
-        assert cp.index == 6
-        assert cp.direction == "regression"
-        assert cp.before == pytest.approx(100.0)
-        assert cp.after == pytest.approx(140.0)
-        assert cp.ratio == pytest.approx(1.4)
-        assert cp.p_value <= 0.05
-
-    def test_improvement_polarity(self):
-        points = self._series([140.0] * 6, [100.0] * 6)
-        cp = detect_changepoint(points, "units.check", seed=0)
-        assert cp is not None and cp.direction == "improvement"
-
-    def test_bigger_is_better_flips_polarity(self):
-        points = self._series([4.0] * 6, [2.0] * 6)
-        cp = detect_changepoint(
-            points, "quality.loops_at_mii", seed=0, bigger_is_better=True
-        )
-        assert cp is not None and cp.direction == "regression"
-
-    def test_flat_series_has_no_changepoint(self):
-        assert detect_changepoint(
-            self._series([100.0] * 5, [100.0] * 5), "units.check"
-        ) is None
-
-    def test_min_ratio_guard_suppresses_tiny_shifts(self):
-        points = self._series([100.0] * 6, [100.5] * 6)
-        assert detect_changepoint(points, "units.check") is None
-        assert detect_changepoint(
-            points, "units.check", min_ratio=1.001
-        ) is not None
-
-    def test_too_few_points_is_none(self):
-        assert detect_changepoint(
-            [(1, 1.0), (2, 9.0), (3, 9.0)], "units.check"
-        ) is None
-
-    def test_seeded_determinism(self):
-        points = self._series(
-            [100.0, 101.0, 99.0, 100.5, 99.5],
-            [130.0, 131.0, 129.0, 130.5, 129.5],
-        )
-        first = detect_changepoint(points, "units.check", seed=7)
-        second = detect_changepoint(points, "units.check", seed=7)
-        assert first is not None and second is not None
-        assert first.to_dict() == second.to_dict()
-
-    def test_to_dict_round_trips_through_json(self):
-        cp = detect_changepoint(
-            self._series([100.0] * 5, [150.0] * 5), "units.check"
-        )
-        payload = json.loads(json.dumps(cp.to_dict()))
-        assert payload["direction"] == "regression"
-        assert payload["metric"] == "units.check"

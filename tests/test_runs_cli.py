@@ -1,30 +1,39 @@
 """The ``repro runs`` family and ``--runlog`` recording end to end.
 
-Holds the PR's acceptance test: a registry populated with synthetic
-records plus one injected work-unit regression makes ``repro runs
-trend`` flag exactly that changepoint (exit 1) while an unperturbed
-series exits 0, and ``repro runs diff`` reproduces the bench
-comparator's gating verdicts.
+Records hold what each command's own results hold: the summed
+``WorkCounters`` of the schedules it ran and their quality, with no
+tracer started.  ``repro runs diff`` reproduces the bench comparator's
+gating verdicts, and ``repro runs trend`` applies the same exact gate
+to the oldest and newest record of each repeated invocation.
 """
 
 import json
 import os
+from collections import Counter
+
+import pytest
 
 from repro.cli import main
 from repro.obs.runlog import ENV_RUNLOG_CLOCK, RunLog, RunRecorder
+from repro.query.work import FUNCTIONS, WorkCounters
+
+
+def _work(calls=None, **units):
+    return WorkCounters(calls=Counter(calls or {}), units=Counter(units))
 
 
 def _seed(directory, checks, command="schedule", loops=1, mii_total=5,
-          ii_total=None):
-    """Append one synthetic record per ``checks`` value."""
+          ii_total=None, arguments=None):
+    """Append one synthetic record per ``checks`` value, all of one
+    invocation (the same ``arguments``)."""
     log = RunLog(str(directory))
     for index, check_units in enumerate(checks):
         recorder = RunRecorder(
-            command, {"n": index}, clock=lambda: 100.0 + index
+            command, arguments or {"machine": "cydra5-subset"},
+            clock=lambda ts=100.0 + index: ts,
         )
         recorder.note(machine="cydra5-subset", rung="full")
-        recorder.add_units({"check": float(check_units)})
-        recorder.calls["check"] = 1
+        recorder.add_work(_work({"check": 1}, check=float(check_units)))
         recorder.merge_quality({
             "loops": loops,
             "loops_at_mii": loops,
@@ -84,6 +93,87 @@ class TestRecording:
         assert record.calls() == {
             function: entry["calls"] for function, entry in queries.items()
         }
+
+    def test_recorded_corpus_run_starts_no_tracer(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.obs import trace as obs
+        from repro.scheduler.corpus import CorpusScheduler
+
+        seen = []
+        schedule_suite = CorpusScheduler.schedule_suite
+
+        def spy(self, graphs, budget=None):
+            seen.append(obs.current())
+            return schedule_suite(self, graphs, budget=budget)
+
+        monkeypatch.setattr(CorpusScheduler, "schedule_suite", spy)
+        runlog = tmp_path / "runs"
+        assert main([
+            "schedule", "cydra5-subset", "--corpus", "--loops", "64",
+            "--runlog", str(runlog),
+        ]) == 0
+        assert seen == [None]
+        record = RunLog(str(runlog)).records()[0]
+        assert record.units()["check"] > 0
+        assert record.quality()["loops"] == 64
+
+    @pytest.mark.parametrize("representation", ["bitvector", "compiled"])
+    def test_record_is_the_summed_work_counters(
+            self, representation, tmp_path, capsys):
+        from repro.machines import cydra5_subset
+        from repro.scheduler.modulo import IterativeModuloScheduler
+        from repro.workloads.loopgen import loop_suite
+
+        runlog = tmp_path / "runs"
+        assert main([
+            "schedule", "cydra5-subset", "--loops", "8",
+            "--representation", representation, "--runlog", str(runlog),
+        ]) == 0
+        scheduler = IterativeModuloScheduler(
+            cydra5_subset(), representation=representation
+        )
+        work = WorkCounters()
+        for graph in loop_suite(8):
+            work.merge(scheduler.schedule(graph).work)
+        record = RunLog(str(runlog)).records()[0]
+        assert record.units() == dict(work.units)
+        assert record.calls() == dict(work.calls)
+        assert record.units()["check_range"] > 0
+
+    def test_every_record_speaks_only_registered_currencies(
+            self, tmp_path, capsys):
+        runlog = str(tmp_path / "runs")
+        invocations = [
+            ["reduce", "example"],
+            ["certify", "example", "example"],
+            ["schedule", "cydra5-subset", "--kernel", "daxpy",
+             "--representation", "bitvector"],
+            ["schedule", "cydra5-subset", "--kernel", "daxpy",
+             "--representation", "compiled", "--fallback"],
+            ["schedule", "cydra5-subset", "--corpus", "--loops", "4",
+             "--representation", "compiled"],
+            ["explain", "cydra5-subset", "--loops", "2"],
+            ["profile", "cydra5-subset", "--loops", "2",
+             "--representation", "bitvector"],
+            ["bench", "run", "example", "--loops", "2"],
+            ["chaos", "example", "--seed", "1"],
+            ["fuzz", "--seed", "0", "--runs", "1"],
+        ]
+        for argv in invocations:
+            assert main(argv + ["--runlog", runlog]) == 0, argv
+        records = RunLog(runlog).records()
+        assert len(records) == len(invocations)
+        for record in records:
+            assert set(record.units()) <= set(FUNCTIONS), record.command
+            assert set(record.calls()) <= set(FUNCTIONS), record.command
+        by_command = {record.command: record for record in records}
+        assert by_command["certify"].units()["check"] > 0
+        for command in ("bench run", "profile"):
+            assert by_command[command].units()["check_range"] > 0
+            assert by_command[command].calls()["check_range"] > 0
+        explain = by_command["explain"]
+        assert explain.quality()["loops"] == 2
+        assert explain.units() == {}
 
     def test_env_var_enables_recording(self, tmp_path, monkeypatch,
                                        capsys):
@@ -222,7 +312,7 @@ class TestRunsDiff:
     def test_missing_currency_never_gates(self, tmp_path, capsys):
         log = _seed(tmp_path / "runs", [1000.0])
         recorder = RunRecorder("schedule", {}, clock=lambda: 101.0)
-        recorder.add_units({"check": 1000.0, "sample": 42.0})
+        recorder.add_work(_work(check=1000.0, sample=42.0))
         recorder.merge_quality({"loops": 1, "loops_at_mii": 1,
                                 "mii_total": 5, "ii_total": 5})
         log.append(recorder.finalize("ok", 0))
@@ -233,7 +323,7 @@ class TestRunsDiff:
     def test_workload_mismatch_is_incomparable(self, tmp_path, capsys):
         log = _seed(tmp_path / "runs", [1000.0], loops=1)
         _seed_second = RunRecorder("schedule", {}, clock=lambda: 101.0)
-        _seed_second.add_units({"check": 9000.0})
+        _seed_second.add_work(_work(check=9000.0))
         _seed_second.merge_quality({"loops": 2, "loops_at_mii": 2,
                                     "mii_total": 5, "ii_total": 5})
         log.append(_seed_second.finalize("ok", 0))
@@ -246,7 +336,7 @@ class TestRunsDiff:
     def test_quality_regression_gates(self, tmp_path, capsys):
         log = _seed(tmp_path / "runs", [1000.0], ii_total=5)
         recorder = RunRecorder("schedule", {}, clock=lambda: 101.0)
-        recorder.add_units({"check": 1000.0})
+        recorder.add_work(_work(check=1000.0))
         recorder.merge_quality({"loops": 1, "loops_at_mii": 0,
                                 "mii_total": 5, "ii_total": 7})
         log.append(recorder.finalize("ok", 0))
@@ -272,62 +362,86 @@ class TestRunsDiff:
 
 
 class TestRunsTrendAcceptance:
-    """The PR's acceptance scenario for the trend observatory."""
+    """``runs trend`` is the ``runs diff`` gate applied along repeated
+    runs of one invocation: oldest against newest, exactly."""
+
+    def _trend(self, tmp_path, *flags):
+        return main(["runs", "trend", "--runlog", str(tmp_path / "runs")]
+                    + list(flags))
 
     def test_injected_regression_is_flagged_at_its_seq(self, tmp_path,
                                                        capsys):
-        # Eight steady runs, then a 40% work-unit regression lands.
-        _seed(tmp_path / "runs", [100.0] * 8 + [140.0] * 4)
-        assert main(["runs", "trend", "--metric", "units.check",
-                     "--runlog", str(tmp_path / "runs")]) == 1
+        # Ten steady runs, then a 40% work-unit regression lands.
+        _seed(tmp_path / "runs", [100.0] * 10 + [140.0])
+        assert self._trend(tmp_path) == 1
         out = capsys.readouterr().out
-        assert "REGRESSION at seq 9" in out
-        assert "100.000 -> 140.000" in out
-        assert "seeded permutation test" in out
+        assert "seq 1 vs seq 11 (11 records): REGRESSION" in out
+        assert "first moved at seq 11" in out
+        row = next(r for r in out.splitlines() if "units.check" in r)
+        assert "100 -> 140" in row and "regression" in row
+        assert "verdict: REGRESSION" in out
+
+    def test_sustained_small_rise_is_flagged(self, tmp_path, capsys):
+        _seed(tmp_path / "runs", [100.0] * 10 + [101.5] * 10)
+        assert self._trend(tmp_path) == 1
+        assert "first moved at seq 11" in capsys.readouterr().out
 
     def test_unperturbed_series_exits_0(self, tmp_path, capsys):
         _seed(tmp_path / "runs", [100.0] * 12)
-        assert main(["runs", "trend", "--metric", "units.check",
-                     "--runlog", str(tmp_path / "runs")]) == 0
-        assert "no significant changepoint" in capsys.readouterr().out
+        assert self._trend(tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "first moved" not in out
+        assert "verdict: ok" in out
 
     def test_improvement_exits_0(self, tmp_path, capsys):
         _seed(tmp_path / "runs", [140.0] * 8 + [100.0] * 4)
-        assert main(["runs", "trend", "--metric", "units.check",
-                     "--runlog", str(tmp_path / "runs")]) == 0
-        assert "IMPROVEMENT" in capsys.readouterr().out
+        assert self._trend(tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "improvement" in out
+        assert "first moved at seq 9" in out
 
     def test_too_few_points_exits_0(self, tmp_path, capsys):
-        _seed(tmp_path / "runs", [100.0, 140.0])
-        assert main(["runs", "trend",
-                     "--runlog", str(tmp_path / "runs")]) == 0
-        assert "need at least 4" in capsys.readouterr().out
+        # One run of an invocation has nothing to be compared with.
+        _seed(tmp_path / "runs", [100.0])
+        assert self._trend(tmp_path) == 0
+        assert "1 invocation(s), 0 run more than once" in (
+            capsys.readouterr().out
+        )
 
     def test_window_restricts_the_series(self, tmp_path, capsys):
-        # The regression is outside the analysis window: nothing flags.
+        # The rise is outside the newest eight records: nothing flags.
         _seed(tmp_path / "runs", [100.0] * 4 + [140.0] * 8)
-        assert main(["runs", "trend", "--window", "8",
-                     "--runlog", str(tmp_path / "runs")]) == 0
+        assert self._trend(tmp_path, "--window", "8") == 0
+        assert self._trend(tmp_path, "--window", "9") == 1
+        assert self._trend(tmp_path, "--window", "-1") == 2
 
     def test_json_format_emits_changepoint_payload(self, tmp_path,
                                                    capsys):
-        _seed(tmp_path / "runs", [100.0] * 8 + [140.0] * 4)
-        assert main(["runs", "trend", "--format", "json",
-                     "--runlog", str(tmp_path / "runs")]) == 1
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{"):])
-        assert payload["seq"] == 9
-        assert payload["direction"] == "regression"
+        _seed(tmp_path / "runs", [100.0] * 10 + [140.0])
+        assert self._trend(tmp_path, "--format", "json") == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        [invocation] = payload["invocations"]
+        assert invocation["seqs"] == list(range(1, 12))
+        assert invocation["first_moved"] == {"units.check": 11}
+        assert invocation["comparison"]["schema"] == "repro-bench-compare"
 
-    def test_seed_is_reported_and_deterministic(self, tmp_path, capsys):
-        _seed(tmp_path / "runs", [100.0] * 8 + [140.0] * 4)
-        outs = []
+    def test_invocations_are_never_compared_with_each_other(
+            self, tmp_path, capsys):
+        runs = tmp_path / "runs"
         for _ in range(2):
-            assert main(["runs", "trend", "--seed", "7",
-                         "--runlog", str(tmp_path / "runs")]) == 1
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-        assert "seed=7" in outs[0]
+            _seed(runs, [100.0], arguments={"loops": 8})
+            _seed(runs, [140.0], arguments={"loops": 16})
+        assert self._trend(tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "2 invocation(s), 2 run more than once" in out
+        assert "seq 1 vs seq 3" in out and "seq 2 vs seq 4" in out
+
+    def test_corrupt_records_are_skipped(self, tmp_path, capsys):
+        log = _seed(tmp_path / "runs", [100.0, 100.0, 140.0])
+        with open(log.records()[2].path, "w") as handle:
+            handle.write("torn")
+        assert self._trend(tmp_path) == 0
 
 
 class TestRunsGcAndMetrics:
