@@ -4,10 +4,10 @@ The compiled representation precompiles packed reservation masks and
 pairwise collision bitsets, then answers the scheduler's candidate-window
 scans with one batched kernel per alternative instead of one table walk
 per window cycle.  This benchmark pins the headline claim: on the study
-machines the IMS check path (``check`` + ``check_range``/``first_free``
-units) costs at least 2x fewer work units than the per-cycle discrete
-scan, with *identical* schedules (same II per loop, same placements —
-the paper's constraint-preservation bar applied to an optimization).
+machines the IMS check path (``check`` + ``check_range`` units) costs at
+least 2x fewer work units than the per-cycle discrete scan, with
+*identical* schedules (same II per loop, same placements — the paper's
+constraint-preservation bar applied to an optimization).
 """
 
 import pytest
@@ -19,22 +19,17 @@ from repro.obs.trace import Tracer
 LOOPS = 4
 
 #: Work-unit keys of the scheduler's contention-test path.  ``check``
-#: covers the per-cycle fallback; ``check_range``/``first_free`` carry
-#: the batched kernels' charges (the ``first_free`` timer attributes its
-#: units in the ``check_range`` currency, exported under its own key).
-CHECK_PATH_KEYS = (
-    "query.check.units",
-    "query.check_range.units",
-    "query.first_free.units",
-)
+#: covers the per-cycle fallback; ``check_range`` carries the batched
+#: kernels' charges.
+CHECK_PATH_KEYS = ("query.check.units", "query.check_range.units")
 
 
 def _case(machine, representation):
     tracer = Tracer()
-    profile_machine(
+    counters = profile_machine(
         machine, loops=LOOPS, representation=representation, tracer=tracer
     )
-    work = deterministic_work(tracer)
+    work = deterministic_work(tracer, counters)
     check_path = sum(work.get(key, 0) for key in CHECK_PATH_KEYS)
     quality = tuple(
         work.get("profile." + key, 0)

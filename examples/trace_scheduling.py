@@ -1,23 +1,15 @@
 #!/usr/bin/env python
-"""Trace scheduling across block boundaries, then VLIW bundling.
+"""Trace scheduling across block boundaries.
 
 Schedules a three-block trace on the Cydra 5 subset: a block issuing a
 long-latency load late, a tiny middle block the load's return path
 reaches *through*, and a block that must schedule around the dangling
-reservations.  The final kernel is formatted as VLIW instruction words
-(MultiOp bundles) and serialized to JSON.
+reservations.
 """
 
 from repro.core import schedule_is_contention_free
 from repro.machines import cydra5_subset
-from repro.scheduler import (
-    DependenceGraph,
-    IterativeModuloScheduler,
-    TraceScheduler,
-    bundle,
-    serialize,
-)
-from repro.workloads import KERNELS
+from repro.scheduler import DependenceGraph, TraceScheduler
 
 
 def make_blocks():
@@ -57,30 +49,6 @@ def main():
     assert schedule_is_contention_free(machine, trace.flat_placements())
     print("flat trace verified contention-free "
           "(%d cycles total)" % trace.total_length)
-
-    print()
-    print("=" * 64)
-    print("VLIW bundling of a software-pipelined kernel")
-    result = IterativeModuloScheduler(machine).schedule(KERNELS["hydro"]())
-    bundling = bundle(
-        machine, result.times, result.chosen_opcodes, modulo=result.ii
-    )
-    print(
-        "%s: II=%d, %d unit fields, density %.0f%%"
-        % (
-            result.graph.name,
-            result.ii,
-            len(bundling.units),
-            100 * bundling.density,
-        )
-    )
-    print(bundling.render())
-
-    print()
-    print("=" * 64)
-    print("schedule as JSON (first 400 chars):")
-    text = serialize.dumps(serialize.modulo_result_to_json(result))
-    print(text[:400] + " ...")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,7 @@ A package init hands :func:`export_table` one table, keyed by submodule
 The init imports nothing else, so importing it is free.  The first
 access to a name imports its submodule and caches the object in the
 package, so ``from repro.core import reduce_machine`` returns the very
-function :mod:`repro.core.reduce` defines.  The key ``""`` lists
-submodules exported as themselves.
+function :mod:`repro.core.reduce` defines.
 
 Several exported names are also submodules (``repro.machines.cydra5``
 the function and ``repro.machines.cydra5`` the module).  Python binds a
@@ -59,12 +58,7 @@ def export_table(
             raise AttributeError(
                 "module %r has no attribute %r" % (package, name)
             )
-        if key:
-            value = getattr(
-                importlib.import_module(package + "." + key), name
-            )
-        else:
-            value = importlib.import_module(package + "." + name)
+        value = getattr(importlib.import_module(package + "." + key), name)
         namespace[name] = value
         return value
 

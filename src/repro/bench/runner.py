@@ -6,8 +6,8 @@ loop workload) once under a fresh tracer, via
 ``repro profile``.  It keeps what the pass counted and never what it
 timed:
 
-* every deterministic counter (work units, query calls, Algorithm 1 rule
-  firings, scheduling decisions, IMS events);
+* every deterministic counter (query work units and calls per
+  currency, Algorithm 1 rule firings, scheduling decisions, IMS events);
 * schedule quality (loops at MII, total achieved II vs total MII).
 
 Counters count algorithmic events, so the same commit and configuration
@@ -34,7 +34,7 @@ from repro.bench.result import BenchCase, BenchResult, default_meta
 from repro.obs.profile import profile_machine
 from repro.obs.trace import Tracer
 from repro.query.modulo import REPRESENTATIONS
-from repro.query.work import WorkCounters
+from repro.query.work import FUNCTIONS, WorkCounters
 
 #: The default matrix: the paper's worked example and two real-size
 #: study machines, under every representation.
@@ -43,24 +43,30 @@ DEFAULT_REPRESENTATIONS = REPRESENTATIONS
 DEFAULT_LOOPS = 64
 
 
-def deterministic_work(tracer: Tracer) -> Dict[str, float]:
+def deterministic_work(
+    tracer: Tracer, counters: WorkCounters
+) -> Dict[str, float]:
     """The deterministic counters of one traced pass.
 
     Counters count algorithmic events (usages touched, rules fired,
     decisions made), never time, so every one of them must reproduce
-    exactly on the same commit and configuration.  Query call counts are
-    lifted out of the timers (``query.<fn>.calls``) because call counts
-    are deterministic even though the attached durations are not.  Only
-    a query function's timer is lifted — one with a ``query.<fn>.units``
-    counter beside it.  Other ``query.*`` spans, such as the compiled
-    plane's ``query.kernel.compile``, fire only on a cold cache, so
-    their counts depend on what the process ran before.
+    exactly on the same commit and configuration.  The query work comes
+    from the schedules' own ``counters``, keyed by currency
+    (``query.<fn>.units`` / ``.calls`` for each
+    :data:`~repro.query.work.FUNCTIONS` member charged), so a bench case
+    and a run record name one quantity the same way.  The tracer's own
+    ``query.*`` counters and timers are left out: they are keyed by the
+    traced method, not the currency it charges.
     """
-    counters = tracer.metrics.counters
-    work: Dict[str, float] = dict(counters)
-    for name, timer in tracer.metrics.timers.items():
-        if name.startswith("query.") and name + ".units" in counters:
-            work[name + ".calls"] = timer.count
+    work: Dict[str, float] = {
+        name: value
+        for name, value in tracer.metrics.counters.items()
+        if not name.startswith("query.")
+    }
+    for function in FUNCTIONS:
+        if counters.calls[function]:
+            work["query.%s.units" % function] = counters.units[function]
+            work["query.%s.calls" % function] = counters.calls[function]
     return work
 
 
@@ -86,7 +92,7 @@ def run_case(
             "bench:%s/%s" % (machine.name, representation),
             units=counters.total_units,
         )
-    work = deterministic_work(tracer)
+    work = deterministic_work(tracer, counters)
     quality = {
         key: work.get("profile." + key, 0)
         for key in ("loops", "loops_at_mii", "ii_total", "mii_total")

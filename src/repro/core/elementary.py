@@ -83,16 +83,6 @@ def pair_usages(pair: Resource) -> Tuple[Usage, Usage]:
     return ordered[0], ordered[1]
 
 
-def pair_compatible_with_usage(
-    pair: Resource, usage: Usage, matrix: ForbiddenLatencyMatrix
-) -> bool:
-    """Paper's compatibility relation between an elementary pair and a usage."""
-    u0, u1 = pair_usages(pair)
-    return usages_compatible(usage, u0, matrix) and usages_compatible(
-        usage, u1, matrix
-    )
-
-
 def resource_is_valid(resource: Resource, matrix: ForbiddenLatencyMatrix) -> bool:
     """True when every latency generated by ``resource`` is forbidden in the
     target machine — the invariant maintained by Rules 1–4 (Theorem 1)."""

@@ -118,11 +118,13 @@ def reduce_machine(
     objective: str = RES_USES,
     word_cycles: int = 1,
     prune_subsets_every: Optional[int] = 64,
-    verify: bool = True,
-    collapse_classes: bool = False,
     budget=None,
 ) -> Reduction:
     """Reduce a machine description, preserving its scheduling constraints.
+
+    The reduced machine's forbidden latency matrix is always re-derived
+    and compared with the original's; a mismatch raises
+    :class:`~repro.errors.EquivalenceError`.
 
     Parameters
     ----------
@@ -135,18 +137,6 @@ def reduce_machine(
         Number of cycle-bitvectors packed per memory word (``k``).
     prune_subsets_every:
         Forwarded to :func:`~repro.core.generating.build_generating_set`.
-    verify:
-        Re-derive the forbidden latency matrix of the reduced machine and
-        compare; raises :class:`~repro.errors.EquivalenceError` on mismatch.
-        On by default — reductions are meant to be provably exact.
-    collapse_classes:
-        Run the reduction on one representative per operation class and
-        give every class member the representative's reduced table
-        (Proebsting & Fraser's class merging).  Exact because members of
-        one class have identical forbidden latency rows and columns:
-        ``F[X][X] = F[X][Y] = F[Y][X] = F[Y][Y]`` whenever X and Y share a
-        class, so identical tables reproduce every entry.  A large
-        speedup for machines with many interchangeable operations.
     budget:
         Optional :class:`repro.resilience.budget.Budget` (deadline and/or
         work-unit cap) checked at every phase boundary and inside each
@@ -157,54 +147,6 @@ def reduce_machine(
     """
     with obs.span("forbidden_matrix", obs.CAT_REDUCE, machine=machine.name):
         matrix = ForbiddenLatencyMatrix.from_machine(machine, budget=budget)
-    if collapse_classes:
-        classes = matrix.operation_classes()
-        if any(len(members) > 1 for members in classes):
-            representative = {}
-            for members in classes:
-                for op in members:
-                    representative[op] = members[0]
-            collapsed = machine.with_operations(
-                sorted({members[0] for members in classes}),
-                machine.name + "-classes",
-            )
-            inner = reduce_machine(
-                collapsed,
-                objective=objective,
-                word_cycles=word_cycles,
-                prune_subsets_every=prune_subsets_every,
-                verify=False,
-                budget=budget,
-            )
-            expanded = MachineDescription(
-                machine.name + "-reduced",
-                {
-                    op: inner.reduced.table(representative[op])
-                    for op in machine.operation_names
-                },
-                resources=inner.reduced.resources,
-                alternatives=machine.alternatives,
-                latencies=machine.latencies,
-            )
-            if verify:
-                expanded_matrix = ForbiddenLatencyMatrix.from_machine(
-                    expanded
-                )
-                mismatches = matrix.differences(expanded_matrix)
-                if mismatches:
-                    raise EquivalenceError(
-                        "class-collapsed reduction of %r is not exact"
-                        % machine.name,
-                        mismatches,
-                    )
-            return Reduction(
-                original=machine,
-                reduced=expanded,
-                matrix=matrix,
-                generating_set=inner.generating_set,
-                pruned_set=inner.pruned_set,
-                selection=inner.selection,
-            )
     with obs.span("generating_set", obs.CAT_REDUCE, machine=machine.name):
         generating_set = build_generating_set(
             matrix, prune_subsets_every=prune_subsets_every, budget=budget
@@ -220,18 +162,17 @@ def reduce_machine(
             budget=budget,
         )
     reduced = machine_from_selection(machine, selection)
-    if verify:
-        with obs.span("verify", obs.CAT_REDUCE, machine=machine.name):
-            reduced_matrix = ForbiddenLatencyMatrix.from_machine(
-                reduced, budget=budget
-            )
-            mismatches = matrix.differences(reduced_matrix)
-        if mismatches:
-            raise EquivalenceError(
-                "reduction of %r is not exact (%d mismatching pairs)"
-                % (machine.name, len(mismatches)),
-                mismatches,
-            )
+    with obs.span("verify", obs.CAT_REDUCE, machine=machine.name):
+        reduced_matrix = ForbiddenLatencyMatrix.from_machine(
+            reduced, budget=budget
+        )
+        mismatches = matrix.differences(reduced_matrix)
+    if mismatches:
+        raise EquivalenceError(
+            "reduction of %r is not exact (%d mismatching pairs)"
+            % (machine.name, len(mismatches)),
+            mismatches,
+        )
     return Reduction(
         original=machine,
         reduced=reduced,

@@ -2,9 +2,9 @@
 
 Where the :mod:`repro.obs.trace` plane answers *where did the time go*,
 the ledger answers *why does the schedule look like this*: every
-placement, forced placement, eviction, and budget transition of a
-scheduler run appends one structured record — operation, candidate
-window, chosen cycle, blocking blame, budget state — to a bounded
+placement, forced placement, eviction and attempt of a scheduler run
+appends one structured record — operation, candidate window, chosen
+cycle, blocking blame, budget state — to a bounded
 ``collections.deque``.  The ring is cheap enough to leave on for whole
 runs (one dict append per scheduler decision, no wall-clock reads, no
 formatting); full per-call spans stay behind the existing
@@ -36,9 +36,7 @@ from typing import Dict, Iterator, List, Optional
 PLACE = "place"
 FORCE = "force"
 EVICT = "evict"
-UNSCHEDULE = "unschedule"
 ATTEMPT = "attempt"
-BUDGET = "budget"
 GIVE_UP = "give_up"
 
 
@@ -180,14 +178,12 @@ def active_tail(count: int = 20) -> Optional[List[Dict[str, object]]]:
 
 __all__ = [
     "ATTEMPT",
-    "BUDGET",
     "DecisionLedger",
     "EVICT",
     "FORCE",
     "GIVE_UP",
     "LedgerRecord",
     "PLACE",
-    "UNSCHEDULE",
     "active_tail",
     "current",
     "enabled",

@@ -12,7 +12,6 @@
 from repro._exports import export_table
 
 __getattr__, __dir__, __all__ = export_table(__name__, {
-    "bundle": ("Bundling", "InstructionWord", "bundle", "issue_unit"),
     "boundaries": (
         "TraceScheduleResult", "TraceScheduler", "dangling_requirements",
     ),
@@ -31,11 +30,10 @@ __getattr__, __dir__, __all__ = export_table(__name__, {
     "list_scheduler": ("BlockScheduleResult", "OperationDrivenScheduler"),
     "mii": (
         "mii_attribution", "min_feasible_ii_for_op", "min_ii", "rec_mii",
-        "res_mii", "res_mii_packed",
+        "res_mii",
     ),
     "modulo": (
         "AttemptStats", "IterativeModuloScheduler", "ModuloScheduleResult",
         "compute_heights",
     ),
-    "": ("serialize",),
 })

@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineDescription
 from repro.errors import BudgetExceeded, ScheduleError
-from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.work import WorkCounters
 from repro.resilience.budget import Budget
@@ -35,6 +34,7 @@ from repro.scheduler.mii import min_ii
 from repro.scheduler.modulo import (
     IterativeModuloScheduler,
     ModuloScheduleResult,
+    verify_modulo_schedule,
 )
 
 #: Scheduling ladder rungs, in degradation order.
@@ -143,26 +143,6 @@ class ScheduleOutcome:
             if attempt.failed and attempt.ledger_tail:
                 records.extend(attempt.ledger_tail)
         return records
-
-
-def _verify_modulo_reservation(
-    machine: MachineDescription,
-    times: Dict[str, int],
-    chosen: Dict[str, str],
-    ii: int,
-) -> None:
-    """Ground-truth MRT contention check for a modulo schedule."""
-    reserved: Dict[Tuple[str, int], str] = {}
-    for name, time_ in times.items():
-        for resource, cycle in machine.table(chosen[name]).iter_usages():
-            slot = (resource, (time_ + cycle) % ii)
-            if slot in reserved:
-                raise ScheduleError(
-                    "resource contention between %s and %s at MRT slot %s"
-                    % (reserved[slot], name, slot),
-                    ledger_tail=obs_ledger.active_tail(),
-                )
-            reserved[slot] = name
 
 
 def _flat_schedule(
@@ -283,8 +263,7 @@ def schedule_with_fallback(
         times, chosen, ii, flat_work = _flat_schedule(
             machine, graph, query_factory=query_factory
         )
-        graph.verify_schedule(times, ii=ii)
-        _verify_modulo_reservation(machine, times, chosen, ii)
+        verify_modulo_schedule(machine, graph, times, chosen, ii)
         attempts.append(
             AttemptRecord(RUNG_LIST, "flat schedule, II=%d" % ii)
         )

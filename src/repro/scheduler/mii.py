@@ -94,61 +94,6 @@ def _self_feasible_ii(
     )
 
 
-def res_mii_packed(
-    machine: MachineDescription,
-    opcodes: Iterable[str],
-    slack: int = 64,
-) -> int:
-    """Rau's packing-based ResMII *estimator*.
-
-    Starting from the usage-count bound, try to place every opcode's
-    reservation table into an empty modulo reservation table of length II
-    (first-fit over the II offsets, most-constrained opcodes first),
-    increasing II until everything fits.  This is how the Iterative
-    Modulo Scheduler paper estimates ResMII for complex tables; because
-    first-fit can miss feasible packings it is an *estimate*, not a lower
-    bound, so :func:`min_ii` deliberately does not use it — it exists for
-    diagnostics and the ablation benchmarks.
-    """
-    opcodes = list(opcodes)
-    if not opcodes:
-        return 1
-    matrix = ForbiddenLatencyMatrix.from_machine(machine)
-    floor = res_mii(machine, opcodes, matrix=matrix)
-    # Resolve alternative bases round-robin, like res_mii.
-    seen: Dict[str, int] = {}
-    tables = []
-    for opcode in opcodes:
-        variants = machine.alternatives_of(opcode)
-        variant = variants[seen.get(opcode, 0) % len(variants)]
-        seen[opcode] = seen.get(opcode, 0) + 1
-        tables.append(machine.table(variant))
-    # Most-constrained first: more usages are harder to place.
-    tables.sort(key=lambda t: -t.usage_count)
-    for ii in range(floor, floor + slack + 1):
-        reserved = set()
-        feasible = True
-        for table in tables:
-            placed = False
-            for offset in range(ii):
-                slots = {
-                    (resource, (offset + cycle) % ii)
-                    for resource, cycle in table.iter_usages()
-                }
-                if len(slots) == table.usage_count and not (
-                    slots & reserved
-                ):
-                    reserved |= slots
-                    placed = True
-                    break
-            if not placed:
-                feasible = False
-                break
-        if feasible:
-            return ii
-    return floor + slack + 1
-
-
 def _indexed_edges(graph: DependenceGraph) -> Tuple[int, List[Edge]]:
     """``(nodes, edges)`` with every edge as ``(src, dst, latency,
     distance)`` over node indices."""

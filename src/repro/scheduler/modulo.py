@@ -530,16 +530,32 @@ class IterativeModuloScheduler:
     # ------------------------------------------------------------------
     def _verify(self, result: ModuloScheduleResult) -> None:
         """Re-check the final schedule against dependences and resources."""
-        result.graph.verify_schedule(result.times, ii=result.ii)
-        reserved = {}
-        for name, time in result.times.items():
-            opcode = result.chosen_opcodes[name]
-            for resource, cycle in self.machine.table(opcode).iter_usages():
-                slot = (resource, (time + cycle) % result.ii)
-                if slot in reserved:
-                    raise ScheduleError(
-                        "resource contention between %s and %s at MRT slot %s"
-                        % (reserved[slot], name, slot),
-                        ledger_tail=obs_ledger.active_tail(),
-                    )
-                reserved[slot] = name
+        verify_modulo_schedule(
+            self.machine, result.graph, result.times, result.chosen_opcodes,
+            result.ii,
+        )
+
+
+def verify_modulo_schedule(
+    machine: MachineDescription,
+    graph: DependenceGraph,
+    times: Dict[str, int],
+    chosen: Dict[str, str],
+    ii: int,
+) -> None:
+    """Check a modulo schedule against ``graph``'s dependences, then
+    against a ground-truth modulo reservation table built from
+    ``machine``'s tables; raises :class:`~repro.errors.ScheduleError`
+    on the first violation."""
+    graph.verify_schedule(times, ii=ii)
+    reserved: Dict[Tuple[str, int], str] = {}
+    for name, time in times.items():
+        for resource, cycle in machine.table(chosen[name]).iter_usages():
+            slot = (resource, (time + cycle) % ii)
+            if slot in reserved:
+                raise ScheduleError(
+                    "resource contention between %s and %s at MRT slot %s"
+                    % (reserved[slot], name, slot),
+                    ledger_tail=obs_ledger.active_tail(),
+                )
+            reserved[slot] = name

@@ -132,7 +132,59 @@ def test_run_case_work_ignores_kernel_cache_warmth():
     assert cold.work == warm.work
     assert cold_counters == warm_counters
     assert "query.kernel.compile.calls" not in cold.work
-    assert cold.work["query.first_free.calls"] > 0
+    assert cold.work["query.check_range.calls"] > 0
+
+
+def _query_currencies(work):
+    """``{(currency, "units" | "calls")}`` of a case's ``query.*`` keys."""
+    return {
+        tuple(key[len("query."):].rsplit(".", 1))
+        for key in work if key.startswith("query.")
+    }
+
+
+def test_every_query_key_names_a_currency():
+    """Each cell keys its query work by the schedules' own currencies,
+    with the values of the counters the runner returns."""
+    from repro.bench.runner import (
+        DEFAULT_MACHINES,
+        DEFAULT_REPRESENTATIONS,
+        run_benchmark,
+    )
+    from repro.machines.builtin import BUILTIN_MACHINES
+    from repro.query.work import FUNCTIONS, WorkCounters
+
+    for name in DEFAULT_MACHINES:
+        machine = BUILTIN_MACHINES[name]()
+        for representation in DEFAULT_REPRESENTATIONS:
+            result, counters = run_benchmark(
+                [(name, machine)], [representation], loops=8
+            )
+            [case] = result.cases.values()
+            keys = _query_currencies(case.work)
+            assert keys, case.work
+            assert {fn for fn, _ in keys} <= set(FUNCTIONS), keys
+            assert {kind for _, kind in keys} == {"units", "calls"}
+            stored = WorkCounters()
+            for function, kind in keys:
+                value = case.work["query.%s.%s" % (function, kind)]
+                getattr(stored, kind)[function] = value
+            assert stored == counters, (name, representation)
+
+
+def test_baseline_query_keys_name_currencies():
+    import os
+
+    from repro.query.work import FUNCTIONS
+
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "benchmarks", "results", "BENCH_baseline.json",
+    )
+    for key, case in load_result(path).cases.items():
+        keys = _query_currencies(case.work)
+        assert {fn for fn, _ in keys} <= set(FUNCTIONS), (key, keys)
+        assert {kind for _, kind in keys} == {"units", "calls"}, key
 
 
 # ----------------------------------------------------------------------

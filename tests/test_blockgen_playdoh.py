@@ -9,7 +9,7 @@ from repro.core import (
     schedule_is_contention_free,
 )
 from repro.machines import PLAYDOH_LATENCIES, PLAYDOH_MIX, playdoh
-from repro.scheduler import OperationDrivenScheduler, res_mii, res_mii_packed
+from repro.scheduler import OperationDrivenScheduler, res_mii
 from repro.workloads import block_suite, generate_block
 from repro.workloads.blockgen import MAX_BLOCK_OPS
 
@@ -107,7 +107,3 @@ class TestPlayDoh:
         # 4 ialu ops spread over 4 ALUs: II = 1 suffices.
         assert res_mii(machine, ["ialu"] * 4) == 1
         assert res_mii(machine, ["ialu"] * 5) == 2
-
-    def test_res_mii_packed_at_least_count_bound(self, machine):
-        ops = ["ialu"] * 4 + ["fma", "fma", "ld", "ld", "st"]
-        assert res_mii_packed(machine, ops) >= res_mii(machine, ops)

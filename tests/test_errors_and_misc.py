@@ -138,7 +138,6 @@ class TestFullCydraReduction:
         for kwargs in (
             {},
             {"objective": "word-uses", "word_cycles": 4},
-            {"collapse_classes": True},
         ):
             reduction = reduce_machine(machine, **kwargs)
             assert matrices_equal(machine, reduction.reduced)

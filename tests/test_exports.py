@@ -29,13 +29,11 @@ PINNED_ALL = {
         "assert_equivalent example_machine matrices_equal reduce_machine "
     ),
     "repro.analysis": (
-        "EXPLAIN_SCHEMA_NAME EXPLAIN_SCHEMA_VERSION ResourceUtilization "
-        "SweepPoint bottlenecks build_explain_report describe_machine "
-        "describe_reduction diff_constraints drop_resources explain_loop "
-        "graph_to_dot has_collision ii_sweep machine_to_markdown "
-        "manually_optimize occupancy_chart redundant_resources "
-        "render_explain_html render_explain_text sweep_report utilization "
-        "utilization_report validate_explain_report "
+        "EXPLAIN_SCHEMA_NAME EXPLAIN_SCHEMA_VERSION build_explain_report "
+        "describe_machine describe_reduction diff_constraints "
+        "drop_resources explain_loop has_collision manually_optimize "
+        "occupancy_chart redundant_resources render_explain_html "
+        "render_explain_text validate_explain_report "
     ),
     "repro.automata": (
         "ADVANCE AutomatonQueryModule AutomatonTooLarge FactoredAutomata "
@@ -98,16 +96,15 @@ PINNED_ALL = {
         "order_variants "
     ),
     "repro.scheduler": (
-        "AttemptStats BlockScheduleResult Bundling CorpusResult "
-        "CorpusScheduler Dependence DependenceGraph ExpandedSchedule "
-        "InstructionWord IterativeModuloScheduler LoopOutcome "
-        "ModuloScheduleResult Operation OperationDrivenScheduler "
-        "SearchBudgetExceeded TraceScheduleResult TraceScheduler "
-        "ValueLifetime bundle chain compute_heights dangling_requirements "
-        "expand find_schedule_at_ii is_ii_feasible issue_unit "
-        "lifetime_report max_live mii_attribution min_feasible_ii_for_op "
-        "min_ii rec_mii register_requirement res_mii res_mii_packed "
-        "schedule_signature serialize value_lifetimes "
+        "AttemptStats BlockScheduleResult CorpusResult CorpusScheduler "
+        "Dependence DependenceGraph ExpandedSchedule "
+        "IterativeModuloScheduler LoopOutcome ModuloScheduleResult "
+        "Operation OperationDrivenScheduler SearchBudgetExceeded "
+        "TraceScheduleResult TraceScheduler ValueLifetime chain "
+        "compute_heights dangling_requirements expand find_schedule_at_ii "
+        "is_ii_feasible lifetime_report max_live mii_attribution "
+        "min_feasible_ii_for_op min_ii rec_mii register_requirement "
+        "res_mii schedule_signature value_lifetimes "
     ),
     "repro.simulate": (
         "ConflictEvent SimulationReport simulate "
@@ -130,12 +127,9 @@ PINNED_ALL = {
 SHADOWED = [
     ("repro.machines", "cydra5"),
     ("repro.machines", "playdoh"),
-    ("repro.scheduler", "bundle"),
     ("repro.scheduler", "expand"),
     ("repro.fuzz", "shrink"),
     ("repro.automata", "minimize"),
-    ("repro.analysis", "ii_sweep"),
-    ("repro.analysis", "utilization"),
 ]
 
 
@@ -152,7 +146,7 @@ def _table(package):
     owners = {}
     for key, names in zip(call.args[1].keys, call.args[1].values):
         for name in ast.literal_eval(names):
-            owners[name] = package + "." + (key.value or name)
+            owners[name] = package + "." + key.value
     return owners
 
 
@@ -168,9 +162,6 @@ def test_every_name_is_its_defining_modules_object(package):
     module = importlib.import_module(package)
     for name, owner in _table(package).items():
         value = getattr(module, name)
-        if owner == package + "." + name and inspect.ismodule(value):
-            assert value is sys.modules[owner]  # a module exported as itself
-            continue
         assert value is getattr(importlib.import_module(owner), name), name
         if inspect.isfunction(value) or inspect.isclass(value):
             assert value.__module__ == owner, name
@@ -241,15 +232,6 @@ def test_shadowed_names_are_every_exported_submodule():
     shadowed = []
     for package in sorted(PINNED_ALL):
         for name, owner in _table(package).items():
-            if owner != package + "." + name:
-                continue
-            if inspect.ismodule(getattr(importlib.import_module(package), name)):
-                continue  # exported as the module itself
-            shadowed.append((package, name))
+            if owner == package + "." + name:
+                shadowed.append((package, name))
     assert sorted(shadowed) == sorted(SHADOWED)
-
-
-def test_submodule_exported_as_itself():
-    from repro.scheduler import serialize
-
-    assert serialize is sys.modules["repro.scheduler.serialize"]

@@ -1,72 +1,7 @@
-"""Tests for dot/markdown exporters and occupancy charts."""
+"""Tests for occupancy charts and the collision check."""
 
-import pytest
-
-from repro.analysis import (
-    graph_to_dot,
-    has_collision,
-    machine_to_markdown,
-    occupancy_chart,
-)
-from repro.machines import cydra5_subset, example_machine
-from repro.scheduler import IterativeModuloScheduler
-from repro.workloads import KERNELS
-
-
-class TestDot:
-    def test_structure(self):
-        dot = graph_to_dot(KERNELS["daxpy"]())
-        assert dot.startswith("digraph")
-        assert dot.rstrip().endswith("}")
-        assert '"ld_x" -> "mul"' in dot
-
-    def test_loop_carried_edges_marked(self):
-        dot = graph_to_dot(KERNELS["inner-product"]())
-        assert "constraint=false" in dot
-        assert "d1" in dot
-
-    def test_schedule_annotations(self):
-        result = IterativeModuloScheduler(cydra5_subset()).schedule(
-            KERNELS["daxpy"]()
-        )
-        dot = graph_to_dot(result.graph, times=result.times, ii=result.ii)
-        assert "t=" in dot
-        assert "slot" in dot
-
-    def test_kind_styles(self):
-        from repro.scheduler import DependenceGraph
-
-        g = DependenceGraph("k")
-        g.add_operation("a", "x")
-        g.add_operation("b", "x")
-        g.add_dependence("a", "b", 1, kind="anti")
-        assert "style=dashed" in graph_to_dot(g)
-
-    def test_quoting(self):
-        from repro.scheduler import DependenceGraph
-
-        g = DependenceGraph('weird "name"')
-        g.add_operation("n", "op")
-        dot = graph_to_dot(g)
-        assert '"' in dot  # identifiers survive quoting
-
-
-class TestMarkdown:
-    def test_table_shape(self):
-        text = machine_to_markdown(example_machine())
-        assert "| operation |" in text
-        assert "| A |" in text
-        lines = [l for l in text.splitlines() if l.startswith("|")]
-        widths = {line.count("|") for line in lines}
-        assert len(widths) == 1  # consistent column count
-
-    def test_alternatives_listed(self):
-        text = machine_to_markdown(cydra5_subset())
-        assert "`load_s`" in text
-
-    def test_cell_contents(self):
-        text = machine_to_markdown(example_machine())
-        assert "r3" in text
+from repro.analysis import has_collision, occupancy_chart
+from repro.machines import example_machine
 
 
 class TestOccupancyChart:

@@ -1,5 +1,5 @@
 """End-to-end integration: MDL text -> reduction -> scheduling ->
-expansion -> bundling -> simulation -> serialization.
+expansion -> simulation.
 
 One walk through the whole toolchain, checking each stage's artifact
 against the previous stage's guarantees.  This is the test a downstream
@@ -16,11 +16,9 @@ from repro.scheduler import (
     IterativeModuloScheduler,
     OperationDrivenScheduler,
     TraceScheduler,
-    bundle,
     expand,
     max_live,
     register_requirement,
-    serialize,
 )
 from repro.simulate import simulate
 from repro.workloads import KERNELS, block_suite
@@ -75,26 +73,10 @@ class TestPipeline:
         assert report.clean
         assert not has_collision(original, placements)
 
-    def test_bundling_stage(self, toolchain):
-        original, _reduction, result = toolchain
-        bundling = bundle(
-            original, result.times, result.chosen_opcodes, modulo=result.ii
-        )
-        assert bundling.num_words == result.ii
-        assert 0 < bundling.density <= 1
-
     def test_register_metrics_stage(self, toolchain):
         _original, _reduction, result = toolchain
         assert register_requirement(result) >= max_live(result) // 2
         assert max_live(result) >= 1
-
-    def test_serialization_stage(self, toolchain):
-        _original, _reduction, result = toolchain
-        payload = serialize.modulo_result_to_json(result)
-        text = serialize.dumps(payload)
-        data = serialize.loads(text)
-        graph = serialize.graph_from_json(data["graph"])
-        graph.verify_schedule(data["times"], ii=data["ii"])
 
     def test_mdl_round_trip_of_reduced(self, toolchain):
         original, reduction, _result = toolchain

@@ -72,6 +72,18 @@ class TestBasics:
         with pytest.raises(ScheduleError):
             scheduler.schedule(g)
 
+    def test_plain_scheduler_fails_on_tricky(self, scheduler):
+        """A zero-latency pred/succ pair where height order places the
+        successor first into the only slot the predecessor could use:
+        the greedy scheduler never moves a placed operation, so it
+        fails cleanly."""
+        g = DependenceGraph("tricky")
+        g.add_operation("a_succ", "A")
+        g.add_operation("z_pred", "A")
+        g.add_dependence("z_pred", "a_succ", 0)
+        with pytest.raises(ScheduleError):
+            scheduler.schedule(g)
+
 
 class TestBoundaryConditions:
     def test_dangling_requirements_respected(self, scheduler, machine):

@@ -48,13 +48,6 @@ def machines(draw):
 
 @given(machines())
 @settings(max_examples=50, deadline=None)
-def test_class_collapsed_reduction_is_exact(machine):
-    reduction = reduce_machine(machine, collapse_classes=True)
-    assert matrices_equal(machine, reduction.reduced)
-
-
-@given(machines())
-@settings(max_examples=50, deadline=None)
 def test_manual_pruning_is_exact(machine):
     """Row pruning is always exact and never keeps a removed row.
 
