@@ -20,9 +20,7 @@ __getattr__, __dir__, __all__ = export_table(__name__, {
         "generated_instances", "is_maximal", "normalize_resource",
         "resource_is_valid", "usages_compatible",
     ),
-    "forbidden": (
-        "ForbiddenLatencyMatrix", "canonical_instance", "collapse_to_classes",
-    ),
+    "forbidden": ("ForbiddenLatencyMatrix", "canonical_instance"),
     "generating": ("TraceStep", "build_generating_set"),
     "machine": ("MachineBuilder", "MachineDescription"),
     "pruning": ("prune_covered_resources",),

@@ -216,22 +216,3 @@ class ForbiddenLatencyMatrix:
             self.instance_count,
             self.max_latency,
         )
-
-
-def collapse_to_classes(machine: MachineDescription) -> Tuple[MachineDescription, Dict[str, str]]:
-    """Collapse a machine to one representative operation per class.
-
-    Returns the collapsed description plus the ``operation -> representative``
-    mapping.  Queries against the collapsed machine are exact because class
-    members have identical forbidden latency rows and columns by definition.
-    """
-    matrix = ForbiddenLatencyMatrix.from_machine(machine)
-    mapping: Dict[str, str] = {}
-    representatives = []
-    for members in matrix.operation_classes():
-        rep = members[0]
-        representatives.append(rep)
-        for op in members:
-            mapping[op] = rep
-    collapsed = machine.with_operations(representatives, machine.name + "-classes")
-    return collapsed, mapping

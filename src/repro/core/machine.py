@@ -70,6 +70,7 @@ class MachineDescription:
         "_resources",
         "_alternatives",
         "_latencies",
+        "_hash",
     )
 
     def __init__(
@@ -131,6 +132,7 @@ class MachineDescription:
                 )
             lat[op] = value
         self._latencies = lat
+        self._hash = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -155,7 +157,9 @@ class MachineDescription:
         """Copy of the result-latency metadata."""
         return dict(self._latencies)
 
-    def latency_of(self, operation: str, default: Optional[int] = None) -> Optional[int]:
+    def latency_of(
+        self, operation: str, default: Optional[int] = None
+    ) -> Optional[int]:
         """Result latency of an operation, resolving alternative groups.
 
         Exact entries win; a variant like ``mov.1`` falls back to its
@@ -226,7 +230,9 @@ class MachineDescription:
     # ------------------------------------------------------------------
     # Derived descriptions
     # ------------------------------------------------------------------
-    def with_operations(self, names: Iterable[str], name: str = None) -> "MachineDescription":
+    def with_operations(
+        self, names: Iterable[str], name: str = None
+    ) -> "MachineDescription":
         """Sub-machine restricted to the given operations.
 
         Resource ordering is preserved; alternative groups are restricted to
@@ -272,7 +278,26 @@ class MachineDescription:
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, frozenset(self._operations.items())))
+        # Exactly what ``__eq__`` compares (never the name), computed once.
+        if self._hash is None:
+            self._hash = hash((
+                frozenset(self._operations.items()),
+                self._resources,
+                frozenset(self._alternatives.items()),
+                frozenset(self._latencies.items()),
+            ))
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle through the constructor, never the cached hash (string
+        # hashes differ between processes).
+        return MachineDescription, (
+            self.name,
+            self._operations,
+            self._resources,
+            self._alternatives,
+            self._latencies,
+        )
 
     def __repr__(self) -> str:
         return "MachineDescription(%r, %d ops, %d resources, %d usages)" % (

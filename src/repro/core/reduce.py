@@ -26,6 +26,11 @@ from repro.core.selection import (
 from repro.errors import EquivalenceError, ReductionError
 
 
+#: ``q0, q1, ...``: the row names of every reduced machine, one shared
+#: string per row index.
+_ROW_NAMES: List[str] = []
+
+
 def machine_from_selection(
     original: MachineDescription,
     selection: SelectionResult,
@@ -37,19 +42,19 @@ def machine_from_selection(
     Operations of the original machine that use no resources keep empty
     reservation tables; alternative groups are preserved verbatim.
     """
+    rows = len(selection.resources)
+    while len(_ROW_NAMES) < rows:
+        _ROW_NAMES.append("q%d" % len(_ROW_NAMES))
+    row_names = _ROW_NAMES[:rows]
     per_op: Dict[str, Dict[str, List[int]]] = {
         op: {} for op in original.operation_names
     }
-    row_names = []
-    for row, usages in enumerate(selection.resources):
-        row_name = "q%d" % row
-        row_names.append(row_name)
-        for op, cycle in sorted(usages):
+    for row_name, usages in zip(row_names, selection.resources):
+        for op, cycle in usages:
             per_op[op].setdefault(row_name, []).append(cycle)
-    operations = {op: rows for op, rows in per_op.items()}
     return MachineDescription(
         name or (original.name + "-reduced"),
-        operations,
+        per_op,
         resources=row_names,
         alternatives=original.alternatives,
         latencies=original.latencies,

@@ -7,13 +7,38 @@ operation reserves ``r`` for exclusive use during its ``c``-th cycle.
 
 Following the paper (Section 3), the table is stored as *usage sets*: for
 each resource, the set of cycles in which the operation uses it.
+
+Tables are hash-consed values: constructing a table equal to a live one
+returns the live one, and equal cycle sets are one frozenset.  Machines
+repeat a few distinct tables many times over (the 607 machines of the
+reduce-zoo benchmark and their reductions hold 9,924 tables, of which
+2,097 are distinct), so the memos below are built once per distinct table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+import weakref
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import MachineDescriptionError
+
+#: Live tables by value, ``frozenset(usages.items())`` to a weak reference;
+#: a table's death drops its entry, so the registry keeps nothing alive.
+#: Construction takes no lock: threads building equal tables at once may
+#: each keep their own, which loses sharing but never changes a value.
+_TABLES: Dict[frozenset, weakref.KeyedRef] = {}
+
+#: Distinct validated cycle sets, each mapped to itself.  Cleared when it
+#: reaches ``_CYCLE_SET_LIMIT`` entries: sharing them only saves memory.
+_CYCLE_SETS: Dict[frozenset, frozenset] = {}
+_CYCLE_SET_LIMIT = 1024
+
+
+def _forget(ref: weakref.KeyedRef, tables=_TABLES) -> None:
+    """Drop a dead table's entry, unless an equal table built meanwhile
+    (by another thread) has taken the key over."""
+    if tables.get(ref.key) is ref:
+        del tables[ref.key]
 
 
 class ReservationTable:
@@ -26,6 +51,9 @@ class ReservationTable:
         Cycles must be non-negative integers.  Resources mapped to an
         empty cycle set are dropped.
 
+    Equal tables are one object (see the module docstring); never rely
+    on that identity, nor attach state to a table.
+
     Examples
     --------
     >>> rt = ReservationTable({"alu": [0], "bus": [0, 3]})
@@ -33,18 +61,25 @@ class ReservationTable:
     3
     >>> sorted(rt.usage_set("bus"))
     [0, 3]
+    >>> rt is ReservationTable.from_pairs([("bus", 3), ("alu", 0), ("bus", 0)])
+    True
     """
 
-    __slots__ = ("_usages", "_hash", "_usage_list", "_folds")
+    __slots__ = (
+        "_usages", "_hash", "_length", "_usage_list", "_folds", "_words",
+        "__weakref__",
+    )
 
-    def __init__(self, usages: Mapping[str, Iterable[int]]):
+    def __new__(cls, usages: Mapping[str, Iterable[int]]) -> "ReservationTable":
         table: Dict[str, frozenset] = {}
         for resource, cycles in usages.items():
             cycle_set = frozenset(cycles)
             if not cycle_set:
                 continue
             for cycle in cycle_set:
-                if not isinstance(cycle, int) or isinstance(cycle, bool):
+                if type(cycle) is not int and (
+                    not isinstance(cycle, int) or isinstance(cycle, bool)
+                ):
                     raise MachineDescriptionError(
                         "cycle %r of resource %r is not an int" % (cycle, resource)
                     )
@@ -53,10 +88,25 @@ class ReservationTable:
                         "cycle %d of resource %r is negative" % (cycle, resource)
                     )
             table[str(resource)] = cycle_set
+        ref = _TABLES.get(frozenset(table.items()))
+        if ref is not None:
+            live = ref()
+            if live is not None:
+                return live
+        if len(_CYCLE_SETS) >= _CYCLE_SET_LIMIT:
+            _CYCLE_SETS.clear()
+        for resource, cycle_set in table.items():
+            table[resource] = _CYCLE_SETS.setdefault(cycle_set, cycle_set)
+        key = frozenset(table.items())
+        self = object.__new__(cls)
         self._usages = table
-        self._hash = None
+        self._hash = hash(key)
+        self._length = None
         self._usage_list = None
         self._folds = None
+        self._words = None
+        _TABLES[key] = weakref.KeyedRef(self, _forget, key)
+        return self
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[str, int]]) -> "ReservationTable":
@@ -82,9 +132,12 @@ class ReservationTable:
     @property
     def length(self) -> int:
         """Number of columns: one past the latest cycle used (0 if empty)."""
-        if not self._usages:
-            return 0
-        return 1 + max(max(cycles) for cycles in self._usages.values())
+        length = self._length
+        if length is None:
+            length = self._length = 1 + max(
+                (max(cycles) for cycles in self._usages.values()), default=-1
+            )
+        return length
 
     @property
     def is_empty(self) -> bool:
@@ -146,6 +199,44 @@ class ReservationTable:
                 seen.add(slot)
             fold = by_alignment[alignment] = (slots, first_repeat)
         return fold
+
+    def word_masks(
+        self,
+        rows: Tuple[str, ...],
+        word_cycles: int,
+        ii: Optional[int],
+        alignment: int,
+    ) -> Tuple[Tuple[Tuple[int, int], ...], bool]:
+        """The usages packed into words for an issue at ``alignment``.
+
+        A word holds ``word_cycles`` cycle vectors of ``len(rows)`` bits,
+        bit ``i`` standing for ``rows[i]``; the usage at ``cycle`` sits
+        at position ``alignment + cycle``, wrapped modulo ``ii`` onto an
+        MRT when ``ii`` is given.  Returns ``(masks, self_conflict)``:
+        the ``(word, mask)`` pairs in ascending word order, and whether
+        two usages share one bit (only a wrap can do that).  Built on
+        first use per ``(rows, word_cycles, ii, alignment)`` and kept.
+        """
+        words = self._words
+        if words is None:
+            words = self._words = {}
+        key = (rows, word_cycles, ii, alignment)
+        entry = words.get(key)
+        if entry is None:
+            stride = max(1, len(rows))
+            accum: Dict[int, int] = {}
+            self_conflict = False
+            for resource, cycle in self.iter_usages():
+                position = alignment + cycle
+                if ii is not None:
+                    position %= ii
+                word, packed = divmod(position, word_cycles)
+                bit = 1 << (packed * stride + rows.index(resource))
+                if accum.get(word, 0) & bit:
+                    self_conflict = True
+                accum[word] = accum.get(word, 0) | bit
+            entry = words[key] = (tuple(sorted(accum.items())), self_conflict)
+        return entry
 
     def cycles_used(self) -> frozenset:
         """Set of cycles in which at least one resource is used."""
@@ -211,13 +302,12 @@ class ReservationTable:
         return self._usages == other._usages
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._usages.items()))
         return self._hash
 
     def __reduce__(self):
-        # Pickle the usages only; the hash, the usage tuple and the folds
-        # are rebuilt lazily (string hashes differ between processes).
+        # Pickle the usages only: unpickling constructs, so it returns the
+        # live equal table or registers a fresh one (string hashes differ
+        # between processes, so the hash is never pickled).
         return ReservationTable, (self._usages,)
 
     def __repr__(self) -> str:

@@ -227,8 +227,9 @@ def _check_collapsible_operations(ctx):
             " class); the description repeats their constraints"
             % ", ".join(repr(m) for m in members),
             location=ctx.locate(operation=members[0]),
-            hint="collapse them with core.collapse_to_classes and map"
-            " class members to the representative %r" % members[0],
+            hint="keep one member per class with"
+            " MachineDescription.with_operations and map the other"
+            " members to the representative %r" % members[0],
             evidence={"class": list(members)},
         )
 

@@ -16,7 +16,7 @@ over resource usages.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineDescription
 from repro.query.base import (
@@ -64,122 +64,64 @@ class BitvectorQueryModule(ContentionQueryModule):
         # Owner fields, maintained only in update mode (or for plain free).
         self._owners: Dict[Tuple[int, int], int] = {}
         self._update_mode = False
-        # Precompiled reservation-table masks, in two normalized caches.
-        #
-        # ``_rel_masks`` holds *relative* word masks keyed by
-        # ``(op, cycle mod k)``: the mask layout only depends on the
-        # issue cycle's alignment within a word, so at most ``k`` entries
-        # exist per operation no matter how many cycles a run probes.
-        # Modulo tables share these entries for every alignment whose
-        # table does not wrap around the MRT end, so only the (at most
-        # ``length - 1``) wrapping alignments occupy ``_mrt_masks``,
-        # which stores absolute folded MRT words plus the self-conflict
-        # flag.  This bounds the cache at ``ops x (k + table span)``
-        # entries where the old per-alignment cache grew with ``ops x
-        # II`` across long pipelining runs.
-        self._rel_masks: Dict[
-            Tuple[str, int], Tuple[Tuple[int, int], ...]
-        ] = {}
-        self._mrt_masks: Dict[
-            Tuple[str, int], Tuple[Tuple[Tuple[int, int], ...], bool]
-        ] = {}
-        self._span: Dict[str, int] = {}
+        # Word masks are built once per table and layout and kept on the
+        # table (``ReservationTable.word_masks``), so the modules over a
+        # machine, one per IMS attempt, share them.  ``_masks`` indexes
+        # the ones this module uses by ``(op, cycle mod k)`` (relative
+        # masks) or, under modulo, ``(op, cycle mod II)`` (placements).
+        self._masks: Dict[Tuple[str, int], tuple] = {}
 
     # ------------------------------------------------------------------
     # Bit layout
     # ------------------------------------------------------------------
-    def _bit_position(self, resource: str, packed_cycle: int) -> int:
-        return packed_cycle * self._stride + self._bit_of[resource]
-
     def _cycle_key(self, cycle: int) -> int:
         """Schedule cycle normalized for the owner map (wraps for modulo)."""
         if self.modulo is not None:
             return cycle % self.modulo
         return cycle
 
-    def _table_span(self, op: str) -> int:
-        """Reservation-table length of ``op`` in cycles (cached)."""
-        span = self._span.get(op)
-        if span is None:
-            span = self.machine.table(op).length
-            self._span[op] = span
-        return span
+    def _placement(
+        self, op: str, cycle: int
+    ) -> Tuple[Sequence[Tuple[int, int]], bool]:
+        """``(masks, self_conflict)`` for ``op`` issued at ``cycle``.
 
-    def _relative_masks(
-        self, op: str, alignment: int
-    ) -> Tuple[Tuple[int, int], ...]:
-        """Word masks of ``op`` at in-word ``alignment`` (``< k``).
-
-        Word indices are relative to the issue cycle's word base; the
-        caller adds ``cycle // k``.  Shared by scalar tables and by every
-        non-wrapping modulo alignment.
+        ``masks`` are the (absolute word index, mask) pairs in ascending
+        word order; ``self_conflict`` says the op's own usages wrap onto
+        one MRT slot (II below a self-forbidden latency), a placement
+        that is never legal.
         """
-        key = (op, alignment)
-        cached = self._rel_masks.get(key)
-        if cached is not None:
-            return cached
-        accum: Dict[int, int] = {}
-        for resource, use_cycle in self.machine.table(op).iter_usages():
-            position = alignment + use_cycle
-            word = position // self.word_cycles
-            accum[word] = accum.get(word, 0) | (
-                1 << self._bit_position(resource, position % self.word_cycles)
-            )
-        masks = tuple(sorted(accum.items()))
-        self._rel_masks[key] = masks
-        return masks
+        if self.modulo is None:
+            base, alignment = divmod(cycle, self.word_cycles)
+            key = (op, alignment)
+            masks = self._masks.get(key)
+            if masks is None:
+                masks = self._masks[key] = self.machine.table(op).word_masks(
+                    self.machine.resources, self.word_cycles, None, alignment
+                )[0]
+            return [(base + offset, mask) for offset, mask in masks], False
+        key = (op, cycle % self.modulo)
+        placement = self._masks.get(key)
+        if placement is None:
+            placement = self._masks[key] = self._modulo_placement(op, key[1])
+        return placement
 
-    def _folded_masks(
+    def _modulo_placement(
         self, op: str, alignment: int
-    ) -> Tuple[Tuple[Tuple[int, int], ...], bool]:
-        """Absolute folded MRT word masks for a *wrapping* alignment.
+    ) -> Tuple[Sequence[Tuple[int, int]], bool]:
+        """:meth:`_placement` under modulo, at MRT slot ``alignment``.
 
-        Only alignments whose table crosses the MRT end land here; the
-        fold can put two usages of one resource onto the same MRT slot
-        (II below a self-forbidden latency), recorded as the
-        self-conflict flag — such a placement is never legal.
+        Only a table that crosses the MRT end is folded per alignment;
+        any other placement is the table's relative masks at in-word
+        alignment ``alignment mod k`` moved by whole words, which every
+        such alignment and II shares.
         """
-        key = (op, alignment)
-        cached = self._mrt_masks.get(key)
-        if cached is not None:
-            return cached
-        accum: Dict[int, int] = {}
-        self_conflict = False
-        for resource, use_cycle in self.machine.table(op).iter_usages():
-            absolute = (alignment + use_cycle) % self.modulo
-            word = absolute // self.word_cycles
-            bit = 1 << self._bit_position(
-                resource, absolute % self.word_cycles
-            )
-            if accum.get(word, 0) & bit:
-                self_conflict = True
-            accum[word] = accum.get(word, 0) | bit
-        entry = (tuple(sorted(accum.items())), self_conflict)
-        self._mrt_masks[key] = entry
-        return entry
-
-    def _placed_masks(self, op: str, cycle: int) -> List[Tuple[int, int]]:
-        """(absolute word index, mask) pairs for ``op`` issued at ``cycle``."""
-        if self.modulo is None:
-            base = cycle // self.word_cycles
-            masks = self._relative_masks(op, cycle % self.word_cycles)
-            return [(base + offset, mask) for offset, mask in masks]
-        alignment = cycle % self.modulo
-        if alignment + self._table_span(op) <= self.modulo:
-            base = alignment // self.word_cycles
-            masks = self._relative_masks(op, alignment % self.word_cycles)
-            return [(base + offset, mask) for offset, mask in masks]
-        masks, _self_conflict = self._folded_masks(op, alignment)
-        return list(masks)
-
-    def _self_conflicts(self, op: str, cycle: int) -> bool:
-        """True when the op's own usages wrap onto one MRT slot."""
-        if self.modulo is None:
-            return False
-        alignment = cycle % self.modulo
-        if alignment + self._table_span(op) <= self.modulo:
-            return False
-        return self._folded_masks(op, alignment)[1]
+        table = self.machine.table(op)
+        rows, k = self.machine.resources, self.word_cycles
+        if alignment + table.length > self.modulo:
+            return table.word_masks(rows, k, self.modulo, alignment)
+        base, offset = divmod(alignment, k)
+        masks = table.word_masks(rows, k, None, offset)[0]
+        return [(base + word, mask) for word, mask in masks], False
 
     def _usage_slots(self, op: str, cycle: int) -> List[Tuple[int, int]]:
         """(resource bit, cycle key) per usage — owner-map granularity."""
@@ -193,10 +135,11 @@ class BitvectorQueryModule(ContentionQueryModule):
     # Representation hooks
     # ------------------------------------------------------------------
     def _check(self, op: str, cycle: int) -> Tuple[bool, int]:
-        if self._self_conflicts(op, cycle):
+        masks, self_conflict = self._placement(op, cycle)
+        if self_conflict:
             return False, 1
         units = 0
-        for word, mask in self._placed_masks(op, cycle):
+        for word, mask in masks:
             units += 1
             if self._words.get(word, 0) & mask:
                 return False, units
@@ -204,7 +147,8 @@ class BitvectorQueryModule(ContentionQueryModule):
 
     def _check_blame(self, op: str, cycle: int) -> Tuple[bool, Optional[Blame], int]:
         units = 0
-        if self._self_conflicts(op, cycle):
+        masks, self_conflict = self._placement(op, cycle)
+        if self_conflict:
             # Name the smallest duplicated MRT slot by walking the usages
             # (the folded word masks have already collapsed the duplicate).
             counts: Dict[Tuple[int, int], int] = {}
@@ -218,7 +162,7 @@ class BitvectorQueryModule(ContentionQueryModule):
         # Word masks are sorted by ascending word index, so the first
         # colliding word's lowest set bit is the canonical (cycle,
         # resource-index) minimum over every blocked cell.
-        for word, mask in self._placed_masks(op, cycle):
+        for word, mask in masks:
             units += 1
             collision = self._words.get(word, 0) & mask
             if collision:
@@ -243,7 +187,7 @@ class BitvectorQueryModule(ContentionQueryModule):
 
     def _assign(self, token: ScheduledToken, with_owners: bool) -> int:
         units = 0
-        for word, mask in self._placed_masks(token.op, token.cycle):
+        for word, mask in self._placement(token.op, token.cycle)[0]:
             units += 1
             self._words[word] = self._words.get(word, 0) | mask
         if with_owners:
@@ -253,7 +197,7 @@ class BitvectorQueryModule(ContentionQueryModule):
 
     def _free(self, token: ScheduledToken, with_owners: bool) -> int:
         units = 0
-        for word, mask in self._placed_masks(token.op, token.cycle):
+        for word, mask in self._placement(token.op, token.cycle)[0]:
             units += 1
             remaining = self._words.get(word, 0) & ~mask
             if remaining:
@@ -270,7 +214,7 @@ class BitvectorQueryModule(ContentionQueryModule):
             # Optimistic mode: single word-level test-and-set pass.
             units = 0
             conflict = False
-            placed = self._placed_masks(token.op, token.cycle)
+            placed = self._placement(token.op, token.cycle)[0]
             for word, mask in placed:
                 units += 1
                 if self._words.get(word, 0) & mask:
@@ -305,7 +249,11 @@ class BitvectorQueryModule(ContentionQueryModule):
         for slot in self._usage_slots(token.op, token.cycle):
             units += 1
             owner = self._owners.get(slot)
-            if owner is not None and owner != token.ident and owner not in evicted_idents:
+            if (
+                owner is not None
+                and owner != token.ident
+                and owner not in evicted_idents
+            ):
                 victim = self._live[owner]
                 evicted_idents.add(owner)
                 evicted.append(victim)
@@ -386,9 +334,10 @@ class BitvectorQueryModule(ContentionQueryModule):
 
     def _probe(self, op: str, cycle: int, fetched: Dict[int, int]) -> bool:
         """One contention test against the scan's word-fetch cache."""
-        if self._self_conflicts(op, cycle):
+        masks, self_conflict = self._placement(op, cycle)
+        if self_conflict:
             return False
-        for word, mask in self._placed_masks(op, cycle):
+        for word, mask in masks:
             value = fetched.get(word)
             if value is None:
                 value = self._words.get(word, 0)

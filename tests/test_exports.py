@@ -52,7 +52,7 @@ PINNED_ALL = {
         "RES_USES Reduction ReservationTable Resource SearchExhausted "
         "SelectionResult TraceStep Usage WORD_USES Witness "
         "assert_equivalent build_generating_set canonical_instance "
-        "collapse_to_classes differences elementary_pair elementary_pairs "
+        "differences elementary_pair elementary_pairs "
         "exact_minimum_cover find_witness generated_instances is_maximal "
         "machine_from_selection matrices_equal normalize_resource "
         "prune_covered_resources reduce_for_word_size reduce_machine "

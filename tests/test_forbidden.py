@@ -6,7 +6,6 @@ from repro.core import (
     ForbiddenLatencyMatrix,
     MachineDescription,
     canonical_instance,
-    collapse_to_classes,
 )
 
 
@@ -117,15 +116,6 @@ class TestOperationClasses:
 
     def test_different_ops_not_same_class(self, example_matrix):
         assert not example_matrix.same_class("A", "B")
-
-    def test_collapse_to_classes(self):
-        md = MachineDescription(
-            "c", {"A1": {"r": [0]}, "A2": {"r": [0]}, "B": {"s": [0, 1]}}
-        )
-        collapsed, mapping = collapse_to_classes(md)
-        assert collapsed.num_operations == 2
-        assert mapping["A2"] == "A1"
-        assert mapping["B"] == "B"
 
 
 class TestDifferences:

@@ -1,10 +1,51 @@
 """Invariant tests for the study machine models (paper Section 6 targets)."""
 
+import copy
+import gc
+import pickle
+import tracemalloc
+
 import pytest
 
-from repro.core import ForbiddenLatencyMatrix, reduce_machine
-from repro.machines import STUDY_MACHINES
+from repro import mdl
+from repro.core import (
+    ForbiddenLatencyMatrix,
+    MachineBuilder,
+    MachineDescription,
+    reduce_machine,
+    reservation,
+)
+from repro.fuzz.mdlgen import PROFILES, generate_machine
+from repro.machines import (
+    STUDY_MACHINES,
+    alpha21064,
+    buffered_pu,
+    clustered_vliw,
+    cydra5_subset,
+    example_machine,
+    mips_r3000,
+    playdoh,
+)
 from repro.machines.builtin import BUILTIN_MACHINES
+from repro.query.compiled import clear_kernel_cache, compiled_kernel
+
+#: The fuzz profiles of the e2e benchmark's reduce-zoo workload.
+ZOO_PROFILES = ("mixed", "clustered-vliw", "buffered-pu")
+
+
+def zoo_machines():
+    """The reduce-zoo workload's 607 machines at seed 0."""
+    machines = [
+        build() for build in (
+            cydra5_subset, alpha21064, mips_r3000, playdoh, buffered_pu,
+            clustered_vliw, example_machine,
+        )
+    ]
+    for profile in ZOO_PROFILES:
+        machines.extend(
+            generate_machine(index, PROFILES[profile]) for index in range(200)
+        )
+    return machines
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +180,99 @@ class TestBuiltinTable:
 
         factory = BUILTIN_MACHINES[name]
         assert factory() == getattr(repro.machines, factory.__name__)()
+
+
+def same_tables(machine, other):
+    return all(
+        other.table(op) is machine.table(op) for op in machine.operation_names
+    )
+
+
+class TestSharedTables:
+    """Machines hold hash-consed tables: one object per distinct table."""
+
+    def test_copies_and_rebuilds_of_a_machine_share_its_tables(self):
+        machine = cydra5_subset()
+        reduced = reduce_machine(machine).reduced
+        for original in (machine, reduced):
+            for clone in (
+                mdl.loads(mdl.dumps(original)),
+                pickle.loads(pickle.dumps(original)),
+                copy.deepcopy(original),
+            ):
+                assert clone == original
+                assert same_tables(original, clone)
+        again = reduce_machine(machine.renamed("again")).reduced
+        assert same_tables(reduced, again)
+
+    def test_builder_and_mapping_tables_are_the_machines_tables(self):
+        machine = cydra5_subset()
+        builder = MachineBuilder("built")
+        mapping = {}
+        for op, table in machine.items():
+            usages = {r: sorted(table.usage_set(r)) for r in table.resources}
+            builder.operation(op, usages)
+            mapping[op] = usages
+        assert same_tables(machine, builder.build())
+        assert same_tables(machine, MachineDescription("mapped", mapping))
+
+    def test_reduced_machines_share_their_row_names(self):
+        first = reduce_machine(mips_r3000()).reduced
+        second = reduce_machine(alpha21064()).reduced
+        assert all(a is b for a, b in zip(first.resources, second.resources))
+
+    def test_a_fold_filled_through_one_machine_serves_another(self):
+        first = MachineDescription("m1", {"x": {"a": [0, 3]}, "y": {"b": [1]}})
+        second = MachineDescription("m2", {"z": {"a": [3, 0]}})
+        fold = first.table("x").folded(2, 1)
+        assert second.table("z").folded(2, 1) is fold
+        masks = first.table("x").word_masks(("a", "b"), 2, 5, 4)
+        assert second.table("z").word_masks(("a", "b"), 2, 5, 4) is masks
+
+    def test_dropped_machines_leave_no_table_registered(self):
+        gc.collect()
+        before = set(reservation._TABLES)
+        machines = [
+            generate_machine(1000 + index, PROFILES[ZOO_PROFILES[index % 3]])
+            for index in range(1000)
+        ]
+        reduced = [reduce_machine(machine).reduced for machine in machines]
+        theirs = [key for key in reservation._TABLES if key not in before]
+        assert len(theirs) > 1000
+        del machines, reduced
+        gc.collect()
+        assert not any(key in reservation._TABLES for key in theirs)
+        assert all(ref() is not None for ref in reservation._TABLES.values())
+
+    def test_zoo_and_its_reductions_live_size_at_most_4_mb(self):
+        reduce_machine(example_machine())  # imports and first-use memos
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            machines = zoo_machines()
+            reduced = [reduce_machine(machine).reduced for machine in machines]
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(machines) == len(reduced) == 607
+        assert live <= 4 * 1024 * 1024, live
+
+
+class TestMachineHash:
+    """``__hash__`` covers exactly what ``__eq__`` compares."""
+
+    def test_equal_machines_hash_equal_whatever_their_names(self):
+        machine = cydra5_subset()
+        renamed = machine.renamed("other")
+        assert renamed == machine
+        assert hash(renamed) == hash(machine)
+        assert renamed in {machine}
+        assert {machine: "kept"}[renamed] == "kept"
+        assert len({machine, renamed, pickle.loads(pickle.dumps(renamed))}) == 1
+
+    def test_a_renamed_machine_reuses_the_compiled_kernel(self):
+        clear_kernel_cache()
+        machine = cydra5_subset()
+        assert compiled_kernel(machine.renamed("other")) is compiled_kernel(machine)

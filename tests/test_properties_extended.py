@@ -1,8 +1,8 @@
 """Extended property-based tests over the newer subsystems.
 
-Covers: class-collapsed reduction, manual redundancy pruning, the
-forward/reverse automaton pair, predicated queries, modulo-schedule
-expansion, and MDL round-trips of reduced machines.
+Covers: manual redundancy pruning, the forward/reverse automaton pair,
+predicated queries, modulo-schedule expansion, and MDL round-trips of
+reduced machines.
 """
 
 import random

@@ -1,11 +1,12 @@
 """Unit tests for reservation tables and usage sets."""
 
+import copy
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ReservationTable
+from repro.core import ReservationTable, reservation
 from repro.errors import MachineDescriptionError
 
 
@@ -227,3 +228,82 @@ class TestFoldMemo:
             assert table == fresh
             assert hash(table) == hash(fresh)
             assert table.folded(3, 1) == fresh.folded(3, 1)
+
+
+class TestWordMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(tables(), st.data())
+    def test_masks_set_one_bit_per_usage_position(self, table, data):
+        rows = ("c", "a", "b")
+        word_cycles = data.draw(st.integers(1, 3), label="k")
+        ii = data.draw(
+            st.one_of(st.none(), st.integers(1, table.length + 2)), label="ii"
+        )
+        alignment = data.draw(st.integers(0, (ii or word_cycles) - 1))
+        masks, self_conflict = table.word_masks(rows, word_cycles, ii, alignment)
+        cells = []
+        for resource, cycle in table.iter_usages():
+            position = alignment + cycle
+            if ii is not None:
+                position %= ii
+            word, packed = divmod(position, word_cycles)
+            cells.append((word, packed * len(rows) + rows.index(resource)))
+        words = {}
+        for word, bit in cells:
+            words[word] = words.get(word, 0) | 1 << bit
+        assert masks == tuple(sorted(words.items()))
+        assert self_conflict == (len(set(cells)) < len(cells))
+        assert table.word_masks(rows, word_cycles, ii, alignment)[0] is masks
+
+
+class TestHashConsing:
+    """A table is a value: equal tables are one object, whatever built
+    them, and the registry never keeps one alive."""
+
+    def test_every_construction_path_returns_the_live_equal_table(self):
+        table = ReservationTable({"a": [0, 2], "b": [1]})
+        built = [
+            ReservationTable({"b": (1,), "a": {2, 0}}),
+            ReservationTable.from_pairs([("a", 2), ("b", 1), ("a", 0)]),
+            ReservationTable({"a": [3, 5], "b": [4]}).shifted(-3),
+            ReservationTable({"a": [0, 2]}).merged(ReservationTable({"b": [1]})),
+            ReservationTable({"a": [0, 2], "b": [1], "c": [7]}).restricted("ab"),
+            table.reversed(),
+            pickle.loads(pickle.dumps(table)),
+            copy.copy(table),
+            copy.deepcopy(table),
+        ]
+        assert all(other is table for other in built)
+
+    def test_unequal_tables_stay_distinct(self):
+        tables = [
+            ReservationTable({"a": [0, 2], "b": [1]}),
+            ReservationTable({"a": [0, 2]}),
+            ReservationTable({"a": [0, 2], "b": [2]}),
+            ReservationTable({"a": [0, 2], "c": [1]}),
+            ReservationTable({}),
+        ]
+        assert len({id(table) for table in tables}) == len(set(tables)) == 5
+
+    def test_equal_cycle_sets_are_one_frozenset(self):
+        table = ReservationTable({"a": [4, 6], "b": [6, 4]})
+        other = ReservationTable({"c": range(4, 7, 2)})
+        assert table.usage_set("a") is table.usage_set("b")
+        assert table.usage_set("a") is other.usage_set("c")
+
+    @pytest.mark.parametrize("usages, message", [
+        ({"b": [1001, 1003], "a": [-1]}, "cycle -1 of resource 'a' is negative"),
+        ({"b": [1001, 1003], "a": ["x"]}, "cycle 'x' of resource 'a' is not an int"),
+        ({"b": [1001, 1003], "a": [True]}, "cycle True of resource 'a' is not an int"),
+        ({"b": [1001, 1003], "a": [1.0]}, "cycle 1.0 of resource 'a' is not an int"),
+    ])
+    def test_rejected_table_raises_and_registers_nothing(self, usages, message):
+        live = ReservationTable({"a": [1]})  # an equal int cycle set is live
+        tables = dict(reservation._TABLES)
+        cycle_sets = dict(reservation._CYCLE_SETS)
+        with pytest.raises(MachineDescriptionError) as raised:
+            ReservationTable(usages)
+        assert str(raised.value) == message
+        assert reservation._TABLES == tables
+        assert reservation._CYCLE_SETS == cycle_sets
+        assert live.usage_set("a") == {1}
