@@ -6,8 +6,8 @@ the II it did?  For every loop the builder
 * attributes MII to its binding constraint
   (:func:`~repro.scheduler.mii.mii_attribution` — recurrence, a
   saturated resource, or an opcode's self-forbidden latencies),
-* replays the iterative modulo scheduler under a recording
-  :class:`~repro.obs.ledger.DecisionLedger`, and
+* replays the iterative modulo scheduler under a tracer, whose events
+  carry every scheduling decision, and
 * rolls the decision records up into per-II failure narratives,
   per-resource pressure histograms, and blame counts
   (:mod:`repro.obs.provenance`).
@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.gantt import occupancy_chart
 from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
-from repro.obs import ledger as obs_ledger
-from repro.obs import provenance
+from repro.obs import provenance, trace
 from repro.scheduler.ddg import DependenceGraph
 from repro.scheduler.mii import mii_attribution
 from repro.scheduler.modulo import IterativeModuloScheduler
@@ -34,8 +33,8 @@ from repro.scheduler.modulo import IterativeModuloScheduler
 EXPLAIN_SCHEMA_NAME = "repro-explain-report"
 EXPLAIN_SCHEMA_VERSION = 1
 
-#: Ledger records kept per loop in the report (newest last).
-TAIL_LIMIT = 40
+#: Decision records kept per failed loop in the report (newest last).
+TAIL_LIMIT = 20
 
 
 def _describe_pin(pinned: Dict[str, object]) -> str:
@@ -60,13 +59,15 @@ def explain_loop(
     representation: Optional[str] = None,
     word_cycles: int = 1,
 ) -> Dict[str, object]:
-    """Explain one loop: MII attribution plus a ledger-replayed schedule.
+    """Explain one loop: MII attribution plus a replayed schedule.
 
-    The replay runs under its own recording ledger, so the returned
-    provenance never mixes with (and never requires) an ambient one.
-    Scheduler failure is part of the story, not an error: the entry
-    carries ``succeeded: false``, the raise's message, and the ledger
-    tail explaining the final attempt.
+    The replay runs under its own tracer and folds that tracer's
+    decision events, so the entry never depends on an outer tracer; an
+    outer one gets the replay's metrics and records merged in afterwards
+    (:meth:`~repro.obs.trace.Tracer.merge`), as if it had traced the
+    replay itself.  Scheduler failure is part of the story, not an
+    error: the entry carries ``succeeded: false``, the raise's message,
+    and the last decisions before it (``decision_tail``).
     """
     kwargs = {}
     if representation is not None:
@@ -95,7 +96,7 @@ def explain_loop(
             ii=None,
             optimal=False,
             error=str(exc),
-            ledger_tail=(exc.ledger_tail or [])[-TAIL_LIMIT:],
+            decision_tail=[],
             records=0,
             attempts=[],
             narrative=[],
@@ -108,7 +109,11 @@ def explain_loop(
         mii=mii_info,
         mii_narrative=_describe_pin(mii_info["pinned_by"]),
     )
-    with obs_ledger.recording() as ledger:
+    outer = trace.current()
+    replay = trace.Tracer(
+        trace_queries=outer is not None and outer.trace_queries
+    )
+    with trace.tracing(replay):
         try:
             result = scheduler.schedule(graph)
         except ScheduleError as exc:
@@ -117,7 +122,6 @@ def explain_loop(
                 ii=None,
                 optimal=False,
                 error=str(exc),
-                ledger_tail=(exc.ledger_tail or [])[-TAIL_LIMIT:],
             )
         else:
             entry.update(
@@ -130,7 +134,12 @@ def explain_loop(
                     for name, time in sorted(result.times.items())
                 ],
             )
-    rollup = provenance.summarize(ledger)
+    if outer is not None:
+        outer.merge(replay)
+    records = provenance.decision_records(replay.events)
+    if not entry["succeeded"]:
+        entry["decision_tail"] = records[-TAIL_LIMIT:]
+    rollup = provenance.summarize(records)
     entry.update(
         records=rollup["records"],
         attempts=rollup["attempts"],

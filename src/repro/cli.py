@@ -27,7 +27,7 @@ fallback ladder instead of failing — see ``docs/robustness.md``.
 ``--trace FILE`` (Chrome ``trace_event`` JSON, loadable in Perfetto) —
 see ``docs/observability.md``.
 
-``explain`` replays the scheduler under a decision ledger and reports
+``explain`` replays the scheduler, folds its decision events and reports
 *why* each loop scheduled at its II (``repro-explain-report`` v1);
 ``schedule --explain FILE`` writes the same document alongside a normal
 run — see ``docs/explain.md``.

@@ -248,8 +248,8 @@ def explain_arguments(p: argparse.ArgumentParser) -> None:
     from repro.workloads.kernels import KERNELS
 
     p.description = (
-        "Replay the iterative modulo scheduler under a"
-        " recording decision ledger and report why each loop scheduled"
+        "Replay the iterative modulo scheduler, fold its"
+        " decision events and report why each loop scheduled"
         " at the II it did: which constraint pins MII (recurrence,"
         " saturated resource, or self-contention), which (resource,"
         " cycle) cells blocked each failed II, and what was evicted."

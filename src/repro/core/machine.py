@@ -318,10 +318,14 @@ class MachineBuilder:
 
     Examples
     --------
-    >>> b = MachineBuilder("toy")
-    >>> b.operation("add", {"alu": [0]})
-    >>> b.operation_with_alternatives("move", [{"alu": [0]}, {"mul": [0]}])
-    >>> md = b.build()
+    Each declaring method returns the builder, so calls chain:
+
+    >>> md = (
+    ...     MachineBuilder("toy")
+    ...     .operation("add", {"alu": [0]})
+    ...     .operation_with_alternatives("move", [{"alu": [0]}, {"mul": [0]}])
+    ...     .build()
+    ... )
     >>> md.alternatives_of("move")
     ('move.0', 'move.1')
     """

@@ -136,23 +136,14 @@ class ScheduleError(ReproError):
         True when at least one attempt ran out of its scheduling-decision
         budget (i.e. escalating the budget may help; a structural failure
         will not).
-    ledger_tail:
-        The last decision records of the active
-        :class:`~repro.obs.ledger.DecisionLedger` at raise time (plain
-        dicts, newest last), or ``None`` when no ledger was recording —
-        the provenance a fallback rung or ``repro explain`` reports to
-        say *why* the scheduler failed.
     """
 
     def __init__(self, message, ii_range=None, attempts=None,
-                 budget_exceeded=False, ledger_tail=None):
+                 budget_exceeded=False):
         super().__init__(message)
         self.ii_range = tuple(ii_range) if ii_range is not None else None
         self.attempts = list(attempts or [])
         self.budget_exceeded = bool(budget_exceeded)
-        self.ledger_tail = (
-            list(ledger_tail) if ledger_tail is not None else None
-        )
 
 
 class BudgetExceeded(ReproError):

@@ -1,8 +1,8 @@
 """Code-plane lint: AST rules auditing the implementation itself.
 
 The machine-plane rules (:mod:`repro.lint.rules`) audit *descriptions*;
-the rules here audit the *code* that manipulates them, enforcing three
-repo invariants the test suite cannot see locally:
+the rules here audit the *code* that manipulates them, enforcing repo
+invariants the test suite cannot see locally:
 
 determinism
     Nothing order-sensitive may iterate a ``set`` — schedule priority,
@@ -23,10 +23,6 @@ budget + robustness invariants
     through :mod:`repro._atomic` (``code-nonatomic-write``); and broad
     exception handlers must not swallow the structured error hierarchy
     (``code-broad-except``).
-provenance
-    Scheduler-layer ``ScheduleError`` raises must attach the active
-    decision ledger's tail (``code-unattributed-raise``) so failures
-    stay explainable by the fallback ladder and ``repro explain``.
 layering
     Every module has one rank in :data:`LAYERS`, and imports point only
     to equal or lower ranks (``code-upward-import``).
@@ -464,49 +460,6 @@ def _check_broad_except(ctx: CodeContext) -> Iterator[Diagnostic]:
         )
 
 
-@rule(
-    "code-unattributed-raise",
-    severity="info",
-    summary="scheduler-layer ScheduleError raised without ledger context",
-    scope="code",
-)
-def _check_unattributed_raise(ctx: CodeContext) -> Iterator[Diagnostic]:
-    """Scheduler failures must carry their decision provenance.
-
-    A ``ScheduleError`` raised inside ``repro/scheduler`` without a
-    ``ledger_tail=`` keyword strands the caller: the fallback ladder and
-    ``repro explain`` cannot say *why* the scheduler gave up.  Passing
-    ``ledger_tail=obs_ledger.active_tail()`` costs one ``None`` check
-    when no ledger is recording.
-    """
-    if ctx.tree is None or ctx.subsystem != "scheduler":
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Raise) or node.exc is None:
-            continue
-        exc = node.exc
-        if not isinstance(exc, ast.Call):
-            continue
-        func = exc.func
-        name = (
-            func.id if isinstance(func, ast.Name)
-            else func.attr if isinstance(func, ast.Attribute)
-            else None
-        )
-        if name != "ScheduleError":
-            continue
-        if any(kw.arg == "ledger_tail" for kw in exc.keywords):
-            continue
-        yield finding(
-            "ScheduleError raised without ledger_tail=; the fallback "
-            "ladder and `repro explain` lose the decision provenance "
-            "of this failure",
-            location=ctx.locate(node),
-            hint="pass ledger_tail=obs_ledger.active_tail() (a no-op "
-            "None when no DecisionLedger is recording)",
-        )
-
-
 #: Draw/state methods of the module-level (process-seeded) global RNG.
 _GLOBAL_RNG_DRAWS = frozenset(
     {
@@ -684,7 +637,6 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
         "repro.obs.__init__",
         "repro.obs.trace",
         "repro.obs.metrics",
-        "repro.obs.ledger",
         "repro.resilience.__init__",
         "repro.resilience.budget",
     ),

@@ -12,8 +12,8 @@ Perfetto).  With no tracer active every instrumentation site is a single
 
 The package spans two layers (``docs/architecture.md``, "Layers"):
 
-* leaves every layer may import — :mod:`repro.obs.trace`,
-  :mod:`repro.obs.metrics` and :mod:`repro.obs.ledger`;
+* leaves every layer may import — :mod:`repro.obs.trace` and
+  :mod:`repro.obs.metrics`;
 * consumers above the scheduler — :mod:`repro.obs.export`,
   :mod:`repro.obs.provenance`, :mod:`repro.obs.profile` (the
   ``repro profile`` pipeline), the append-only run registry

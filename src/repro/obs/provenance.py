@@ -1,40 +1,61 @@
-"""Blame rollups over decision-ledger records.
+"""Blame rollups over the schedulers' decision events.
 
-Pure functions that fold :class:`~repro.obs.ledger.DecisionLedger`
-records (or their dict exports) into the aggregates ``repro explain``
-renders: per-resource pressure histograms, per-II attempt summaries, and
-one-line failure descriptions such as ``II=7 failed: fp_bus saturated at
-cycles 3-5, 14 evictions``.
+The iterative modulo scheduler and the list scheduler emit every
+decision — an attempt boundary, a placement, a forced placement, an
+eviction, a give-up — as one :mod:`repro.obs.trace` event whose
+arguments are the decision's payload.  :func:`decision_records` turns a
+run's events into numbered record dicts, and the pure functions here
+fold those into the aggregates ``repro explain`` renders: per-resource
+pressure histograms, per-II attempt summaries, and one-line failure
+descriptions such as ``II=7 failed: fp_bus saturated at cycles 3-5, 14
+evictions``.
 
-Everything here consumes plain dicts — the ledger payload currency — so
-the module stays a leaf next to :mod:`repro.obs.ledger`: no imports from
-the query or scheduler layers.  The scheduler-running report builder
-lives in :mod:`repro.analysis.explain`.
+Records are plain dicts, so the module stays a leaf next to
+:mod:`repro.obs.trace`: no imports from the query or scheduler layers.
+The scheduler-running report builder lives in
+:mod:`repro.analysis.explain`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.obs.ledger import (
-    ATTEMPT,
-    DecisionLedger,
-    EVICT,
-    FORCE,
-    LedgerRecord,
-)
+#: Decision record kinds.
+ATTEMPT = "attempt"
+PLACE = "place"
+FORCE = "force"
+EVICT = "evict"
+GIVE_UP = "give_up"
+
+#: The schedulers' decision event names and the record kind of each.
+DECISIONS = {
+    "ims.attempt": ATTEMPT,
+    "ims.place": PLACE,
+    "ims.force": FORCE,
+    "ims.evict_resource": EVICT,
+    "ims.evict_dependence": EVICT,
+    "ims.give_up": GIVE_UP,
+    "list.place": PLACE,
+    "list.give_up": GIVE_UP,
+}
 
 
-def iter_records(source) -> Iterable[Dict[str, object]]:
-    """Normalize a ledger / record iterable into payload dicts."""
-    if isinstance(source, DecisionLedger):
-        source = source.records
-    for record in source:
-        if isinstance(record, LedgerRecord):
-            yield record.to_dict()
-        else:
-            yield record
+def decision_records(events: Iterable) -> List[Dict[str, object]]:
+    """The decision events among ``events``, as record dicts.
+
+    Each record is ``{"seq": n, "kind": kind, **payload}``: ``n``
+    numbers the decisions from 0, ``kind`` comes from
+    :data:`DECISIONS`, and every other event is skipped.
+    """
+    records: List[Dict[str, object]] = []
+    for event in events:
+        kind = DECISIONS.get(event.name)
+        if kind is not None:
+            record: Dict[str, object] = {"seq": len(records), "kind": kind}
+            record.update(event.args or {})
+            records.append(record)
+    return records
 
 
 def _blames_of(record: Dict[str, object]) -> Iterable[Dict[str, object]]:
@@ -48,7 +69,7 @@ def _blames_of(record: Dict[str, object]) -> Iterable[Dict[str, object]]:
                 yield entry
 
 
-def pressure_histogram(source) -> Dict[str, Dict[int, int]]:
+def pressure_histogram(records) -> Dict[str, Dict[int, int]]:
     """Per-resource histogram of blamed cycles.
 
     ``result[resource][cycle]`` counts how often that (resource, cycle)
@@ -56,7 +77,7 @@ def pressure_histogram(source) -> Dict[str, Dict[int, int]]:
     modulo scheduling, absolute cycles otherwise.
     """
     histogram: Dict[str, Counter] = {}
-    for record in iter_records(source):
+    for record in records:
         for blame in _blames_of(record):
             resource = blame.get("resource")
             cycle = blame.get("cycle")
@@ -68,10 +89,10 @@ def pressure_histogram(source) -> Dict[str, Dict[int, int]]:
     }
 
 
-def blame_counts(source) -> Dict[str, int]:
+def blame_counts(records) -> Dict[str, int]:
     """Total blame count per resource, most-blamed first in dict order."""
     counts = Counter()
-    for record in iter_records(source):
+    for record in records:
         for blame in _blames_of(record):
             resource = blame.get("resource")
             if resource is not None:
@@ -108,7 +129,7 @@ def format_cycle_ranges(cycles: Iterable[int], limit: int = 3) -> str:
     return text
 
 
-def attempt_summaries(source) -> List[Dict[str, object]]:
+def attempt_summaries(records) -> List[Dict[str, object]]:
     """One summary per scheduler II attempt, in attempt order.
 
     Folds the ``attempt`` start/end markers with every blame and
@@ -140,7 +161,7 @@ def attempt_summaries(source) -> List[Dict[str, object]]:
             summaries.append(summary)
         return summary
 
-    for record in iter_records(source):
+    for record in records:
         ii = record.get("ii")
         if ii is None:
             continue
@@ -207,10 +228,10 @@ def describe_attempt(summary: Dict[str, object]) -> str:
     return "II=%s failed: %s" % (ii, ", ".join(parts))
 
 
-def eviction_counts(source) -> Dict[str, int]:
+def eviction_counts(records) -> Dict[str, int]:
     """Evictions per victim operation name (most-evicted first)."""
     counts = Counter()
-    for record in iter_records(source):
+    for record in records:
         if record.get("kind") == EVICT:
             victim = record.get("op")
             if victim is not None:
@@ -219,9 +240,8 @@ def eviction_counts(source) -> Dict[str, int]:
     return dict(ordered)
 
 
-def summarize(source) -> Dict[str, object]:
+def summarize(records) -> Dict[str, object]:
     """The full rollup bundle ``repro explain`` embeds per run."""
-    records = list(iter_records(source))
     attempts = attempt_summaries(records)
     return {
         "records": len(records),
@@ -234,13 +254,19 @@ def summarize(source) -> Dict[str, object]:
 
 
 __all__ = [
+    "ATTEMPT",
+    "DECISIONS",
+    "EVICT",
+    "FORCE",
+    "GIVE_UP",
+    "PLACE",
     "attempt_summaries",
     "blame_counts",
     "cycle_ranges",
+    "decision_records",
     "describe_attempt",
     "eviction_counts",
     "format_cycle_ranges",
-    "iter_records",
     "pressure_histogram",
     "summarize",
 ]

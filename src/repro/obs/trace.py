@@ -207,6 +207,23 @@ class Tracer:
             else:
                 self.dropped += 1
 
+    def merge(self, other: "Tracer") -> None:
+        """Fold ``other``'s metrics and records into this tracer.
+
+        Records beyond this tracer's cap are dropped and counted, as if
+        they had been recorded here.
+        """
+        self.metrics.merge(other.metrics)
+        self.dropped += other.dropped
+        for source, target in (
+            (other.spans, self.spans), (other.events, self.events),
+        ):
+            for record in source:
+                if len(self.spans) + len(self.events) < self.max_records:
+                    target.append(record)
+                else:
+                    self.dropped += 1
+
     # -- introspection -------------------------------------------------
     @property
     def num_records(self) -> int:

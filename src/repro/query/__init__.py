@@ -41,7 +41,7 @@ __getattr__, __dir__, __all__ = export_table(__name__, {
         "make_query_module",
     ),
     "work": (
-        "ASSIGN", "ASSIGN_FREE", "ATTRIBUTE", "CHECK", "CHECK_RANGE",
+        "ASSIGN", "ASSIGN_FREE", "CHECK", "CHECK_RANGE",
         "COMPILE", "FREE", "FUNCTIONS", "WorkCounters",
     ),
 })

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.machine import MachineDescription
 from repro.errors import QueryError
 from repro.query.alternatives import FIRST_FIT, ROUND_ROBIN, order_variants
-from repro.query.work import ASSIGN, ASSIGN_FREE, ATTRIBUTE, CHECK, FREE, WorkCounters
+from repro.query.work import ASSIGN, ASSIGN_FREE, CHECK, FREE, WorkCounters
 
 #: Blame kinds: a reserved-table collision with another scheduled
 #: operation, or a self-conflict (two usages of the same operation folding
@@ -45,22 +45,20 @@ BLAME_SELF = "self"
 class Blame:
     """Attribution for one failed contention check.
 
-    Every representation blames the *canonical* blocked cell: among all
-    blocked (resource, cycle) cells of the failed check, the one with the
-    lexicographically smallest ``(cycle key, resource index)`` — where the
-    cycle key is the absolute cycle for scalar scheduling and the MRT slot
-    under modulo scheduling, and the resource index is the resource's
-    position in ``machine.resources``.  This is exactly the cell the
-    compiled kernel's lowest set bit of ``reserved & mask`` decodes to, so
-    compiled, bitvector, and discrete blame are comparable bit for bit.
+    The *canonical* blocked cell: among all blocked (resource, cycle)
+    cells of the failed check, the one with the lexicographically
+    smallest ``(cycle key, resource index)`` — where the cycle key is the
+    absolute cycle for scalar scheduling and the MRT slot under modulo
+    scheduling, and the resource index is the resource's position in
+    ``machine.resources`` (the cell a packed ``reserved & mask`` test's
+    lowest set bit decodes to).  A modulo self-conflict (the operation's
+    own usages folding onto one MRT slot) takes precedence over
+    reserved-table collisions.
 
-    A modulo self-conflict (the operation's own usages folding onto one
-    MRT slot) takes precedence over reserved-table collisions, mirroring
-    the compiled kernel's self-conflict short circuit.
-
-    ``owner_op``/``owner_cycle`` identify the scheduled operation holding
-    the blamed cell when the representation tracks owners; they are
-    best-effort and excluded from :attr:`key`, the exactness currency.
+    ``owner_op``/``owner_cycle`` name the placement holding the blamed
+    cell: the variant it was placed as and its issue cycle.  A
+    self-conflict has no owner.  See
+    :func:`repro.scheduler.modulo.find_blame`.
     """
 
     resource: str
@@ -75,7 +73,7 @@ class Blame:
         return (self.resource, self.cycle, self.kind)
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for ledgers and JSON reports."""
+        """Plain-dict form for decision events and JSON reports."""
         doc: Dict[str, object] = {
             "resource": self.resource,
             "cycle": self.cycle,
@@ -88,7 +86,7 @@ class Blame:
         return doc
 
     def describe(self) -> str:
-        """One-line human rendering used by ledgers and ``repro explain``."""
+        """One-line human rendering."""
         if self.kind == BLAME_SELF:
             return "%s self-conflict at slot %d" % (self.resource, self.cycle)
         text = "%s busy at cycle %d" % (self.resource, self.cycle)
@@ -129,24 +127,12 @@ class ContentionQueryModule:
         self._used_assign_free = False
         self._alt_rotation: Dict[str, int] = {}
         self._live_op_counts: Dict[str, int] = {}
-        self._resource_index_cache: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
     # Representation hooks (implemented by subclasses)
     # ------------------------------------------------------------------
     def _check(self, op: str, cycle: int) -> Tuple[bool, int]:
         """Return ``(is_free, work_units)``."""
-        raise NotImplementedError
-
-    def _check_blame(self, op: str, cycle: int) -> Tuple[bool, Optional[Blame], int]:
-        """Attributed contention test: ``(is_free, blame, work_units)``.
-
-        ``blame`` is ``None`` when the check succeeds, otherwise the
-        canonical :class:`Blame` cell (see its docstring).  Unlike
-        :meth:`_check`, which may abort at the first collision, this hook
-        must inspect enough state to name the canonical cell — the opt-in
-        path may cost more units than the fast path it mirrors.
-        """
         raise NotImplementedError
 
     def _assign(self, token: ScheduledToken, with_owners: bool) -> int:
@@ -165,13 +151,6 @@ class ContentionQueryModule:
         raise NotImplementedError
 
     def _reset_state(self) -> None:
-        raise NotImplementedError
-
-    def _snapshot_state(self):
-        """Representation-private state copy (see :meth:`snapshot`)."""
-        raise NotImplementedError
-
-    def _restore_state(self, state) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -200,7 +179,9 @@ class ContentionQueryModule:
         self._count_op(op, +1)
         return token
 
-    def assign_free(self, op: str, cycle: int) -> Tuple[ScheduledToken, List[ScheduledToken]]:
+    def assign_free(
+        self, op: str, cycle: int
+    ) -> Tuple[ScheduledToken, List[ScheduledToken]]:
         """Reserve resources, evicting any conflicting scheduled operations.
 
         Returns the new token and the (possibly empty) list of evicted
@@ -228,25 +209,7 @@ class ContentionQueryModule:
         del self._live[token.ident]
         self._count_op(token.op, -1)
 
-    def check_attributed(self, op: str, cycle: int) -> Tuple[bool, Optional[Blame]]:
-        """Contention test that names the blocking cell on failure.
-
-        Returns ``(is_free, blame)`` where ``blame`` is ``None`` on
-        success and the canonical :class:`Blame` otherwise.  Charged in
-        the ``attribute`` work currency, never ``check`` — the provenance
-        plane leaves the paper's Table 6 numbers untouched.
-        """
-        free, blame, units = self._check_blame(op, cycle)
-        self.work.charge(ATTRIBUTE, units)
-        return free, blame
-
-    def check_range(
-        self,
-        op: str,
-        start: int,
-        stop: int,
-        attribute: Optional[List[Tuple[int, Blame]]] = None,
-    ) -> List[bool]:
+    def check_range(self, op: str, start: int, stop: int) -> List[bool]:
         """Batched contention test over ``range(start, stop)``.
 
         Returns one boolean per cycle of the window, in window order.
@@ -255,39 +218,11 @@ class ContentionQueryModule:
         looped); representations with word-level or compiled kernels
         override this with a single scan charged in the ``check_range``
         currency.
-
-        When ``attribute`` is passed (a list), each blocked cycle appends
-        a ``(cycle, blame)`` pair to it and the scan runs through the
-        attributed path; the default ``attribute=None`` call is
-        trajectory-identical to the pre-attribution module.
         """
-        if attribute is not None:
-            return self._attributed_check_range(op, start, stop, attribute)
         return [self.check(op, cycle) for cycle in range(start, stop)]
 
-    def _attributed_check_range(
-        self,
-        op: str,
-        start: int,
-        stop: int,
-        attribute: List[Tuple[int, Blame]],
-    ) -> List[bool]:
-        """Shared opt-in blame path behind ``check_range(attribute=...)``."""
-        answers = []
-        for cycle in range(start, stop):
-            free, blame = self.check_attributed(op, cycle)
-            answers.append(free)
-            if blame is not None:
-                attribute.append((cycle, blame))
-        return answers
-
     def first_free(
-        self,
-        op: str,
-        start: int,
-        stop: int,
-        direction: int = 1,
-        attribute: Optional[List[Tuple[int, Blame]]] = None,
+        self, op: str, start: int, stop: int, direction: int = 1
     ) -> Optional[int]:
         """First contention-free cycle for ``op`` in ``range(start, stop)``.
 
@@ -296,33 +231,10 @@ class ContentionQueryModule:
         lifetime-sensitive placement order).  Returns ``None`` when every
         cycle of the window is contended.  The base implementation loops
         :meth:`check`; fast backends override it with a batched kernel.
-
-        When ``attribute`` is passed (a list), every blocked cycle probed
-        before the answer appends ``(cycle, blame)`` to it (in scan
-        order); ``attribute=None`` keeps the untouched fast path.
         """
-        if attribute is not None:
-            return self._attributed_first_free(op, start, stop, direction, attribute)
         for cycle in self._window(start, stop, direction):
             if self.check(op, cycle):
                 return cycle
-        return None
-
-    def _attributed_first_free(
-        self,
-        op: str,
-        start: int,
-        stop: int,
-        direction: int,
-        attribute: List[Tuple[int, Blame]],
-    ) -> Optional[int]:
-        """Shared opt-in blame path behind ``first_free(attribute=...)``."""
-        for cycle in self._window(start, stop, direction):
-            free, blame = self.check_attributed(op, cycle)
-            if free:
-                return cycle
-            if blame is not None:
-                attribute.append((cycle, blame))
         return None
 
     def first_free_with_alternatives(
@@ -426,43 +338,6 @@ class ContentionQueryModule:
         """Currently scheduled tokens, in assignment order."""
         return [self._live[ident] for ident in sorted(self._live)]
 
-    def snapshot(self) -> tuple:
-        """Opaque copy of the partial-schedule state.
-
-        Search-based schedulers (branch and bound, enumeration) can
-        checkpoint before a speculative subtree and ``restore`` instead
-        of replaying frees.  Work counters are NOT part of the snapshot
-        — accounting keeps running across restores.
-        """
-        return (
-            dict(self._live),
-            self._next_ident,
-            self._used_assign,
-            self._used_assign_free,
-            dict(self._alt_rotation),
-            dict(self._live_op_counts),
-            self._snapshot_state(),
-        )
-
-    def restore(self, snapshot: tuple) -> None:
-        """Return to a state captured by :meth:`snapshot`."""
-        (
-            live,
-            next_ident,
-            used_assign,
-            used_assign_free,
-            rotation,
-            counts,
-            state,
-        ) = snapshot
-        self._live = dict(live)
-        self._next_ident = next_ident
-        self._used_assign = used_assign
-        self._used_assign_free = used_assign_free
-        self._alt_rotation = dict(rotation)
-        self._live_op_counts = dict(counts)
-        self._restore_state(state)
-
     def reset(self) -> None:
         """Clear the partial schedule (work counters are kept)."""
         self._live.clear()
@@ -475,20 +350,6 @@ class ContentionQueryModule:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _resource_index(self) -> Dict[str, int]:
-        """Resource → position in ``machine.resources`` (the blame tie-break).
-
-        The same ordering the bitvector/compiled backends pack bits in,
-        so the discrete module's canonical-cell tie-break agrees with the
-        lowest-set-bit decode.  Built lazily: modules that never attribute
-        pay nothing.
-        """
-        index = self._resource_index_cache
-        if index is None:
-            index = {r: i for i, r in enumerate(self.machine.resources)}
-            self._resource_index_cache = index
-        return index
-
     def _count_op(self, op: str, delta: int) -> None:
         count = self._live_op_counts.get(op, 0) + delta
         if count:

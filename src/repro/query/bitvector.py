@@ -19,13 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineDescription
-from repro.query.base import (
-    BLAME_RESERVED,
-    BLAME_SELF,
-    Blame,
-    ContentionQueryModule,
-    ScheduledToken,
-)
+from repro.query.base import ContentionQueryModule, ScheduledToken
 from repro.query.work import CHECK_RANGE
 
 
@@ -145,46 +139,6 @@ class BitvectorQueryModule(ContentionQueryModule):
                 return False, units
         return True, units
 
-    def _check_blame(self, op: str, cycle: int) -> Tuple[bool, Optional[Blame], int]:
-        units = 0
-        masks, self_conflict = self._placement(op, cycle)
-        if self_conflict:
-            # Name the smallest duplicated MRT slot by walking the usages
-            # (the folded word masks have already collapsed the duplicate).
-            counts: Dict[Tuple[int, int], int] = {}
-            for resource, use_cycle in self.machine.table(op).iter_usages():
-                units += 1
-                slot = ((cycle + use_cycle) % self.modulo, self._bit_of[resource])
-                counts[slot] = counts.get(slot, 0) + 1
-            slot_cycle, bit = min(s for s, n in counts.items() if n > 1)
-            blame = Blame(self.machine.resources[bit], slot_cycle, BLAME_SELF)
-            return False, blame, units
-        # Word masks are sorted by ascending word index, so the first
-        # colliding word's lowest set bit is the canonical (cycle,
-        # resource-index) minimum over every blocked cell.
-        for word, mask in masks:
-            units += 1
-            collision = self._words.get(word, 0) & mask
-            if collision:
-                position = (collision & -collision).bit_length() - 1
-                packed_cycle, bit = divmod(position, self._stride)
-                cell_cycle = word * self.word_cycles + packed_cycle
-                owner_op = owner_cycle = None
-                owner_ident = self._owners.get((bit, cell_cycle))
-                if owner_ident is not None:
-                    owner = self._live.get(owner_ident)
-                    if owner is not None:
-                        owner_op, owner_cycle = owner.op, owner.cycle
-                blame = Blame(
-                    self.machine.resources[bit],
-                    cell_cycle,
-                    BLAME_RESERVED,
-                    owner_op,
-                    owner_cycle,
-                )
-                return False, blame, units
-        return True, None, units
-
     def _assign(self, token: ScheduledToken, with_owners: bool) -> int:
         units = 0
         for word, mask in self._placement(token.op, token.cycle)[0]:
@@ -270,25 +224,10 @@ class BitvectorQueryModule(ContentionQueryModule):
         self._owners.clear()
         self._update_mode = False
 
-    def _snapshot_state(self):
-        return (dict(self._words), dict(self._owners), self._update_mode)
-
-    def _restore_state(self, state) -> None:
-        words, owners, update_mode = state
-        self._words = dict(words)
-        self._owners = dict(owners)
-        self._update_mode = update_mode
-
     # ------------------------------------------------------------------
     # Batched window scans
     # ------------------------------------------------------------------
-    def check_range(
-        self,
-        op: str,
-        start: int,
-        stop: int,
-        attribute: Optional[List[Tuple[int, Blame]]] = None,
-    ) -> List[bool]:
+    def check_range(self, op: str, start: int, stop: int) -> List[bool]:
         """Word-scan fast path: one charge for the whole window.
 
         Each reserved word is fetched once per scan no matter how many
@@ -297,8 +236,6 @@ class BitvectorQueryModule(ContentionQueryModule):
         the per-``check`` word currency — instead of one per word per
         probed cycle.
         """
-        if attribute is not None:
-            return self._attributed_check_range(op, start, stop, attribute)
         fetched: Dict[int, int] = {}
         flags = [
             self._probe(op, cycle, fetched)
@@ -308,16 +245,9 @@ class BitvectorQueryModule(ContentionQueryModule):
         return flags
 
     def first_free(
-        self,
-        op: str,
-        start: int,
-        stop: int,
-        direction: int = 1,
-        attribute: Optional[List[Tuple[int, Blame]]] = None,
+        self, op: str, start: int, stop: int, direction: int = 1
     ) -> Optional[int]:
         """Word-scan fast path of the window scan (see :meth:`check_range`)."""
-        if attribute is not None:
-            return self._attributed_first_free(op, start, stop, direction, attribute)
         fetched: Dict[int, int] = {}
         result = None
         for cycle in self._window(start, stop, direction):

@@ -40,13 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.core.machine import MachineDescription
 from repro.obs import trace as obs
-from repro.query.base import (
-    BLAME_RESERVED,
-    BLAME_SELF,
-    Blame,
-    ContentionQueryModule,
-    ScheduledToken,
-)
+from repro.query.base import ContentionQueryModule, ScheduledToken
 from repro.query.work import CHECK_RANGE, COMPILE
 
 
@@ -299,58 +293,6 @@ class CompiledQueryModule(ContentionQueryModule):
             return False, 1
         return not (self._reserved & mask), 1
 
-    def _reserved_blame(self, collision: int, cycle_bias: int) -> Blame:
-        """Decode the lowest set bit of a collision into the canonical cell.
-
-        Bit = ``cycle * stride + resource index``, so the lowest set bit
-        is exactly the blocked cell with the smallest (cycle, resource
-        index) — the canonical blame of every representation.
-        """
-        position = (collision & -collision).bit_length() - 1
-        packed_cycle, bit = divmod(position, self._kernel.stride)
-        cell_cycle = packed_cycle - cycle_bias
-        owner_op = owner_cycle = None
-        owner_ident = self._owners.get((bit, cell_cycle))
-        if owner_ident is not None:
-            owner = self._live.get(owner_ident)
-            if owner is not None:
-                owner_op, owner_cycle = owner.op, owner.cycle
-        return Blame(
-            self.machine.resources[bit],
-            cell_cycle,
-            BLAME_RESERVED,
-            owner_op,
-            owner_cycle,
-        )
-
-    def _check_blame(self, op: str, cycle: int) -> Tuple[bool, Optional[Blame], int]:
-        if self.modulo is None:
-            collision = self._reserved & self._placed_mask(op, cycle)
-            if not collision:
-                return True, None, 1
-            # Reserved bits only exist at biased positions >= 0, so the
-            # low cycles a negative shift drops can never collide —
-            # the decode agrees with the discrete reference scan.
-            return False, self._reserved_blame(collision, self._bias), 1
-        mask, self_conflict = self._fold(op, cycle % self.modulo)
-        if self_conflict:
-            # Name the smallest duplicated MRT slot by walking the
-            # usages (the fold has already collapsed the duplicate).
-            bit_of = self._kernel.bit_of
-            counts: Dict[Tuple[int, int], int] = {}
-            units = 0
-            for resource, use_cycle in self.machine.table(op).iter_usages():
-                units += 1
-                slot = ((cycle + use_cycle) % self.modulo, bit_of[resource])
-                counts[slot] = counts.get(slot, 0) + 1
-            slot_cycle, bit = min(s for s, n in counts.items() if n > 1)
-            blame = Blame(self.machine.resources[bit], slot_cycle, BLAME_SELF)
-            return False, blame, units
-        collision = self._reserved & mask
-        if not collision:
-            return True, None, 1
-        return False, self._reserved_blame(collision, 0), 1
-
     def _set_bits(self, op: str, cycle: int) -> None:
         if self.modulo is None:
             shift = self._bit_shift(cycle)
@@ -449,23 +391,6 @@ class CompiledQueryModule(ContentionQueryModule):
         self._sources.clear()
         self._update_mode = False
 
-    def _snapshot_state(self):
-        return (
-            self._reserved,
-            self._bias,
-            dict(self._owners),
-            dict(self._sources),
-            self._update_mode,
-        )
-
-    def _restore_state(self, state) -> None:
-        reserved, bias, owners, sources, update_mode = state
-        self._reserved = reserved
-        self._bias = bias
-        self._owners = dict(owners)
-        self._sources = dict(sources)
-        self._update_mode = update_mode
-
     # ------------------------------------------------------------------
     # Batched window scans (the collision-bitset kernels)
     # ------------------------------------------------------------------
@@ -533,16 +458,8 @@ class CompiledQueryModule(ContentionQueryModule):
             ) & ((1 << modulo) - 1)
         return ring & window_mask, units
 
-    def check_range(
-        self,
-        op: str,
-        start: int,
-        stop: int,
-        attribute: Optional[List[Tuple[int, Blame]]] = None,
-    ) -> List[bool]:
+    def check_range(self, op: str, start: int, stop: int) -> List[bool]:
         """Batched contention test: one collision-bitset scan per window."""
-        if attribute is not None:
-            return self._attributed_check_range(op, start, stop, attribute)
         width = stop - start
         if width <= 0:
             self.work.charge(CHECK_RANGE, 1)
@@ -557,16 +474,9 @@ class CompiledQueryModule(ContentionQueryModule):
         ]
 
     def first_free(
-        self,
-        op: str,
-        start: int,
-        stop: int,
-        direction: int = 1,
-        attribute: Optional[List[Tuple[int, Blame]]] = None,
+        self, op: str, start: int, stop: int, direction: int = 1
     ) -> Optional[int]:
         """Batched window scan: find the first clear bit of the window."""
-        if attribute is not None:
-            return self._attributed_first_free(op, start, stop, direction, attribute)
         width = stop - start
         if width <= 0:
             self.work.charge(CHECK_RANGE, 1)

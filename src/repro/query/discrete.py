@@ -17,13 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineDescription
-from repro.query.base import (
-    BLAME_RESERVED,
-    BLAME_SELF,
-    Blame,
-    ContentionQueryModule,
-    ScheduledToken,
-)
+from repro.query.base import ContentionQueryModule, ScheduledToken
 
 
 class DiscreteQueryModule(ContentionQueryModule):
@@ -89,40 +83,6 @@ class DiscreteQueryModule(ContentionQueryModule):
                 return False, units
         return True, units
 
-    def _check_blame(self, op: str, cycle: int) -> Tuple[bool, Optional[Blame], int]:
-        # The reference semantics for blame: scan every usage (no early
-        # abort) and name the canonical cell — the blocked slot with the
-        # smallest (cycle, resource index), self-conflicts first.
-        res_index = self._resource_index()
-        units = 0
-        counts: Dict[Tuple[str, int], int] = {}
-        for slot in self._slots(op, cycle):
-            units += 1
-            counts[slot] = counts.get(slot, 0) + 1
-        if self.modulo is not None:
-            duplicated = [
-                (slot_cycle, res_index[resource], resource)
-                for (resource, slot_cycle), count in counts.items()
-                if count > 1
-            ]
-            if duplicated:
-                slot_cycle, _, resource = min(duplicated)
-                return False, Blame(resource, slot_cycle, BLAME_SELF), units
-        blocked = [
-            (slot_cycle, res_index[resource], resource)
-            for resource, slot_cycle in counts
-            if (resource, slot_cycle) in self._reserved
-        ]
-        if not blocked:
-            return True, None, units
-        slot_cycle, _, resource = min(blocked)
-        owner_op = owner_cycle = None
-        owner = self._live.get(self._reserved[(resource, slot_cycle)])
-        if owner is not None:
-            owner_op, owner_cycle = owner.op, owner.cycle
-        blame = Blame(resource, slot_cycle, BLAME_RESERVED, owner_op, owner_cycle)
-        return False, blame, units
-
     def _assign(self, token: ScheduledToken, with_owners: bool) -> int:
         units = 0
         for slot in self._slots(token.op, token.cycle):
@@ -144,7 +104,11 @@ class DiscreteQueryModule(ContentionQueryModule):
         for slot in self._slots(token.op, token.cycle):
             units += 1
             owner = self._reserved.get(slot)
-            if owner is not None and owner != token.ident and owner not in evicted_idents:
+            if (
+                owner is not None
+                and owner != token.ident
+                and owner not in evicted_idents
+            ):
                 victim = self._live[owner]
                 evicted_idents.add(owner)
                 evicted.append(victim)
@@ -157,12 +121,6 @@ class DiscreteQueryModule(ContentionQueryModule):
 
     def _reset_state(self) -> None:
         self._reserved.clear()
-
-    def _snapshot_state(self):
-        return dict(self._reserved)
-
-    def _restore_state(self, state) -> None:
-        self._reserved = dict(state)
 
     # ------------------------------------------------------------------
     # Introspection (tests / examples)

@@ -20,14 +20,7 @@ from repro.query.base import ContentionQueryModule
 from repro.query.bitvector import BitvectorQueryModule
 from repro.query.compiled import CompiledQueryModule
 from repro.query.discrete import DiscreteQueryModule
-from repro.query.work import (
-    ASSIGN,
-    ASSIGN_FREE,
-    ATTRIBUTE,
-    CHECK,
-    CHECK_RANGE,
-    FREE,
-)
+from repro.query.work import ASSIGN, ASSIGN_FREE, CHECK, CHECK_RANGE, FREE
 
 DISCRETE = "discrete"
 BITVECTOR = "bitvector"
@@ -95,11 +88,11 @@ def observed_class(cls: Type) -> Type:
     """The observed subclass of a query-module class (cached).
 
     Its four basic functions (``check`` / ``assign`` / ``assign&free`` /
-    ``free``), the batched scan entry points and ``check_attributed``
-    are timed and accounted against the active tracer: each call reads
-    its work-unit delta out of the module's own
-    :class:`~repro.query.work.WorkCounters`, so wall time, call counts
-    and work units land in one registry under ``query.<fn>`` keys.
+    ``free``) and the batched scan entry points are timed and accounted
+    against the active tracer: each call reads its work-unit delta out
+    of the module's own :class:`~repro.query.work.WorkCounters`, so wall
+    time, call counts and work units land in one registry under
+    ``query.<fn>`` keys.
     ``check_with_alternatives`` and ``first_free_with_alternatives`` are
     *not* wrapped because they are loops of ``check`` / ``first_free``
     calls — wrapping them too would double-count.
@@ -123,7 +116,6 @@ def observed_class(cls: Type) -> Type:
         "first_free": _timed(
             "first_free", FIRST_FREE, units_function=CHECK_RANGE
         ),
-        "check_attributed": _timed("check_attributed", ATTRIBUTE),
     }
     derived = type("Observed" + cls.__name__, (cls,), namespace)
     _OBSERVED[cls] = derived

@@ -26,16 +26,9 @@ CHECK_RANGE = "check_range"
 #: bitsets, per-II mask folding).  Charged deterministically per module
 #: construction so bench gating never sees cache-warmth drift.
 COMPILE = "compile"
-#: Attributed contention tests (``check_attributed`` and the opt-in
-#: ``attribute=`` window scans): one charge per blame computation, costing
-#: one unit per usage or word inspected.  A separate currency so the
-#: provenance plane never perturbs the paper's Table 6 numbers.
-ATTRIBUTE = "attribute"
 #: Every currency, in report order; exporters, the runlog and the lint
 #: plane all read this one tuple.
-FUNCTIONS = (
-    CHECK, ASSIGN, ASSIGN_FREE, FREE, CHECK_RANGE, COMPILE, ATTRIBUTE,
-)
+FUNCTIONS = (CHECK, ASSIGN, ASSIGN_FREE, FREE, CHECK_RANGE, COMPILE)
 
 
 @dataclass

@@ -34,6 +34,6 @@ __getattr__, __dir__, __all__ = export_table(__name__, {
     ),
     "modulo": (
         "AttemptStats", "IterativeModuloScheduler", "ModuloScheduleResult",
-        "compute_heights",
+        "compute_heights", "find_blame",
     ),
 })

@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
-from repro.obs import ledger as obs_ledger
 from repro.query.modulo import DISCRETE
 from repro.scheduler.ddg import DependenceGraph
 from repro.scheduler.list_scheduler import (
@@ -121,10 +120,7 @@ class TraceScheduler:
     ) -> TraceScheduleResult:
         """Schedule the blocks in trace order."""
         if not blocks:
-            raise ScheduleError(
-                "a trace needs at least one block",
-                ledger_tail=obs_ledger.active_tail(),
-            )
+            raise ScheduleError("a trace needs at least one block")
         results: List[BlockScheduleResult] = []
         boundaries: List[List[Dangling]] = [[]]
         carried: List[Dangling] = []

@@ -23,9 +23,10 @@ only, and the caller schedules one shard itself.  Outcomes merge by
 loop index.  Each loop's work is its own, so schedules and every work
 currency are identical serial vs parallel — asserted by
 ``tests/test_corpus.py``.  A run that a second process cannot serve
-faithfully stays serial: one under a shared budget, an active tracer
-or decision ledger, without the ``fork`` start method, or with other
-live threads in the caller (forking those can deadlock the child).
+faithfully stays serial: one under a shared budget or an active tracer
+(whose decision events explain a run), without the ``fork`` start
+method, or with other live threads in the caller (forking those can
+deadlock the child).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineDescription
 from repro.errors import BudgetExceeded, ScheduleError
-from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.modulo import DISCRETE, make_query_module
 from repro.query.work import WorkCounters
@@ -173,9 +173,9 @@ class CorpusScheduler:
         :data:`MIN_LOOPS_PER_PROCESS` loops; ``0``/``1`` is serial and
         ``N > 1`` asks for ``N`` processes.  Either way the run stays
         serial under a shared budget (with a counter — cooperative
-        budgets do not cross process boundaries), an active tracer or
-        decision ledger (their records are process-local), without the
-        ``fork`` start method, or with other live threads.
+        budgets do not cross process boundaries), an active tracer (its
+        records are process-local), without the ``fork`` start method,
+        or with other live threads.
         :attr:`CorpusResult.processes` is the count that ran.
     """
 
@@ -249,7 +249,6 @@ class CorpusScheduler:
             processes <= 1
             or loops <= 1
             or obs.enabled()
-            or obs_ledger.enabled()
             or "fork" not in multiprocessing.get_all_start_methods()
             # A daemonic process may not have children.
             or multiprocessing.current_process().daemon

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ScheduleError
-from repro.obs import ledger as obs_ledger
 
 # Operations and edges are slotted frozen values: a suite of 1327 loops
 # holds tens of thousands of them, and graphs share equal ones.  Python
@@ -92,9 +91,11 @@ class DependenceGraph:
     --------
     >>> g = DependenceGraph("dot-product")
     >>> g.add_operation("load1", "mem")
-    >>> g.add_operation("mac", "fmul")
+    Operation(name='load1', opcode='mem')
+    >>> _ = g.add_operation("mac", "fmul")
     >>> g.add_dependence("load1", "mac", latency=2)
-    >>> g.add_dependence("mac", "mac", latency=3, distance=1)  # recurrence
+    Dependence(src='load1', dst='mac', latency=2, distance=0, kind='flow')
+    >>> _ = g.add_dependence("mac", "mac", latency=3, distance=1)  # recurrence
     >>> g.num_operations
     2
     """
@@ -147,10 +148,7 @@ class DependenceGraph:
 
     def _insert_operation(self, op: Operation) -> Operation:
         if op.name in self._operations:
-            raise ScheduleError(
-                "duplicate operation %r" % op.name,
-                ledger_tail=obs_ledger.active_tail(),
-            )
+            raise ScheduleError("duplicate operation %r" % op.name)
         self._operations[op.name] = op
         self._adjacency = None
         return op
@@ -158,15 +156,9 @@ class DependenceGraph:
     def _insert_dependence(self, edge: Dependence) -> Dependence:
         for endpoint in (edge.src, edge.dst):
             if endpoint not in self._operations:
-                raise ScheduleError(
-                    "unknown operation %r" % endpoint,
-                    ledger_tail=obs_ledger.active_tail(),
-                )
+                raise ScheduleError("unknown operation %r" % endpoint)
         if edge.distance < 0:
-            raise ScheduleError(
-                "dependence distance must be >= 0",
-                ledger_tail=obs_ledger.active_tail(),
-            )
+            raise ScheduleError("dependence distance must be >= 0")
         self._edges.append(edge)
         self._adjacency = None
         return edge
@@ -190,10 +182,7 @@ class DependenceGraph:
         try:
             return self._operations[name]
         except KeyError:
-            raise ScheduleError(
-                "unknown operation %r" % name,
-                ledger_tail=obs_ledger.active_tail(),
-            ) from None
+            raise ScheduleError("unknown operation %r" % name) from None
 
     def edges(self) -> Iterator[Dependence]:
         return iter(self._edges)
@@ -265,24 +254,17 @@ class DependenceGraph:
     def validate(self) -> None:
         """Raise :class:`ScheduleError` on structural problems."""
         if not self._operations:
-            raise ScheduleError(
-                "graph %r has no operations" % self.name,
-                ledger_tail=obs_ledger.active_tail(),
-            )
+            raise ScheduleError("graph %r has no operations" % self.name)
         if not self.is_acyclic():
             raise ScheduleError(
-                "graph %r has a zero-distance dependence cycle" % self.name,
-                ledger_tail=obs_ledger.active_tail(),
+                "graph %r has a zero-distance dependence cycle" % self.name
             )
 
     def critical_path_length(self) -> int:
         """Longest latency path over distance-0 edges (acyclic height)."""
         order = self.topological_order()
         if order is None:
-            raise ScheduleError(
-                "graph %r is cyclic at distance 0" % self.name,
-                ledger_tail=obs_ledger.active_tail(),
-            )
+            raise ScheduleError("graph %r is cyclic at distance 0" % self.name)
         preds = self._adjacent()[1]
         finish: Dict[str, int] = {}
         for name in order:
@@ -302,10 +284,7 @@ class DependenceGraph:
         """
         missing = [n for n in self._operations if n not in times]
         if missing:
-            raise ScheduleError(
-                "unscheduled operations: %s" % missing[:5],
-                ledger_tail=obs_ledger.active_tail(),
-            )
+            raise ScheduleError("unscheduled operations: %s" % missing[:5])
         for edge in self._edges:
             if ii is None:
                 if edge.distance > 0:
@@ -321,8 +300,7 @@ class DependenceGraph:
             if slack < 0:
                 raise ScheduleError(
                     "dependence %s->%s violated by %d cycles"
-                    % (edge.src, edge.dst, -slack),
-                    ledger_tail=obs_ledger.active_tail(),
+                    % (edge.src, edge.dst, -slack)
                 )
 
     def __repr__(self) -> str:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import ScheduleError
-from repro.obs import ledger as obs_ledger
 from repro.scheduler.modulo import ModuloScheduleResult
 
 
@@ -93,7 +92,7 @@ class ExpandedSchedule:
                     raise ScheduleError(
                         "flat conflict at %s between %s and %s"
                         % (slot, reserved[slot], (name, iteration))
-                    , ledger_tail=obs_ledger.active_tail())
+                    )
                 reserved[slot] = (name, iteration)
         for edge in self.result.graph.edges():
             for iteration in range(self.iterations):
@@ -106,7 +105,7 @@ class ExpandedSchedule:
                     raise ScheduleError(
                         "flat dependence %s[%d] -> %s[%d] violated"
                         % (edge.src, iteration, edge.dst, target)
-                    , ledger_tail=obs_ledger.active_tail())
+                    )
 
     # ------------------------------------------------------------------
     # Rendering
@@ -152,10 +151,7 @@ def expand(result: ModuloScheduleResult, iterations: int) -> ExpandedSchedule:
     expansion doubles as an end-to-end oracle.
     """
     if iterations < 1:
-        raise ScheduleError(
-            "need at least one iteration",
-            ledger_tail=obs_ledger.active_tail(),
-        )
+        raise ScheduleError("need at least one iteration")
     placements = {
         (name, iteration): time + iteration * result.ii
         for name, time in result.times.items()

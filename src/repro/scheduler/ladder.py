@@ -44,20 +44,12 @@ RUNG_LIST = "list"
 
 @dataclass
 class AttemptRecord:
-    """One ladder attempt: which rung, what happened.
-
-    ``ledger_tail`` carries the last scheduler decision records (plain
-    dicts) when the failed attempt raised a
-    :class:`~repro.errors.ScheduleError` while a
-    :class:`~repro.obs.ledger.DecisionLedger` was recording — the
-    provenance of *why* the ladder escalated past this rung.
-    """
+    """One ladder attempt: which rung, what happened."""
 
     rung: str
     detail: str
     error_type: Optional[str] = None
     error: Optional[str] = None
-    ledger_tail: Optional[List[dict]] = None
 
     @property
     def failed(self) -> bool:
@@ -133,16 +125,6 @@ class ScheduleOutcome:
     @property
     def ii_over_mii(self) -> float:
         return self.ii / self.mii if self.mii else float("inf")
-
-    @property
-    def escalation_ledger(self) -> List[dict]:
-        """Decision records explaining every failed rung, in attempt
-        order — empty unless a ledger was recording during the ladder."""
-        records: List[dict] = []
-        for attempt in self.attempts:
-            if attempt.failed and attempt.ledger_tail:
-                records.extend(attempt.ledger_tail)
-        return records
 
 
 def _flat_schedule(
@@ -253,7 +235,6 @@ def schedule_with_fallback(
                         RUNG_IMS, detail,
                         error_type=type(exc).__name__,
                         error=str(exc),
-                        ledger_tail=getattr(exc, "ledger_tail", None),
                     )
                 )
 

@@ -16,11 +16,10 @@ then scheduled around them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
-from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.alternatives import FIRST_FIT, POLICIES
 from repro.query.modulo import DISCRETE, make_query_module
@@ -72,8 +71,7 @@ class OperationDrivenScheduler:
     ):
         if alternative_policy not in POLICIES:
             raise ScheduleError(
-                "unknown alternative policy %r" % alternative_policy,
-                ledger_tail=obs_ledger.active_tail(),
+                "unknown alternative policy %r" % alternative_policy
             )
         self.machine = machine
         self.representation = representation
@@ -128,7 +126,6 @@ class OperationDrivenScheduler:
         horizon += HORIZON_SLACK
 
         tracer = obs.current()
-        ledger = obs_ledger.current()
         with obs.span(
             "list.schedule", obs.CAT_SCHED,
             block=graph.name, machine=self.machine.name,
@@ -141,24 +138,15 @@ class OperationDrivenScheduler:
                     opcode, estart, upper + 1
                 )
                 if slot is None:
-                    if ledger is not None:
-                        # Provenance: name what saturates the window
-                        # before failing (read-only attributed scan).
-                        scan: List[tuple] = []
-                        qm.check_range(
-                            opcode, estart, upper + 1, attribute=scan
+                    if tracer is not None:
+                        tracer.event(
+                            "list.give_up", obs.CAT_SCHED,
+                            op=name, opcode=opcode,
+                            window=[estart, upper + 1],
                         )
-                        ledger.record(obs_ledger.GIVE_UP, {
-                            "op": name, "opcode": opcode,
-                            "window": [estart, upper + 1],
-                            "window_blame": [
-                                cell.to_dict() for _cycle, cell in scan[:8]
-                            ],
-                        })
                     raise ScheduleError(
                         "no contention-free slot for %s in [%d, %d]"
-                        % (name, estart, upper),
-                        ledger_tail=obs_ledger.active_tail(),
+                        % (name, estart, upper)
                     )
                 qm.assign(alternative, slot)
                 times[name] = slot
@@ -166,14 +154,9 @@ class OperationDrivenScheduler:
                 if tracer is not None:
                     tracer.event(
                         "list.place", obs.CAT_SCHED,
-                        op=name, opcode=alternative, cycle=slot,
+                        op=name, opcode=opcode, alternative=alternative,
+                        cycle=slot, window=[estart, upper + 1],
                     )
-                if ledger is not None:
-                    ledger.record(obs_ledger.PLACE, {
-                        "op": name, "opcode": opcode,
-                        "alternative": alternative, "cycle": slot,
-                        "window": [estart, upper + 1],
-                    })
             block_span.set(
                 placements=len(times),
                 length=(max(times.values()) + 1) if times else 0,
@@ -193,10 +176,7 @@ class OperationDrivenScheduler:
         """Longest latency path to any sink over distance-0 edges."""
         order = graph.topological_order()
         if order is None:
-            raise ScheduleError(
-                "block graph %r is cyclic" % graph.name,
-                ledger_tail=obs_ledger.active_tail(),
-            )
+            raise ScheduleError("block graph %r is cyclic" % graph.name)
         heights = {name: 0 for name in order}
         for name in reversed(order):
             for edge in graph.successors(name):
@@ -227,7 +207,6 @@ class OperationDrivenScheduler:
                 lstart = deadline if lstart is None else min(lstart, deadline)
         if lstart is not None and lstart < estart:
             raise ScheduleError(
-                "infeasible window for %s: [%d, %d]" % (name, estart, lstart),
-                ledger_tail=obs_ledger.active_tail(),
+                "infeasible window for %s: [%d, %d]" % (name, estart, lstart)
             )
         return estart, lstart

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
-from repro.obs import ledger as obs_ledger
 from repro.scheduler.ddg import DependenceGraph
 
 #: ``(src index, dst index, latency, distance)``.
@@ -140,8 +139,7 @@ def _least_ii(nodes: int, edges: List[Edge], low: int, high: int) -> int:
 def _require_acyclic(graph: DependenceGraph) -> None:
     if not graph.is_acyclic():
         raise ScheduleError(
-            "graph %r has a zero-distance dependence cycle" % graph.name,
-            ledger_tail=obs_ledger.active_tail(),
+            "graph %r has a zero-distance dependence cycle" % graph.name
         )
 
 
@@ -164,8 +162,7 @@ def rec_mii(graph: DependenceGraph, upper_bound: Optional[int] = None) -> int:
     high = _latency_cap(edges) if upper_bound is None else upper_bound
     if _has_positive_cycle(nodes, edges, high):
         raise ScheduleError(
-            "no feasible II up to %d for graph %r" % (high, graph.name),
-            ledger_tail=obs_ledger.active_tail(),
+            "no feasible II up to %d for graph %r" % (high, graph.name)
         )
     return _least_ii(nodes, edges, 1, high)
 

@@ -18,14 +18,14 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
-from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.alternatives import FIRST_FIT, POLICIES
+from repro.query.base import BLAME_RESERVED, BLAME_SELF, Blame
 from repro.query.modulo import DISCRETE, make_query_module
 from repro.query.work import CHECK, CHECK_RANGE, WorkCounters
 from repro.scheduler.ddg import DependenceGraph
@@ -52,8 +52,7 @@ def compute_heights(graph: DependenceGraph, ii: int) -> Dict[str, int]:
             break
     else:
         raise ScheduleError(
-            "positive cycle at II=%d while computing heights" % ii,
-            ledger_tail=obs_ledger.active_tail(),
+            "positive cycle at II=%d while computing heights" % ii
         )
     return heights
 
@@ -183,13 +182,11 @@ class IterativeModuloScheduler:
     ):
         if placement_policy not in ("earliest", "lifetime"):
             raise ScheduleError(
-                "unknown placement policy %r" % placement_policy,
-                ledger_tail=obs_ledger.active_tail(),
+                "unknown placement policy %r" % placement_policy
             )
         if alternative_policy not in POLICIES:
             raise ScheduleError(
-                "unknown alternative policy %r" % alternative_policy,
-                ledger_tail=obs_ledger.active_tail(),
+                "unknown alternative policy %r" % alternative_policy
             )
         self.machine = machine
         self.representation = representation
@@ -242,14 +239,9 @@ class IterativeModuloScheduler:
             else:
                 obs.event(
                     "ims.give_up", obs.CAT_SCHED,
-                    loop=graph.name, max_ii=mii + self.max_ii_slack,
+                    loop=graph.name,
+                    ii_range=[mii, mii + self.max_ii_slack],
                 )
-                ledger = obs_ledger.current()
-                if ledger is not None:
-                    ledger.record(obs_ledger.GIVE_UP, {
-                        "loop": graph.name,
-                        "ii_range": [mii, mii + self.max_ii_slack],
-                    })
                 raise ScheduleError(
                     "failed to schedule %r up to II=%d"
                     % (graph.name, mii + self.max_ii_slack),
@@ -257,8 +249,7 @@ class IterativeModuloScheduler:
                     attempts=attempts,
                     budget_exceeded=any(
                         a.budget_exceeded for a in attempts
-                    ),
-                    ledger_tail=obs_ledger.active_tail(),
+                    )
                 )
         result = ModuloScheduleResult(
             graph=graph,
@@ -326,12 +317,11 @@ class IterativeModuloScheduler:
         calls = qm.work.calls
 
         tracer = obs.current()
-        ledger = obs_ledger.current()
-        if ledger is not None:
-            ledger.record(obs_ledger.ATTEMPT, {
-                "ii": ii, "phase": "start",
-                "loop": graph.name, "budget": budget,
-            })
+        if tracer is not None:
+            tracer.event(
+                "ims.attempt", obs.CAT_SCHED,
+                ii=ii, phase="start", loop=graph.name, budget=budget,
+            )
         check_counts = Counter()
         attempt_span = obs.span(
             "ims.attempt", obs.CAT_SCHED,
@@ -384,8 +374,6 @@ class IterativeModuloScheduler:
                     opcode_of[name], *window
                 )
                 forced = slot is None
-                blame = None
-                window_blame: List[dict] = []
                 if forced:
                     # Forced placement (Rau): earliest legal slot, but
                     # strictly after the previous placement when
@@ -399,24 +387,22 @@ class IterativeModuloScheduler:
                     alternative = self.machine.alternatives_of(
                         opcode_of[name]
                     )[0]
-                    if ledger is not None:
-                        # Provenance: name what blocks the forced slot
-                        # and the exhausted window.  Read-only attributed
-                        # probes — the placement trajectory is unchanged.
-                        _free, slot_blame = qm.check_attributed(
-                            alternative, slot
+                    if tracer is not None:
+                        # Provenance: what blocks the forced slot and
+                        # the exhausted window, read off the live
+                        # placements — no query module is asked.
+                        blamed = find_blame(
+                            self.machine, alternative, (slot,),
+                            times, chosen, ii,
                         )
-                        blame = (
-                            slot_blame.to_dict()
-                            if slot_blame is not None else None
-                        )
-                        scan: List[tuple] = []
-                        qm.check_range(
-                            alternative, window[0], window[1],
-                            attribute=scan,
-                        )
+                        blame = blamed[0][1].to_dict() if blamed else None
                         window_blame = [
-                            cell.to_dict() for _cycle, cell in scan[:8]
+                            cell.to_dict()
+                            for _cycle, cell in find_blame(
+                                self.machine, alternative,
+                                range(window[0], window[1]),
+                                times, chosen, ii,
+                            )[:8]
                         ]
 
                 checks_after = calls.get(CHECK, 0) + calls.get(CHECK_RANGE, 0)
@@ -429,13 +415,7 @@ class IterativeModuloScheduler:
                 token_owner[token.ident] = name
                 chosen[name] = alternative
                 if tracer is not None:
-                    tracer.event(
-                        "ims.force" if forced else "ims.place",
-                        obs.CAT_SCHED,
-                        op=name, opcode=alternative, cycle=slot, ii=ii,
-                    )
-                if ledger is not None:
-                    record = {
+                    decision = {
                         "ii": ii, "op": name, "opcode": opcode_of[name],
                         "alternative": alternative, "cycle": slot,
                         "window": [window[0], window[1]],
@@ -443,30 +423,25 @@ class IterativeModuloScheduler:
                         "decisions": decisions, "budget": budget,
                     }
                     if forced:
-                        record["blame"] = blame
-                        record["window_blame"] = window_blame
-                    ledger.record(
-                        obs_ledger.FORCE if forced else obs_ledger.PLACE,
-                        record,
+                        decision["blame"] = blame
+                        decision["window_blame"] = window_blame
+                    tracer.event(
+                        "ims.force" if forced else "ims.place",
+                        obs.CAT_SCHED, **decision,
                     )
 
                 for victim_token in evicted:
                     victim = token_owner.pop(victim_token.ident)
                     evict_resource += 1
-                    if ledger is not None:
-                        ledger.record(obs_ledger.EVICT, {
-                            "ii": ii, "op": victim, "by": name,
-                            "reason": "resource",
-                            "cycle": times[victim],
-                        })
-                    del times[victim]
-                    del tokens[victim]
-                    heapq.heappush(unscheduled, rank[victim])
                     if tracer is not None:
                         tracer.event(
                             "ims.evict_resource", obs.CAT_SCHED,
-                            op=victim, by=name, ii=ii,
+                            ii=ii, op=victim, by=name, reason="resource",
+                            cycle=times[victim],
                         )
+                    del times[victim]
+                    del tokens[victim]
+                    heapq.heappush(unscheduled, rank[victim])
 
                 # Unschedule successors whose dependences the placement
                 # breaks.
@@ -476,19 +451,14 @@ class IterativeModuloScheduler:
                         token_owner.pop(victim_token.ident, None)
                         qm.free(victim_token)
                         evict_dependence += 1
-                        if ledger is not None:
-                            ledger.record(obs_ledger.EVICT, {
-                                "ii": ii, "op": succ, "by": name,
-                                "reason": "dependence",
-                                "cycle": times[succ],
-                            })
-                        del times[succ]
-                        heapq.heappush(unscheduled, rank[succ])
                         if tracer is not None:
                             tracer.event(
                                 "ims.evict_dependence", obs.CAT_SCHED,
-                                op=succ, by=name, ii=ii,
+                                ii=ii, op=succ, by=name,
+                                reason="dependence", cycle=times[succ],
                             )
+                        del times[succ]
+                        heapq.heappush(unscheduled, rank[succ])
 
             succeeded = not unscheduled
             attempt_span.set(
@@ -499,19 +469,15 @@ class IterativeModuloScheduler:
             if tracer is not None:
                 tracer.count("sched.ims.decisions", decisions)
                 if not succeeded:
-                    tracer.event(
-                        "ims.budget_exceeded", obs.CAT_SCHED,
-                        loop=graph.name, ii=ii, budget=budget,
-                    )
-            if ledger is not None:
-                ledger.record(obs_ledger.ATTEMPT, {
-                    "ii": ii, "phase": "end", "loop": graph.name,
-                    "succeeded": succeeded,
-                    "budget_exceeded": not succeeded,
-                    "decisions": decisions, "budget": budget,
-                    "evictions_resource": evict_resource,
-                    "evictions_dependence": evict_dependence,
-                })
+                    tracer.count("sched.ims.budget_exceeded")
+                tracer.event(
+                    "ims.attempt", obs.CAT_SCHED,
+                    ii=ii, phase="end", loop=graph.name,
+                    succeeded=succeeded, budget_exceeded=not succeeded,
+                    decisions=decisions, budget=budget,
+                    evictions_resource=evict_resource,
+                    evictions_dependence=evict_dependence,
+                )
         work.merge(qm.work)
         stats = AttemptStats(
             ii=ii,
@@ -555,7 +521,63 @@ def verify_modulo_schedule(
             if slot in reserved:
                 raise ScheduleError(
                     "resource contention between %s and %s at MRT slot %s"
-                    % (reserved[slot], name, slot),
-                    ledger_tail=obs_ledger.active_tail(),
+                    % (reserved[slot], name, slot)
                 )
             reserved[slot] = name
+
+
+def find_blame(
+    machine: MachineDescription,
+    op: str,
+    cycles: Iterable[int],
+    times: Dict[str, int],
+    chosen: Dict[str, str],
+    modulo: Optional[int] = None,
+) -> List[Tuple[int, Blame]]:
+    """``(cycle, blame)`` for each cycle of ``cycles`` that blocks ``op``.
+
+    A pure function of the machine's tables and a partial schedule: the
+    placement ``name`` holds the cells of ``machine.table(chosen[name])``
+    issued at ``times[name]``, wrapped onto an MRT of ``modulo`` slots
+    when given.  Each blocked cycle gets its canonical :class:`Blame`
+    (see there), in the order of ``cycles``; free cycles are left out.
+    No query module is involved and no work currency is charged, so
+    asking why a placement was forced never moves a work count.
+    """
+    index = {resource: i for i, resource in enumerate(machine.resources)}
+    owners: Dict[Tuple[str, int], Tuple[str, int]] = {}
+    for name, time in times.items():
+        variant = chosen[name]
+        for resource, use in machine.table(variant).iter_usages():
+            cell = time + use
+            if modulo is not None:
+                cell %= modulo
+            owners[(resource, cell)] = (variant, time)
+    table = machine.table(op)
+    found: List[Tuple[int, Blame]] = []
+    for cycle in cycles:
+        if modulo is None:
+            cells = Counter((r, cycle + c) for r, c in table.iter_usages())
+        else:
+            cells = Counter(table.folded(modulo, cycle % modulo)[0])
+        repeated = [
+            (slot, index[resource], resource)
+            for (resource, slot), count in cells.items()
+            if count > 1
+        ]
+        if repeated:
+            slot, _, resource = min(repeated)
+            found.append((cycle, Blame(resource, slot, BLAME_SELF)))
+            continue
+        blocked = [
+            (at, index[resource], resource)
+            for resource, at in cells
+            if (resource, at) in owners
+        ]
+        if blocked:
+            at, _, resource = min(blocked)
+            owner_op, owner_cycle = owners[(resource, at)]
+            found.append((cycle, Blame(
+                resource, at, BLAME_RESERVED, owner_op, owner_cycle,
+            )))
+    return found

@@ -8,7 +8,10 @@ acyclicity check.  ResMII and the discrete query module come from the
 frozen copies in ``tests/_reference_query.py``.
 ``tests/test_ims_reference.py`` requires the production scheduler to
 produce the same schedules, attempt records, check distributions, work
-counters, ledger records and budget stops as :class:`ReferenceIMS`.
+counters, decision events and budget stops as :class:`ReferenceIMS`.
+A forced placement's blame comes from the frozen discrete blame scan
+(:func:`tests._reference_query.reference_blame`) over the attempt's
+live placements.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.core.machine import MachineDescription
 from repro.errors import ScheduleError
-from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.work import CHECK, CHECK_RANGE, WorkCounters
 from repro.scheduler.ddg import DependenceGraph
@@ -29,7 +31,11 @@ from repro.scheduler.modulo import (
     ModuloScheduleResult,
 )
 
-from tests._reference_query import make_reference_module, res_mii
+from tests._reference_query import (
+    make_reference_module,
+    reference_blame,
+    res_mii,
+)
 
 
 def compute_heights(graph: DependenceGraph, ii: int) -> Dict[str, int]:
@@ -52,8 +58,7 @@ def compute_heights(graph: DependenceGraph, ii: int) -> Dict[str, int]:
             break
     else:
         raise ScheduleError(
-            "positive cycle at II=%d while computing heights" % ii,
-            ledger_tail=obs_ledger.active_tail(),
+            "positive cycle at II=%d while computing heights" % ii
         )
     return heights
 
@@ -89,7 +94,7 @@ def rec_mii(graph: DependenceGraph, upper_bound: Optional[int] = None) -> int:
     if not graph.is_acyclic():
         raise ScheduleError(
             "graph %r has a zero-distance dependence cycle" % graph.name
-        , ledger_tail=obs_ledger.active_tail())
+        )
     if upper_bound is None:
         upper_bound = max(
             1, sum(max(0, e.latency) for e in graph.edges())
@@ -98,7 +103,7 @@ def rec_mii(graph: DependenceGraph, upper_bound: Optional[int] = None) -> int:
     if _has_positive_cycle(graph, high):
         raise ScheduleError(
             "no feasible II up to %d for graph %r" % (high, graph.name)
-        , ledger_tail=obs_ledger.active_tail())
+        )
     while low < high:
         mid = (low + high) // 2
         if _has_positive_cycle(graph, mid):
@@ -160,14 +165,9 @@ class ReferenceIMS(IterativeModuloScheduler):
             else:
                 obs.event(
                     "ims.give_up", obs.CAT_SCHED,
-                    loop=graph.name, max_ii=mii + self.max_ii_slack,
+                    loop=graph.name,
+                    ii_range=[mii, mii + self.max_ii_slack],
                 )
-                ledger = obs_ledger.current()
-                if ledger is not None:
-                    ledger.record(obs_ledger.GIVE_UP, {
-                        "loop": graph.name,
-                        "ii_range": [mii, mii + self.max_ii_slack],
-                    })
                 raise ScheduleError(
                     "failed to schedule %r up to II=%d"
                     % (graph.name, mii + self.max_ii_slack),
@@ -175,8 +175,7 @@ class ReferenceIMS(IterativeModuloScheduler):
                     attempts=attempts,
                     budget_exceeded=any(
                         a.budget_exceeded for a in attempts
-                    ),
-                    ledger_tail=obs_ledger.active_tail(),
+                    )
                 )
         result = ModuloScheduleResult(
             graph=graph,
@@ -226,12 +225,11 @@ class ReferenceIMS(IterativeModuloScheduler):
             return (-heights[name], name)
 
         tracer = obs.current()
-        ledger = obs_ledger.current()
-        if ledger is not None:
-            ledger.record(obs_ledger.ATTEMPT, {
-                "ii": ii, "phase": "start",
-                "loop": graph.name, "budget": budget,
-            })
+        if tracer is not None:
+            tracer.event(
+                "ims.attempt", obs.CAT_SCHED,
+                ii=ii, phase="start", loop=graph.name, budget=budget,
+            )
         check_counts = Counter()
         attempt_span = obs.span(
             "ims.attempt", obs.CAT_SCHED,
@@ -307,24 +305,26 @@ class ReferenceIMS(IterativeModuloScheduler):
                     alternative = self.machine.alternatives_of(
                         opcode_of[name]
                     )[0]
-                    if ledger is not None:
+                    if tracer is not None:
                         # Provenance: name what blocks the forced slot
-                        # and the exhausted window.  Read-only attributed
-                        # probes — the placement trajectory is unchanged.
-                        _free, slot_blame = qm.check_attributed(
-                            alternative, slot
+                        # and the exhausted window, from the frozen
+                        # blame scan over the live placements.
+                        placements = [
+                            (token.op, token.cycle)
+                            for token in qm.scheduled()
+                        ]
+                        blamed = reference_blame(
+                            self.machine, alternative, (slot,),
+                            placements, ii,
                         )
-                        blame = (
-                            slot_blame.to_dict()
-                            if slot_blame is not None else None
-                        )
-                        scan: List[tuple] = []
-                        qm.check_range(
-                            alternative, window[0], window[1],
-                            attribute=scan,
-                        )
+                        blame = blamed[0][1].to_dict() if blamed else None
                         window_blame = [
-                            cell.to_dict() for _cycle, cell in scan[:8]
+                            cell.to_dict()
+                            for _cycle, cell in reference_blame(
+                                self.machine, alternative,
+                                range(window[0], window[1]),
+                                placements, ii,
+                            )[:8]
                         ]
 
                 checks_after = (
@@ -339,12 +339,6 @@ class ReferenceIMS(IterativeModuloScheduler):
                 token_owner[token.ident] = name
                 chosen[name] = alternative
                 if tracer is not None:
-                    tracer.event(
-                        "ims.force" if forced else "ims.place",
-                        obs.CAT_SCHED,
-                        op=name, opcode=alternative, cycle=slot, ii=ii,
-                    )
-                if ledger is not None:
                     record = {
                         "ii": ii, "op": name, "opcode": opcode_of[name],
                         "alternative": alternative, "cycle": slot,
@@ -355,28 +349,23 @@ class ReferenceIMS(IterativeModuloScheduler):
                     if forced:
                         record["blame"] = blame
                         record["window_blame"] = window_blame
-                    ledger.record(
-                        obs_ledger.FORCE if forced else obs_ledger.PLACE,
-                        record,
+                    tracer.event(
+                        "ims.force" if forced else "ims.place",
+                        obs.CAT_SCHED, **record,
                     )
 
                 for victim_token in evicted:
                     victim = token_owner.pop(victim_token.ident)
                     evict_resource += 1
-                    if ledger is not None:
-                        ledger.record(obs_ledger.EVICT, {
-                            "ii": ii, "op": victim, "by": name,
-                            "reason": "resource",
-                            "cycle": times[victim],
-                        })
-                    del times[victim]
-                    del tokens[victim]
-                    unscheduled.add(victim)
                     if tracer is not None:
                         tracer.event(
                             "ims.evict_resource", obs.CAT_SCHED,
-                            op=victim, by=name, ii=ii,
+                            ii=ii, op=victim, by=name, reason="resource",
+                            cycle=times[victim],
                         )
+                    del times[victim]
+                    del tokens[victim]
+                    unscheduled.add(victim)
 
                 # Unschedule successors whose dependences the placement
                 # breaks.
@@ -392,19 +381,14 @@ class ReferenceIMS(IterativeModuloScheduler):
                         token_owner.pop(victim_token.ident, None)
                         qm.free(victim_token)
                         evict_dependence += 1
-                        if ledger is not None:
-                            ledger.record(obs_ledger.EVICT, {
-                                "ii": ii, "op": succ, "by": name,
-                                "reason": "dependence",
-                                "cycle": times[succ],
-                            })
-                        del times[succ]
-                        unscheduled.add(succ)
                         if tracer is not None:
                             tracer.event(
                                 "ims.evict_dependence", obs.CAT_SCHED,
-                                op=succ, by=name, ii=ii,
+                                ii=ii, op=succ, by=name,
+                                reason="dependence", cycle=times[succ],
                             )
+                        del times[succ]
+                        unscheduled.add(succ)
 
             succeeded = not unscheduled
             attempt_span.set(
@@ -415,19 +399,15 @@ class ReferenceIMS(IterativeModuloScheduler):
             if tracer is not None:
                 tracer.count("sched.ims.decisions", decisions)
                 if not succeeded:
-                    tracer.event(
-                        "ims.budget_exceeded", obs.CAT_SCHED,
-                        loop=graph.name, ii=ii, budget=budget,
-                    )
-            if ledger is not None:
-                ledger.record(obs_ledger.ATTEMPT, {
-                    "ii": ii, "phase": "end", "loop": graph.name,
-                    "succeeded": succeeded,
-                    "budget_exceeded": not succeeded,
-                    "decisions": decisions, "budget": budget,
-                    "evictions_resource": evict_resource,
-                    "evictions_dependence": evict_dependence,
-                })
+                    tracer.count("sched.ims.budget_exceeded")
+                tracer.event(
+                    "ims.attempt", obs.CAT_SCHED,
+                    ii=ii, phase="end", loop=graph.name,
+                    succeeded=succeeded, budget_exceeded=not succeeded,
+                    decisions=decisions, budget=budget,
+                    evictions_resource=evict_resource,
+                    evictions_dependence=evict_dependence,
+                )
         work.merge(qm.work)
         stats = AttemptStats(
             ii=ii,
@@ -454,7 +434,6 @@ class ReferenceIMS(IterativeModuloScheduler):
                 if slot in reserved:
                     raise ScheduleError(
                         "resource contention between %s and %s at MRT slot %s"
-                        % (reserved[slot], name, slot),
-                        ledger_tail=obs_ledger.active_tail(),
+                        % (reserved[slot], name, slot)
                     )
                 reserved[slot] = name

@@ -11,6 +11,12 @@ opcode and loop.  :class:`tests._reference_ims.ReferenceIMS` schedules
 ``representation="discrete"`` on :class:`ReferenceDiscreteQueryModule`
 and bounds with :func:`res_mii`, so ``tests/test_ims_reference.py``
 sees any change to the live discrete module, scan or ResMII.
+
+:meth:`ReferenceDiscreteQueryModule._check_blame` is the discrete
+module's blame scan as it was while each query backend attributed its
+own failed checks; :func:`reference_blame` runs it over a module
+holding given placements, the reference for
+:func:`repro.query.base.find_blame`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ from repro.core.forbidden import ForbiddenLatencyMatrix
 from repro.core.machine import MachineDescription
 from repro.obs.trace import current as _current_tracer
 from repro.query.alternatives import ROUND_ROBIN, order_variants
-from repro.query.base import ContentionQueryModule, ScheduledToken
+from repro.query.base import (
+    BLAME_RESERVED,
+    BLAME_SELF,
+    Blame,
+    ContentionQueryModule,
+    ScheduledToken,
+)
 from repro.query.discrete import DiscreteQueryModule
 from repro.query.modulo import DISCRETE, make_query_module, observed_class
 
@@ -62,6 +74,44 @@ class ReferenceDiscreteQueryModule(DiscreteQueryModule):
                 return False, units
             seen.add(slot)
         return True, units
+
+    def _check_blame(
+        self, op: str, cycle: int
+    ) -> Tuple[bool, Optional[Blame], int]:
+        # The reference semantics for blame: scan every usage (no early
+        # abort) and name the canonical cell — the blocked slot with the
+        # smallest (cycle, resource index), self-conflicts first.
+        res_index = {r: i for i, r in enumerate(self.machine.resources)}
+        units = 0
+        counts: Dict[Tuple[str, int], int] = {}
+        for slot in self._slots(op, cycle):
+            units += 1
+            counts[slot] = counts.get(slot, 0) + 1
+        if self.modulo is not None:
+            duplicated = [
+                (slot_cycle, res_index[resource], resource)
+                for (resource, slot_cycle), count in counts.items()
+                if count > 1
+            ]
+            if duplicated:
+                slot_cycle, _, resource = min(duplicated)
+                return False, Blame(resource, slot_cycle, BLAME_SELF), units
+        blocked = [
+            (slot_cycle, res_index[resource], resource)
+            for resource, slot_cycle in counts
+            if (resource, slot_cycle) in self._reserved
+        ]
+        if not blocked:
+            return True, None, units
+        slot_cycle, _, resource = min(blocked)
+        owner_op = owner_cycle = None
+        owner = self._live.get(self._reserved[(resource, slot_cycle)])
+        if owner is not None:
+            owner_op, owner_cycle = owner.op, owner.cycle
+        blame = Blame(
+            resource, slot_cycle, BLAME_RESERVED, owner_op, owner_cycle
+        )
+        return False, blame, units
 
     def _assign(self, token: ScheduledToken, with_owners: bool) -> int:
         units = 0
@@ -139,6 +189,28 @@ class ReferenceDiscreteQueryModule(DiscreteQueryModule):
                     )
                 return alternative
         return None
+
+
+def reference_blame(
+    machine: MachineDescription,
+    op: str,
+    cycles: Iterable[int],
+    placements: Iterable[Tuple[str, int]],
+    modulo: Optional[int] = None,
+) -> List[Tuple[int, Blame]]:
+    """``(cycle, blame)`` for each cycle of ``cycles`` that blocks ``op``,
+    from :meth:`ReferenceDiscreteQueryModule._check_blame` over a fresh
+    module holding ``placements`` (``(variant, cycle)`` pairs, assigned
+    in order)."""
+    module = ReferenceDiscreteQueryModule(machine, modulo=modulo)
+    for variant, cycle in placements:
+        module.assign(variant, cycle)
+    found = []
+    for cycle in cycles:
+        _free, blame, _units = module._check_blame(op, cycle)
+        if blame is not None:
+            found.append((cycle, blame))
+    return found
 
 
 def make_reference_module(

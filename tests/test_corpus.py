@@ -23,7 +23,6 @@ from repro.cli import main
 from repro.core.certificate import machine_digest
 from repro.errors import ScheduleError
 from repro.machines import cydra5_subset, example_machine
-from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs
 from repro.query.work import WorkCounters
 from repro.resilience.budget import Budget
@@ -271,14 +270,6 @@ class TestSerialRules:
         (span,) = [s for s in tracer.spans if s.name == "corpus.schedule"]
         assert span.args["processes"] == 1
         assert "corpus.serialized_for_budget" not in tracer.metrics.counters
-
-    def test_active_ledger(self, machine, suite):
-        with obs_ledger.recording() as ledger:
-            result = CorpusScheduler(machine, processes=2).schedule_suite(
-                suite[:8]
-            )
-        assert result.processes == 1
-        assert len(ledger) > 0  # every loop's decisions, in this process
 
     def test_budget(self, machine, suite):
         result = CorpusScheduler(machine, processes=2).schedule_suite(

@@ -6,14 +6,18 @@ tests pin the attribution cases of
 :func:`~repro.scheduler.mii.mii_attribution`, the
 ``repro-explain-report`` v1 document contract, both renderers, the
 Cydra-vocabulary porting behind ``repro explain``, and the command
-itself (including ``repro schedule --explain``).
+itself (including ``repro schedule --explain``).  A golden document,
+built when every query backend still attributed its own failed checks
+into a separate decision ledger, pins the reports over loops with
+forced placements for every representation, with or without an outer
+tracer.
 """
 
 import json
+import os
 
 import pytest
 
-from repro.cli import main
 from repro.analysis import (
     EXPLAIN_SCHEMA_NAME,
     EXPLAIN_SCHEMA_VERSION,
@@ -23,13 +27,26 @@ from repro.analysis import (
     render_explain_text,
     validate_explain_report,
 )
+from repro.cli import main
 from repro.core import MachineDescription
 from repro.errors import ScheduleError
-from repro.machines import STUDY_MACHINES, cydra5_subset, example_machine
+from repro.machines import (
+    STUDY_MACHINES,
+    alpha21064,
+    cydra5_subset,
+    example_machine,
+)
+from repro.obs import provenance, trace
+from repro.query.modulo import REPRESENTATIONS
 from repro.resilience.artifacts import verify_artifact
 from repro.scheduler import mii_attribution
 from repro.scheduler.ddg import DependenceGraph
-from repro.workloads import KERNELS, PORTS, port_graph
+from repro.workloads import KERNELS, PORTS, loop_suite, port_graph
+from tests.test_ims_reference import _fragmenting_loops
+
+GOLDEN = os.path.join(
+    os.path.dirname(__file__), "fixtures", "explain_golden.json"
+)
 
 
 def _single_unit_machine():
@@ -95,7 +112,7 @@ class TestExplainLoop:
         assert entry["succeeded"] is False
         assert entry["ii"] is None
         assert entry["error"]
-        assert "ledger_tail" in entry
+        assert entry["decision_tail"] == []
         assert entry["mii"]["pinned_by"] == {"kind": "invalid"}
         assert entry["mii_narrative"].startswith("MII undefined")
         # An invalid entry still renders and validates inside a report.
@@ -273,3 +290,79 @@ class TestCli:
         with open(out) as handle:
             document = json.load(handle)
         validate_explain_report(document)
+
+
+def _golden_inputs():
+    """The fixture's loops: the fragmenting loops of the IMS reference
+    test and the ported alpha21064 loops 2-9 of the suite, seven of
+    which force placements."""
+    fragment, fragmenting = _fragmenting_loops()
+    alpha = alpha21064()
+    ported = [port_graph(graph, alpha) for graph in loop_suite(40)[2:10]]
+    return {
+        "fragment": (fragment, fragmenting),
+        "alpha21064": (alpha, ported),
+    }
+
+
+def _report(machine, graphs, representation):
+    document = build_explain_report(
+        machine, graphs, representation=representation
+    )
+    document["representation"] = None
+    return json.loads(json.dumps(document))
+
+
+class TestGolden:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN) as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("representation", (None,) + REPRESENTATIONS)
+    def test_reports_match_the_fixture(self, golden, representation):
+        inputs = _golden_inputs()
+        assert sorted(inputs) == sorted(golden)
+        for key, (machine, graphs) in inputs.items():
+            assert _report(machine, graphs, representation) == golden[key]
+        forced = sum(
+            attempt["forced"]
+            for document in golden.values()
+            for entry in document["loops"]
+            for attempt in entry["attempts"]
+        )
+        assert forced == 77
+
+    def test_outer_tracer_changes_nothing(self, golden):
+        """An outer tracer sees every replayed decision, and neither it
+        nor a full one shapes the report."""
+        machine, graphs = _golden_inputs()["alpha21064"]
+        expected = golden["alpha21064"]
+        outer = trace.Tracer(trace_queries=True)
+        with trace.tracing(outer):
+            assert _report(machine, graphs, None) == expected
+        decisions = provenance.decision_records(outer.events)
+        assert len(decisions) == sum(e["records"] for e in expected["loops"])
+        assert outer.metrics.counters["sched.ims.force"] == 70
+        full = trace.Tracer(max_records=0)
+        with trace.tracing(full):
+            assert _report(machine, graphs, None) == expected
+        assert full.dropped > 0 and not full.events
+
+    def test_cli_json_is_the_same_under_trace_and_metrics(self, tmp_path):
+        paths = [str(tmp_path / name) for name in ("plain.json", "out.json")]
+        args = ["explain", "alpha21064", "--loops", "6", "--format", "json"]
+        assert main(args + ["-o", paths[0]]) == 0
+        assert main(args + [
+            "-o", paths[1],
+            "--trace", str(tmp_path / "trace.json"),
+            "--metrics", str(tmp_path / "metrics.json"),
+        ]) == 0
+        documents = []
+        for path in paths:
+            with open(path) as handle:
+                documents.append(json.load(handle))
+        assert documents[0] == documents[1]
+        with open(tmp_path / "metrics.json") as handle:
+            counters = json.load(handle)["counters"]
+        assert counters["sched.ims.force"] > 0

@@ -86,7 +86,7 @@ PINNED_ALL = {
         "parse parse_file "
     ),
     "repro.query": (
-        "ASSIGN ASSIGN_FREE ATTRIBUTE BITVECTOR BLAME_RESERVED BLAME_SELF "
+        "ASSIGN ASSIGN_FREE BITVECTOR BLAME_RESERVED BLAME_SELF "
         "BitvectorQueryModule Blame CHECK CHECK_RANGE COMPILE COMPILED "
         "CompiledKernel CompiledQueryModule ContentionQueryModule "
         "DISCRETE DiscreteQueryModule FIRST_FIT FREE FUNCTIONS LEAST_USED "
@@ -101,7 +101,8 @@ PINNED_ALL = {
         "IterativeModuloScheduler LoopOutcome ModuloScheduleResult "
         "Operation OperationDrivenScheduler SearchBudgetExceeded "
         "TraceScheduleResult TraceScheduler ValueLifetime chain "
-        "compute_heights dangling_requirements expand find_schedule_at_ii "
+        "compute_heights dangling_requirements expand find_blame "
+        "find_schedule_at_ii "
         "is_ii_feasible lifetime_report max_live mii_attribution "
         "min_feasible_ii_for_op min_ii rec_mii register_requirement "
         "res_mii schedule_signature value_lifetimes "

@@ -8,15 +8,15 @@ module walks folds memoized on the reservation tables, takes the probe
 order once per window, and ResMII reads self-feasible IIs kept on the
 forbidden matrix; the reference runs the frozen copies of those in
 ``tests/_reference_query.py``.  None of that may change a schedule, an
-attempt record, the check distribution, a work counter, a ledger record
-or a budget stop.
+attempt record, the check distribution, a work counter, a decision
+event or a budget stop.
 """
 
 import pytest
 
 from repro.core import MachineDescription
 from repro.errors import BudgetExceeded
-from repro.obs import ledger as obs_ledger
+from repro.obs import trace as obs
 from repro.query import POLICIES, DiscreteQueryModule
 from repro.query.modulo import REPRESENTATIONS
 from repro.query.work import WorkCounters
@@ -28,7 +28,6 @@ from repro.scheduler import (
 )
 from repro.scheduler.corpus import schedule_signature
 from repro.workloads import loop_suite
-
 from tests._reference_ims import ReferenceIMS
 from tests._reference_query import ReferenceDiscreteQueryModule
 
@@ -120,27 +119,36 @@ def _fragmenting_loops():
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_ledger_matches_reference(reduced, suites, representation, placement):
-    """Ledger-on runs record the same decisions, force and window blame
-    included."""
+def test_decisions_match_reference(
+    reduced, suites, representation, placement
+):
+    """Traced runs emit the same decision events, force blame and
+    window blame included; the blame comes from the frozen discrete
+    blame scan on the reference side for every representation."""
     fragment, fragmenting = _fragmenting_loops()
-    logs = []
+    streams = []
     for schedulers in zip(
         _pair(reduced, representation=representation,
               placement_policy=placement),
         _pair(fragment, representation=representation,
               placement_policy=placement),
     ):
-        with obs_ledger.recording() as ledger:
+        with obs.tracing() as tracer:
             for graph in suites[0]:
                 schedulers[0].schedule(graph)
             for graph in fragmenting:
                 schedulers[1].schedule(graph)
-        logs.append([record.to_dict() for record in ledger])
-    reference, current = logs
-    forced = [r for r in reference if r["kind"] == obs_ledger.FORCE]
-    assert any(r["blame"] for r in forced)
-    assert any(r["window_blame"] for r in forced)
+        streams.append([
+            (event.name, event.category, event.args)
+            for event in tracer.events
+        ])
+    reference, current = streams
+    forced = [args for name, _, args in reference if name == "ims.force"]
+    assert any(args["blame"] for args in forced)
+    assert any(args["window_blame"] for args in forced)
+    assert any(
+        "owner_op" in args["blame"] for args in forced if args["blame"]
+    )
     assert current == reference
 
 

@@ -510,12 +510,12 @@ class TestUnregisteredCurrency:
         report = _lint_snippet(
             tmp_path,
             """
-            from repro.query.work import ATTRIBUTE, CHECK
+            from repro.query.work import CHECK, COMPILE
 
             def probe(self, work):
                 work.charge("check", 4)
                 work.charge(CHECK, 2)
-                self.work.charge(ATTRIBUTE, 1)
+                self.work.charge(COMPILE, 1)
             """,
             rules=self.RULE,
         )
@@ -627,7 +627,7 @@ class TestUpwardImport:
             import repro.obs.trace
             from repro import mdl
             from repro.core.machine import MachineDescription
-            from repro.obs import ledger as obs_ledger
+            from repro.obs import metrics
             from repro.query.modulo import make_query_module
             from repro.resilience.budget import Budget
             from repro.scheduler.ladder import FallbackPolicy
@@ -685,7 +685,7 @@ class TestUpwardImport:
 
     def test_layer_rank_resolves_longest_key_and_inits(self):
         assert layer_rank("repro.obs") == 0
-        assert layer_rank("repro.obs.ledger") == 0
+        assert layer_rank("repro.obs.metrics") == 0
         assert layer_rank("repro.obs.export") == 5
         assert layer_rank("repro.resilience") == 0
         assert layer_rank("repro.resilience.fallback") == 5

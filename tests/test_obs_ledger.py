@@ -1,169 +1,120 @@
-"""The scheduling decision ledger and its provenance rollups.
+"""The scheduling decision log and its provenance rollups.
 
-Covers the ring buffer itself (bounds, tail, nesting), the scheduler
-emission paths (IMS and the list scheduler under ``recording()``),
-the provenance aggregations ``repro explain`` renders, ledger tails on
-``ScheduleError`` and the fallback ladder, and the invariant everything
-else depends on: recording must not change the schedules.
+The schedulers log every decision as one tracer event carrying the
+decision's payload; :func:`repro.obs.provenance.decision_records` reads
+them back as numbered records.  Covers the emission paths (the IMS and
+the list scheduler under ``tracing()``), the provenance aggregations
+``repro explain`` renders, and the invariant everything else depends
+on: logging decisions must not change the schedules or their work.
 """
 
 import pytest
 
+from repro.core import MachineDescription
 from repro.errors import ScheduleError
 from repro.machines import STUDY_MACHINES
-from repro.obs import ledger as obs_ledger
-from repro.obs import provenance
-from repro.scheduler import IterativeModuloScheduler
+from repro.obs import provenance, trace
+from repro.scheduler import DependenceGraph, IterativeModuloScheduler
 from repro.scheduler.list_scheduler import OperationDrivenScheduler
 from repro.workloads import KERNELS, loop_suite
+from tests.test_ims_reference import _fragmenting_loops
 
 
 def _machine():
     return STUDY_MACHINES["cydra5-subset"]()
 
 
-class TestDecisionLedger:
-    def test_ring_is_bounded_and_counts_drops(self):
-        ledger = obs_ledger.DecisionLedger(capacity=4)
-        for index in range(10):
-            ledger.record(obs_ledger.PLACE, {"op": "op%d" % index})
-        assert len(ledger) == 4
-        assert ledger.emitted == 10
-        assert ledger.dropped == 6
-        # The ring keeps the newest records, sequence numbers intact.
-        assert [r.seq for r in ledger] == [6, 7, 8, 9]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            obs_ledger.DecisionLedger(capacity=0)
-
-    def test_tail_returns_newest_last_dicts(self):
-        ledger = obs_ledger.DecisionLedger()
-        ledger.record(obs_ledger.PLACE, {"op": "a"})
-        ledger.record(obs_ledger.EVICT, {"op": "b"})
-        ledger.record(obs_ledger.PLACE, {"op": "c"})
-        tail = ledger.tail(2)
-        assert [t["op"] for t in tail] == ["b", "c"]
-        assert tail[-1]["kind"] == obs_ledger.PLACE
-        assert ledger.tail(0) == []
-
-    def test_recording_restores_previous_ledger(self):
-        assert obs_ledger.current() is None
-        with obs_ledger.recording() as outer:
-            assert obs_ledger.current() is outer
-            with obs_ledger.recording() as inner:
-                assert obs_ledger.current() is inner
-            assert obs_ledger.current() is outer
-        assert obs_ledger.current() is None
-
-    def test_recording_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with obs_ledger.recording():
-                raise RuntimeError("boom")
-        assert obs_ledger.current() is None
-
-    def test_active_tail_is_none_when_off(self):
-        assert obs_ledger.active_tail() is None
-
-    def test_start_stop_round_trip(self):
-        ledger = obs_ledger.start(capacity=8)
-        try:
-            assert obs_ledger.enabled()
-            assert obs_ledger.current() is ledger
-        finally:
-            stopped = obs_ledger.stop()
-        assert stopped is ledger
-        assert not obs_ledger.enabled()
-
-    def test_clear_resets_counts(self):
-        ledger = obs_ledger.DecisionLedger(capacity=2)
-        for _ in range(5):
-            ledger.record(obs_ledger.PLACE, {})
-        ledger.clear()
-        assert len(ledger) == 0
-        assert ledger.dropped == 0
+def _decisions(tracer):
+    return provenance.decision_records(tracer.events)
 
 
 class TestSchedulerEmission:
     def test_ims_emits_attempts_and_places(self):
         machine = _machine()
         graph = KERNELS["daxpy"]()
-        with obs_ledger.recording() as ledger:
+        with trace.tracing() as tracer:
             result = IterativeModuloScheduler(machine).schedule(graph)
-        kinds = {record.kind for record in ledger}
-        assert obs_ledger.ATTEMPT in kinds
-        assert obs_ledger.PLACE in kinds
+        records = _decisions(tracer)
+        kinds = {record["kind"] for record in records}
+        assert provenance.ATTEMPT in kinds
+        assert provenance.PLACE in kinds
+        assert [r["seq"] for r in records] == list(range(len(records)))
         places = [
-            r for r in ledger if r.kind in (obs_ledger.PLACE, obs_ledger.FORCE)
+            r for r in records
+            if r["kind"] in (provenance.PLACE, provenance.FORCE)
         ]
         # One placement record per final decision round at the served II.
-        assert {r.data["op"] for r in places} >= set(result.times)
+        assert {r["op"] for r in places} >= set(result.times)
         ends = [
-            r.data for r in ledger
-            if r.kind == obs_ledger.ATTEMPT and r.data["phase"] == "end"
+            r for r in records
+            if r["kind"] == provenance.ATTEMPT and r["phase"] == "end"
         ]
         assert ends[-1]["succeeded"] is True
         assert ends[-1]["ii"] == result.ii
 
     def test_recording_does_not_change_schedules(self):
-        machine = _machine()
-        for graph in loop_suite(6):
+        fragment, fragmenting = _fragmenting_loops()
+        runs = [(_machine(), graph) for graph in loop_suite(6)]
+        runs += [(fragment, graph) for graph in fragmenting]
+        forced = 0
+        for machine, graph in runs:
             base = IterativeModuloScheduler(machine).schedule(graph)
-            with obs_ledger.recording():
+            with trace.tracing() as tracer:
                 again = IterativeModuloScheduler(machine).schedule(graph)
+            forced += sum(
+                r["kind"] == provenance.FORCE for r in _decisions(tracer)
+            )
             assert again.times == base.times
             assert again.ii == base.ii
             assert again.chosen_opcodes == base.chosen_opcodes
-            # The paper's check-distribution metric must not shift either:
-            # attributed probes charge ATTRIBUTE, never CHECK.
+            # The paper's check distribution and every work count stay
+            # put: blame is read off the placements, never queried.
             assert again.check_distribution == base.check_distribution
+            assert again.work.calls == base.work.calls
+            assert again.work.units == base.work.units
+        assert forced
 
     def test_list_scheduler_emits_places(self):
         machine = _machine()
         graph = KERNELS["daxpy"]()
-        with obs_ledger.recording() as ledger:
-            OperationDrivenScheduler(machine).schedule(graph)
-        assert any(r.kind == obs_ledger.PLACE for r in ledger)
+        with trace.tracing() as tracer:
+            result = OperationDrivenScheduler(machine).schedule(graph)
+        places = [r for r in _decisions(tracer) if r["kind"] == "place"]
+        assert {r["op"]: r["cycle"] for r in places} == result.times
+        assert all(
+            result.chosen_opcodes[r["op"]] == r["alternative"]
+            for r in places
+        )
 
-    def test_give_up_attaches_ledger_tail(self):
+    def test_give_up_is_the_last_decision(self):
         # budget_ratio=1 + no II slack is a known-infeasible setting for
         # tridiagonal on the Cydra 5 subset (see test_resilience).
         scheduler = IterativeModuloScheduler(
             _machine(), budget_ratio=1, max_ii_slack=0
         )
         graph = KERNELS["tridiagonal"]()
-        with obs_ledger.recording():
+        with trace.tracing() as tracer:
             with pytest.raises(ScheduleError) as excinfo:
                 scheduler.schedule(graph)
-        assert excinfo.value.ledger_tail is not None
-        kinds = {record["kind"] for record in excinfo.value.ledger_tail}
-        assert obs_ledger.GIVE_UP in kinds
+        last = _decisions(tracer)[-1]
+        assert last["kind"] == provenance.GIVE_UP
+        assert last["loop"] == graph.name
+        assert tuple(last["ii_range"]) == excinfo.value.ii_range
 
-    def test_error_tail_is_none_without_ledger(self):
-        scheduler = IterativeModuloScheduler(
-            _machine(), budget_ratio=1, max_ii_slack=0
-        )
-        with pytest.raises(ScheduleError) as excinfo:
-            scheduler.schedule(KERNELS["tridiagonal"]())
-        assert excinfo.value.ledger_tail is None
-
-
-class TestFallbackTails:
-    def test_failed_rung_carries_ledger_tail(self, monkeypatch):
-        from repro.scheduler import ladder
-
-        monkeypatch.setattr(ladder, "IMS_ESCALATION", ((1, 0), (6, 16)))
-        machine = _machine()
-        graph = KERNELS["tridiagonal"]()
-        with obs_ledger.recording():
-            outcome = ladder.schedule_with_fallback(machine, graph)
-        failed = [a for a in outcome.attempts if a.failed]
-        assert failed
-        assert any(a.ledger_tail for a in failed)
-        assert outcome.escalation_ledger
-        # Without a ledger the same ladder still works, tails just absent.
-        outcome2 = ladder.schedule_with_fallback(machine, graph)
-        assert outcome2.escalation_ledger == []
+    def test_list_give_up_carries_no_blame(self):
+        machine = MachineDescription("unit", {"X": {"u": [0]}})
+        graph = DependenceGraph("one")
+        graph.add_operation("a", "X")
+        # Boundary operations hold the unit over the whole search horizon.
+        boundary = [("X", cycle) for cycle in range(300)]
+        with trace.tracing() as tracer:
+            with pytest.raises(ScheduleError):
+                OperationDrivenScheduler(machine).schedule(graph, boundary)
+        last = _decisions(tracer)[-1]
+        assert last == {
+            "seq": 0, "kind": provenance.GIVE_UP, "op": "a", "opcode": "X",
+            "window": [0, 258],
+        }
 
 
 class TestProvenanceRollups:
@@ -224,10 +175,11 @@ class TestProvenanceRollups:
 
     def test_summarize_over_live_ledger(self):
         machine = _machine()
-        with obs_ledger.recording() as ledger:
+        with trace.tracing() as tracer:
             IterativeModuloScheduler(machine).schedule(KERNELS["daxpy"]())
-        rollup = provenance.summarize(ledger)
-        assert rollup["records"] == len(ledger)
+        records = _decisions(tracer)
+        rollup = provenance.summarize(records)
+        assert rollup["records"] == len(records)
         assert rollup["attempts"]
         assert rollup["narrative"]
         assert rollup["attempts"][-1]["succeeded"] is True

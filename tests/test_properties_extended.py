@@ -188,34 +188,3 @@ def test_interlocked_simulation_always_resolves(machine, seed):
         for index, cycle in report.issue_cycles.items()
     ]
     assert schedule_is_contention_free(machine, final)
-
-
-@given(machines(), st.integers(0, 2**32))
-@settings(max_examples=30, deadline=None)
-def test_snapshot_restore_round_trip(machine, seed):
-    """restore(snapshot()) is an identity on observable query behaviour."""
-    rng = random.Random(seed)
-    module = DiscreteQueryModule(machine)
-    for _step in range(4):
-        op = rng.choice(machine.operation_names)
-        cycle = rng.randint(0, 6)
-        if module.check(op, cycle):
-            module.assign(op, cycle)
-    checkpoint = module.snapshot()
-    before = [
-        module.check(op, c)
-        for op in machine.operation_names
-        for c in range(8)
-    ]
-    for _step in range(4):
-        op = rng.choice(machine.operation_names)
-        cycle = rng.randint(0, 6)
-        if module.check(op, cycle):
-            module.assign(op, cycle)
-    module.restore(checkpoint)
-    after = [
-        module.check(op, c)
-        for op in machine.operation_names
-        for c in range(8)
-    ]
-    assert before == after

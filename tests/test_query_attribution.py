@@ -1,34 +1,37 @@
-"""Conflict attribution: blame exactness across representations.
+"""Conflict attribution: one blame function, exact against the frozen scan.
 
-The attribution plane promises that every representation names the same
-canonical blocked cell for a failed check — ``Blame.key = (resource,
-cycle, kind)`` — and that turning attribution on never perturbs the
-fast paths: attributed probes charge the ``attribute`` work currency
-(never ``check``/``check_range``), and ``attribute=None`` calls remain
-trajectory-identical to the pre-attribution module.
+:func:`repro.scheduler.find_blame` names the canonical blocked cell of a
+placement — ``Blame.key = (resource, cycle, kind)`` plus the owning
+placement — from the machine's tables and the live placements alone.
+The cases here compare it, owners included, with the discrete module's
+blame scan as it was while every query backend attributed its own
+failed checks (``tests/_reference_query.py``), scalar and modulo, and
+check that it blames exactly the cycles every representation's
+``check`` refuses.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MachineDescription
 from repro.machines import STUDY_MACHINES, example_machine
 from repro.query import (
-    ATTRIBUTE,
     BLAME_RESERVED,
     BLAME_SELF,
-    Blame,
     BitvectorQueryModule,
-    CHECK,
+    Blame,
     CompiledQueryModule,
     DiscreteQueryModule,
 )
+from repro.scheduler import find_blame
+from tests._reference_query import reference_blame
 
 RESOURCES = ["r0", "r1", "r2"]
 OPS = ["opA", "opB"]
-BACKENDS = (BitvectorQueryModule, CompiledQueryModule)
+BACKENDS = (DiscreteQueryModule, BitvectorQueryModule, CompiledQueryModule)
 
 
 @st.composite
@@ -47,7 +50,7 @@ def machines(draw):
 
 @st.composite
 def probe_plans(draw):
-    """Random assignments plus probe cycles/windows."""
+    """Random placements plus probe cycles/windows."""
     assigns = [
         (draw(st.integers(0, 1)), draw(st.integers(-6, 18)))
         for _ in range(draw(st.integers(0, 6)))
@@ -64,69 +67,59 @@ def probe_plans(draw):
     return assigns, probes
 
 
-def _build(machine, modulo):
-    """One module per representation, discrete first (the reference)."""
-    reference = DiscreteQueryModule(machine, modulo=modulo)
-    others = [backend(machine, modulo=modulo) for backend in BACKENDS]
-    return reference, others
+class _Schedule:
+    """Contention-free placements, held by one module per backend."""
 
+    def __init__(self, machine, modulo):
+        self.machine = machine
+        self.modulo = modulo
+        self.modules = [
+            backend(machine, modulo=modulo) for backend in BACKENDS
+        ]
+        self.times = {}
+        self.chosen = {}
+        self.placements = []
 
-def _replay_assigns(machine, modules, assigns):
-    ops = machine.operation_names
-    reference = modules[0]
-    for op_index, cycle in assigns:
-        op = ops[op_index % len(ops)]
-        if reference.check(op, cycle):
-            for module in modules:
-                module.assign(op, cycle)
-        else:
-            for module in modules[1:]:
-                assert not module.check(op, cycle)
+    def place(self, op, cycle):
+        """Place ``op`` at ``cycle`` when no backend sees a conflict."""
+        free = [module.check(op, cycle) for module in self.modules]
+        assert free == [free[0]] * len(free)
+        if not free[0]:
+            return False
+        for module in self.modules:
+            module.assign(op, cycle)
+        name = "p%d" % len(self.placements)
+        self.times[name] = cycle
+        self.chosen[name] = op
+        self.placements.append((op, cycle))
+        return True
+
+    def assert_blame(self, op, cycles):
+        cycles = list(cycles)
+        found = find_blame(
+            self.machine, op, cycles, self.times, self.chosen, self.modulo
+        )
+        assert found == reference_blame(
+            self.machine, op, cycles, self.placements, self.modulo
+        )
+        blamed = {cycle for cycle, _blame in found}
+        for module in self.modules:
+            assert [cycle in blamed for cycle in cycles] == [
+                not module.check(op, cycle) for cycle in cycles
+            ], type(module).__name__
+        return found
 
 
 def _assert_same_blame(machine, modulo, assigns, probes):
-    reference, others = _build(machine, modulo)
-    modules = [reference] + others
-    _replay_assigns(machine, modules, assigns)
+    schedule = _Schedule(machine, modulo)
     ops = machine.operation_names
+    for op_index, cycle in assigns:
+        schedule.place(ops[op_index % len(ops)], cycle)
     for op_index, cycle, width, direction in probes:
         op = ops[op_index % len(ops)]
-        want_free, want_blame = reference.check_attributed(op, cycle)
-        for module in others:
-            free, blame = module.check_attributed(op, cycle)
-            assert free == want_free
-            if want_free:
-                assert blame is None
-            else:
-                assert blame is not None
-                assert blame.key == want_blame.key
-        want_pairs = []
-        want_answers = reference.check_range(
-            op, cycle, cycle + width, attribute=want_pairs
-        )
-        want_first_pairs = []
-        want_first = reference.first_free(
-            op, cycle, cycle + width, direction,
-            attribute=want_first_pairs,
-        )
-        for module in others:
-            pairs = []
-            answers = module.check_range(
-                op, cycle, cycle + width, attribute=pairs
-            )
-            assert answers == want_answers
-            assert [(c, b.key) for c, b in pairs] == (
-                [(c, b.key) for c, b in want_pairs]
-            )
-            first_pairs = []
-            first = module.first_free(
-                op, cycle, cycle + width, direction,
-                attribute=first_pairs,
-            )
-            assert first == want_first
-            assert [(c, b.key) for c, b in first_pairs] == (
-                [(c, b.key) for c, b in want_first_pairs]
-            )
+        schedule.assert_blame(op, [cycle])
+        window = range(cycle, cycle + width)
+        schedule.assert_blame(op, window if direction > 0 else window[::-1])
 
 
 class TestPropertyExactness:
@@ -149,51 +142,38 @@ class TestStudyMachines:
         machine = STUDY_MACHINES[name]()
         rng = random.Random(hash(name) & 0xFFFF)
         for modulo in (None, 3, 7):
-            reference, others = _build(machine, modulo)
-            modules = [reference] + others
-            placed = 0
+            schedule = _Schedule(machine, modulo)
+            blamed = 0
             for _step in range(120):
                 op = rng.choice(machine.operation_names)
                 cycle = rng.randint(-4, 30)
-                want_free, want_blame = reference.check_attributed(
-                    op, cycle
-                )
-                for module in others:
-                    free, blame = module.check_attributed(op, cycle)
-                    assert free == want_free
-                    if want_blame is None:
-                        assert blame is None
-                    else:
-                        assert blame.key == want_blame.key
-                if want_free and placed < 25 and rng.random() < 0.5:
-                    for module in modules:
-                        module.assign(op, cycle)
-                    placed += 1
+                blamed += len(schedule.assert_blame(op, [cycle]))
+                if len(schedule.placements) < 25 and rng.random() < 0.5:
+                    schedule.place(op, cycle)
+            assert blamed, modulo
 
 
 class TestBlameSemantics:
     def test_reserved_blame_names_owner_cell(self):
         machine = example_machine()
         op = machine.operation_names[0]
-        module = DiscreteQueryModule(machine)
-        module.assign(op, 0)
-        free, blame = module.check_attributed(op, 0)
-        assert not free
+        ((cycle, blame),) = find_blame(machine, op, [0], {"a": 0}, {"a": op})
+        assert cycle == 0
         assert blame.kind == BLAME_RESERVED
         assert blame.resource in machine.resources
-        assert blame.owner_op == op
+        assert (blame.owner_op, blame.owner_cycle) == (op, 0)
 
     def test_modulo_self_conflict_precedes_reserved(self):
-        """An op whose own usages fold onto one MRT slot blames itself."""
+        """An op whose own usages fold onto one MRT slot blames itself,
+        even where another placement holds that slot."""
         machine = MachineDescription(
-            "fold", {"op": {"bus": [0, 2]}}
+            "fold", {"op": {"bus": [0, 2]}, "other": {"bus": [0]}}
         )
-        for backend in (DiscreteQueryModule,) + BACKENDS:
-            module = backend(machine, modulo=2)
-            free, blame = module.check_attributed("op", 0)
-            assert not free, backend.__name__
-            assert blame.kind == BLAME_SELF, backend.__name__
-            assert blame.resource == "bus"
+        for times in ({}, {"x": 0}):
+            ((_cycle, blame),) = find_blame(
+                machine, "op", [0], times, {"x": "other"}, modulo=2
+            )
+            assert blame == Blame("bus", 0, BLAME_SELF)
 
     def test_blame_key_and_dict_round_trip(self):
         blame = Blame("bus", 3, BLAME_RESERVED, owner_op="a", owner_cycle=1)
@@ -206,44 +186,3 @@ class TestBlameSemantics:
         assert "held by a" in blame.describe()
         self_blame = Blame("bus", 1, BLAME_SELF)
         assert "self-conflict" in self_blame.describe()
-
-
-class TestWorkCurrency:
-    def test_attributed_probes_charge_attribute_not_check(self):
-        machine = example_machine()
-        op = machine.operation_names[0]
-        for backend in (DiscreteQueryModule,) + BACKENDS:
-            module = backend(machine)
-            module.assign(op, 0)
-            checks = module.work.calls[CHECK]
-            module.check_attributed(op, 0)
-            module.check_range(op, 0, 6, attribute=[])
-            module.first_free(op, 0, 6, attribute=[])
-            assert module.work.calls[ATTRIBUTE] > 0, backend.__name__
-            assert module.work.calls[CHECK] == checks, backend.__name__
-
-    def test_attribute_off_paths_are_untouched(self):
-        """``attribute=None`` answers and charges exactly as before."""
-        machine = example_machine()
-        op = machine.operation_names[0]
-        for backend in (DiscreteQueryModule,) + BACKENDS:
-            plain = backend(machine)
-            probed = backend(machine)
-            plain.assign(op, 0)
-            probed.assign(op, 0)
-            # Attributed probes in between must not disturb later calls.
-            probed.check_attributed(op, 0)
-            probed.check_range(op, 0, 8, attribute=[])
-            assert plain.check_range(op, 0, 8) == (
-                probed.check_range(op, 0, 8)
-            )
-            assert plain.first_free(op, 0, 8) == probed.first_free(
-                op, 0, 8
-            )
-            for currency in ("check", "check_range", "assign", "free"):
-                assert plain.work.calls[currency] == (
-                    probed.work.calls[currency]
-                ), (backend.__name__, currency)
-                assert plain.work.units[currency] == (
-                    probed.work.units[currency]
-                ), (backend.__name__, currency)

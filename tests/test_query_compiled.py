@@ -319,70 +319,6 @@ class TestKernelAndAccounting:
         with pytest.raises(QueryError):
             module.assign_free(op, 50)
 
-    def test_snapshot_restore_round_trip(self):
-        machine = example_machine()
-        module = CompiledQueryModule(machine, modulo=6)
-        reference = DiscreteQueryModule(machine, modulo=6)
-        op = machine.operation_names[0]
-        module.assign(op, 0)
-        reference.assign(op, 0)
-        snap = module.snapshot()
-        probe = [(o, c) for o in machine.operation_names for c in range(8)]
-        before = [module.check(o, c) for o, c in probe]
-        if module.check(op, 3):
-            module.assign(op, 3)
-        module.restore(snap)
-        assert [module.check(o, c) for o, c in probe] == before
-        assert before == [reference.check(o, c) for o, c in probe]
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_restored_scans_match_a_replayed_module(self, seed):
-        """The kept (class, MRT slot) sources are saved and restored with
-        the state: after snapshot/restore, window scans answer and charge
-        exactly as a module rebuilt by replaying the calls."""
-        machine = STUDY_MACHINES["cydra5-subset"]()
-        rng = random.Random(seed)
-        ops = machine.operation_names
-        ii = rng.randint(4, 12)
-
-        def calls(count):
-            return [
-                ("free", rng.random()) if rng.random() < 0.25
-                else ("place", rng.choice(ops), rng.randint(-5, 25))
-                for _ in range(count)
-            ]
-
-        def replay(module, sequence):
-            for call in sequence:
-                live = module.scheduled()
-                if call[0] == "place":
-                    module.assign_free(call[1], call[2])
-                elif live:
-                    module.free(live[int(call[1] * len(live))])
-
-        def scans(module):
-            answers = []
-            for op in ops:
-                for start, width, direction in ((0, ii, 1), (3, ii, -1),
-                                                (-2, 2 * ii + 1, 1)):
-                    before = module.work.units[CHECK_RANGE]
-                    answers.append((
-                        module.first_free(op, start, start + width, direction),
-                        module.check_range(op, start, start + width),
-                        module.work.units[CHECK_RANGE] - before,
-                    ))
-            return answers
-
-        prefix = calls(6)
-        restored = CompiledQueryModule(machine, modulo=ii)
-        replay(restored, prefix)
-        snap = restored.snapshot()
-        replay(restored, calls(10))
-        restored.restore(snap)
-        rebuilt = CompiledQueryModule(machine, modulo=ii)
-        replay(rebuilt, prefix)
-        assert scans(restored) == scans(rebuilt)
-
     def test_wide_downward_modulo_window(self):
         """direction=-1 over a window wider than II picks the latest slot."""
         machine = example_machine()

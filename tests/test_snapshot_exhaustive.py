@@ -1,9 +1,8 @@
-"""Tests for query-module snapshots and the exhaustive II search."""
+"""Tests for the exhaustive II search."""
 
 import pytest
 
-from repro.machines import cydra5_subset, example_machine
-from repro.query import BitvectorQueryModule, DiscreteQueryModule
+from repro.machines import cydra5_subset
 from repro.scheduler import (
     DependenceGraph,
     IterativeModuloScheduler,
@@ -12,72 +11,6 @@ from repro.scheduler import (
     is_ii_feasible,
 )
 from repro.workloads import KERNELS, loop_suite
-
-
-@pytest.fixture(params=["discrete", "bitvector"])
-def module(request):
-    machine = example_machine()
-    if request.param == "discrete":
-        return DiscreteQueryModule(machine)
-    return BitvectorQueryModule(machine, word_cycles=2)
-
-
-class TestSnapshot:
-    def test_restore_undoes_assignments(self, module):
-        module.assign("A", 0)
-        checkpoint = module.snapshot()
-        module.assign("B", 0)
-        assert not module.check("B", 1)
-        module.restore(checkpoint)
-        assert module.check("B", 0)
-        assert not module.check("A", 0)
-        assert len(module.scheduled()) == 1
-
-    def test_restore_undoes_frees(self, module):
-        token = module.assign("B", 0)
-        checkpoint = module.snapshot()
-        module.free(token)
-        assert module.check("B", 0)
-        module.restore(checkpoint)
-        assert not module.check("B", 0)
-        assert module.scheduled() == [token]
-
-    def test_snapshot_is_isolated_from_later_mutation(self, module):
-        checkpoint = module.snapshot()
-        module.assign("B", 3)
-        module.restore(checkpoint)
-        assert module.scheduled() == []
-        assert module.check("B", 3)
-
-    def test_work_counters_survive_restore(self, module):
-        checkpoint = module.snapshot()
-        module.check("A", 0)
-        calls = module.work.calls["check"]
-        module.restore(checkpoint)
-        assert module.work.calls["check"] == calls
-
-    def test_nested_snapshots(self, module):
-        first = module.snapshot()
-        module.assign("A", 0)
-        second = module.snapshot()
-        module.assign("A", 1)
-        module.restore(second)
-        assert len(module.scheduled()) == 1
-        module.restore(first)
-        assert module.scheduled() == []
-
-    def test_assign_free_mode_restored(self):
-        machine = example_machine()
-        module = BitvectorQueryModule(machine, word_cycles=2)
-        module.assign_free("B", 0)
-        checkpoint = module.snapshot()
-        module.assign_free("B", 1)  # forces update mode
-        assert module.in_update_mode
-        module.restore(checkpoint)
-        assert not module.in_update_mode
-        # Still usable after restore.
-        _t, evicted = module.assign_free("B", 2)
-        assert [e.cycle for e in evicted] == [0]
 
 
 class TestExhaustiveSearch:
